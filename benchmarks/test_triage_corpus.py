@@ -59,17 +59,20 @@ def test_triage_and_corpus_benchmark(tmp_path):
 
     solver_check = Solver.check
     engine_check = GroupEncoding.check_pair
+    engine_row = GroupEncoding.check_row
 
     def poisoned(*args, **kwargs):
         raise AssertionError("solver query during corpus replay")
 
     Solver.check = poisoned
     GroupEncoding.check_pair = poisoned
+    GroupEncoding.check_row = poisoned
     try:
         runs = [corpus.run() for _ in range(CORPUS_ROUNDS)]
     finally:
         Solver.check = solver_check
         GroupEncoding.check_pair = engine_check
+        GroupEncoding.check_row = engine_row
     assert all(run.ok for run in runs)
     best = max(runs, key=lambda run: run.witnesses_per_sec)
     replayed = sum(run.replayed for run in runs)

@@ -1,30 +1,36 @@
 """Phase 2b: the inconsistency finder.
 
 For two agents A and B, and for every pair of *different* grouped outputs
-``(i, j)``, the constraint solver is asked whether ``C_A(i) AND C_B(j)`` is
-satisfiable.  A model is a concrete input on which the two agents diverge —
-an inconsistency — and is reported together with both output traces so a
-human can judge which (if either) implementation violates the specification.
+``(i, j)``, SOFT asks whether ``C_A(i) AND C_B(j)`` is satisfiable.  A model
+is a concrete input on which the two agents diverge — an inconsistency — and
+is reported together with both output traces so a human can judge which (if
+either) implementation violates the specification.
 
-The number of solver queries is bounded by ``|RES_A| * |RES_B|`` (§3.4); the
-grouping stage has already collapsed thousands of paths into tens of outputs,
-which is what makes this stage cheap.  Two solving modes exist:
+The paper bounds this stage by ``|RES_A| * |RES_B|`` solver queries (§3.4).
+Nearly all of them are UNSAT, so the default path does not ask them one by
+one.  It scans the pair matrix a row at a time on a shared
+:class:`~repro.symbex.solver.incremental.GroupEncoding`: every group
+condition is bit-blasted once behind an activation literal, and
+:meth:`~repro.symbex.solver.incremental.GroupEncoding.check_row` decides all
+candidate B-groups of one A-group with one disjunctive SAT query per hit
+round, falling back to pair-by-pair solves only where that would not save a
+call.  Pass ``engine=`` to share the encoding across several pair reports of
+the same test (what :class:`~repro.core.campaign.Campaign` does).
 
-* **incremental** (the default): a shared
-  :class:`~repro.symbex.solver.incremental.GroupEncoding` bit-blasts each
-  group condition exactly once behind an activation literal, and every pair
-  query re-solves the same SAT instance under the pair's two assumptions.
-  Pass ``engine=`` to share the encoding across several pair reports of the
-  same test (what :class:`~repro.core.campaign.Campaign` does).
-* **legacy**: pass ``solver=`` (or ``incremental=False``) to re-simplify,
-  re-bit-blast and re-solve every pair from scratch through a
-  :class:`~repro.symbex.solver.Solver` — the reference implementation the
-  incremental engine is equivalence-tested against.
+``CrosscheckReport.queries`` counts *pairs decided*, whatever decided them,
+so it keeps the meaning of the paper's query count; the SAT calls actually
+made are ``solver_stats["assumption_solves"]``.
+
+The legacy path (``solver=`` or ``incremental=False``) re-simplifies,
+re-bit-blasts and re-solves every pair from scratch through a
+:class:`~repro.symbex.solver.Solver`.  It is the reference the row scan is
+equivalence-tested against, and the hybrid scheduler's query cache uses it.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -32,7 +38,7 @@ from repro.core.grouping import GroupedResults, OutputGroup
 from repro.core.trace import OutputTrace
 from repro.errors import CrosscheckError
 from repro.symbex.expr import BoolExpr, bool_and
-from repro.symbex.solver import GroupEncoding, Solver, SolverConfig
+from repro.symbex.solver import GroupEncoding, SatResult, Solver, SolverConfig
 
 __all__ = ["Inconsistency", "CrosscheckReport", "find_inconsistencies"]
 
@@ -128,14 +134,16 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
                          ) -> CrosscheckReport:
     """Crosscheck two agents' grouped results for one test specification.
 
-    *max_pairs* caps the number of solver queries **globally** across the
-    whole pair matrix; a truncated scan is flagged in the report.
+    *max_pairs* caps the number of pairs decided **globally** across the
+    whole pair matrix (a row's candidates are trimmed to the remaining
+    budget); a truncated scan is flagged in the report.
 
     *deadline* is an absolute time on *clock* (default
     ``time.perf_counter``): once reached, the scan stops before the next
-    solver query and the report is flagged ``truncated``, like a
-    *max_pairs* cutoff.  Callers with query caches (the hybrid scheduler)
-    simply re-scan on the next slice — already-solved pairs are cheap.
+    pair filter or SAT call and the report is flagged ``truncated``, like a
+    *max_pairs* cutoff.  Pairs left undecided are neither counted nor
+    reported.  Callers with query caches (the hybrid scheduler) simply
+    re-scan on the next slice — already-solved pairs are cheap.
 
     Mode selection: an explicit *engine* drives the incremental path on that
     (possibly shared) encoding; an explicit *solver* or ``incremental=False``
@@ -161,61 +169,14 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
         solver = Solver(SolverConfig())
 
     started = time.perf_counter()
-    inconsistencies: List[Inconsistency] = []
-    queries = 0
-    unsat_pairs = 0
-    unknown_pairs = 0
-    identical = 0
-    truncated = False
-    via_counts = {"trivial": 0, "interval": 0, "assumption": 0, "pair-cache": 0}
-
-    for group_a in grouped_a.groups:
-        if truncated:
-            break
-        for group_b in grouped_b.groups:
-            if group_a.trace == group_b.trace:
-                identical += 1
-                continue
-            if max_pairs is not None and queries >= max_pairs:
-                truncated = True
-                break
-            if deadline is not None and clock() >= deadline:
-                truncated = True
-                break
-            queries += 1
-            query_started = time.perf_counter()
-            if use_incremental:
-                outcome = engine.check_pair(group_a.condition, group_b.condition)
-                result = outcome.result
-                via_counts[outcome.via] += 1
-            else:
-                result = solver.check([group_a.condition, group_b.condition])
-            elapsed = time.perf_counter() - query_started
-            if result.is_sat:
-                inconsistencies.append(Inconsistency(
-                    agent_a=grouped_a.agent_name,
-                    agent_b=grouped_b.agent_name,
-                    trace_a=group_a.trace,
-                    trace_b=group_b.trace,
-                    condition=bool_and(group_a.condition, group_b.condition),
-                    example=dict(result.model),
-                    solver_time=elapsed,
-                ))
-            elif result.is_unsat:
-                unsat_pairs += 1
-            else:
-                unknown_pairs += 1
-
+    tally = _Tally(grouped_a.agent_name, grouped_b.agent_name)
     if use_incremental:
-        solver_stats: Dict[str, object] = {
-            "mode": "incremental",
-            "trivial": via_counts["trivial"],
-            "interval_decides": via_counts["interval"],
-            "assumption_solves": via_counts["assumption"],
-            "pair_cache_hits": via_counts["pair-cache"],
-            "engine": engine.stats_dict(),
-        }
+        stop = None if deadline is None else (lambda: clock() >= deadline)
+        solver_stats = _scan_rows(grouped_a, grouped_b, engine, tally,
+                                  max_pairs, stop)
     else:
+        _scan_pairs(grouped_a, grouped_b, solver, tally, max_pairs,
+                    deadline, clock)
         solver_stats = {"mode": "legacy"}
         solver_stats.update(solver.stats_dict())
 
@@ -223,12 +184,112 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
         agent_a=grouped_a.agent_name,
         agent_b=grouped_b.agent_name,
         test_key=grouped_a.test_key,
-        inconsistencies=inconsistencies,
-        queries=queries,
-        unsat_pairs=unsat_pairs,
-        unknown_pairs=unknown_pairs,
+        inconsistencies=tally.inconsistencies,
+        queries=tally.queries,
+        unsat_pairs=tally.unsat_pairs,
+        unknown_pairs=tally.unknown_pairs,
         checking_time=time.perf_counter() - started,
-        identical_output_pairs=identical,
-        truncated=truncated,
+        identical_output_pairs=tally.identical,
+        truncated=tally.truncated,
         solver_stats=solver_stats,
     )
+
+
+@dataclass
+class _Tally:
+    """Running counts of one crosscheck report."""
+
+    agent_a: str
+    agent_b: str
+    inconsistencies: List[Inconsistency] = field(default_factory=list)
+    queries: int = 0
+    unsat_pairs: int = 0
+    unknown_pairs: int = 0
+    identical: int = 0
+    truncated: bool = False
+
+    def record(self, group_a: OutputGroup, group_b: OutputGroup,
+               result: SatResult, elapsed: float) -> None:
+        """Count one decided pair; a SAT pair becomes an inconsistency."""
+
+        self.queries += 1
+        if result.is_sat:
+            self.inconsistencies.append(Inconsistency(
+                agent_a=self.agent_a,
+                agent_b=self.agent_b,
+                trace_a=group_a.trace,
+                trace_b=group_b.trace,
+                condition=bool_and(group_a.condition, group_b.condition),
+                example=dict(result.model),
+                solver_time=elapsed,
+            ))
+        elif result.is_unsat:
+            self.unsat_pairs += 1
+        else:
+            self.unknown_pairs += 1
+
+
+def _scan_rows(grouped_a: GroupedResults, grouped_b: GroupedResults,
+               engine: GroupEncoding, tally: _Tally, max_pairs: Optional[int],
+               stop: Optional[Callable[[], bool]]) -> Dict[str, object]:
+    """The incremental path: one :meth:`GroupEncoding.check_row` per A-group."""
+
+    via_counts: Counter = Counter()
+    calls: Counter = Counter()
+    for group_a in grouped_a.groups:
+        candidates: List[OutputGroup] = []
+        for group_b in grouped_b.groups:
+            if group_a.trace == group_b.trace:
+                tally.identical += 1
+            else:
+                candidates.append(group_b)
+        if max_pairs is not None and len(candidates) > max_pairs - tally.queries:
+            del candidates[max(max_pairs - tally.queries, 0):]
+            tally.truncated = True
+        scan = engine.check_row(group_a.condition,
+                                [group_b.condition for group_b in candidates],
+                                stop=stop)
+        calls.update(row_solves=scan.row_solves, hit_rounds=scan.hit_rounds,
+                     pairwise_fallbacks=scan.pairwise_fallbacks,
+                     sat_calls=scan.sat_calls)
+        for group_b, outcome in zip(candidates, scan.outcomes):
+            if outcome is None:
+                tally.truncated = True
+                continue
+            via_counts[outcome.via] += 1
+            tally.record(group_a, group_b, outcome.result, outcome.result.time)
+        if tally.truncated:
+            break
+    return {
+        "mode": "incremental",
+        "trivial": via_counts["trivial"],
+        "interval_decides": via_counts["interval"],
+        "pair_cache_hits": via_counts["pair-cache"],
+        "assumption_solves": calls["sat_calls"],
+        "row_solves": calls["row_solves"],
+        "hit_rounds": calls["hit_rounds"],
+        "pairwise_fallbacks": calls["pairwise_fallbacks"],
+        "engine": engine.stats_dict(),
+    }
+
+
+def _scan_pairs(grouped_a: GroupedResults, grouped_b: GroupedResults,
+                solver: Solver, tally: _Tally, max_pairs: Optional[int],
+                deadline: Optional[float], clock: Callable[[], float]) -> None:
+    """The legacy path: one from-scratch solver query per pair."""
+
+    for group_a in grouped_a.groups:
+        for group_b in grouped_b.groups:
+            if group_a.trace == group_b.trace:
+                tally.identical += 1
+                continue
+            if max_pairs is not None and tally.queries >= max_pairs:
+                tally.truncated = True
+                return
+            if deadline is not None and clock() >= deadline:
+                tally.truncated = True
+                return
+            query_started = time.perf_counter()
+            result = solver.check([group_a.condition, group_b.condition])
+            tally.record(group_a, group_b, result,
+                         time.perf_counter() - query_started)

@@ -38,7 +38,7 @@ from repro.symbex.solver.solver import (
     SolverStats,
     merge_stat_dicts,
 )
-from repro.symbex.solver.incremental import GroupEncoding, IncrementalStats, PairOutcome
+from repro.symbex.solver.incremental import GroupEncoding, IncrementalStats, PairOutcome, RowScan
 from repro.symbex.solver.oracle import PrefixOracle, PrefixOracleStats
 
 __all__ = [
@@ -68,6 +68,7 @@ __all__ = [
     "GroupEncoding",
     "IncrementalStats",
     "PairOutcome",
+    "RowScan",
     "PrefixOracle",
     "PrefixOracleStats",
     "merge_stat_dicts",

@@ -98,12 +98,15 @@ class SolverBackend:
 
     def check_sat(self, assumptions: Sequence[int] = (),
                   max_conflicts: Optional[int] = None,
-                  cancel: Optional[CancellationToken] = None) -> str:
+                  cancel: Optional[CancellationToken] = None,
+                  prefer: Sequence[int] = ()) -> str:
         """Decide the current formula; returns a ``SATStatus`` constant.
 
         ``UNKNOWN`` means the budget ran out, the query was cancelled, or a
         semi-decision backend could not conclude — never a property of the
-        formula itself.
+        formula itself.  *prefer* is a decision hint (literals to try first,
+        one at a time); it never changes the answer, and backends without
+        decision control ignore it.
         """
 
         raise NotImplementedError

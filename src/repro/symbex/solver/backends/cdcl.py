@@ -68,11 +68,13 @@ class CDCLBackend(SolverBackend):
 
     def check_sat(self, assumptions: Sequence[int] = (),
                   max_conflicts: Optional[int] = None,
-                  cancel: Optional[CancellationToken] = None) -> str:
+                  cancel: Optional[CancellationToken] = None,
+                  prefer: Sequence[int] = ()) -> str:
         self._cancel = cancel
         try:
             return self._sat.solve(assumptions=list(assumptions),
-                                   max_conflicts=max_conflicts, cancel=cancel)
+                                   max_conflicts=max_conflicts, cancel=cancel,
+                                   prefer=prefer)
         finally:
             self._cancel = None
 

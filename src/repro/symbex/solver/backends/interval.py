@@ -54,7 +54,8 @@ class IntervalBackend(SolverBackend):
 
     def check_sat(self, assumptions: Sequence[int] = (),
                   max_conflicts: Optional[int] = None,
-                  cancel: Optional[CancellationToken] = None) -> str:
+                  cancel: Optional[CancellationToken] = None,
+                  prefer: Sequence[int] = ()) -> str:
         if assumptions:
             raise BackendCapabilityError(
                 "the interval backend has no literal namespace; scope queries "

@@ -1,25 +1,45 @@
-"""Incremental crosscheck solving: encode once, solve under assumptions.
+"""Incremental crosscheck solving: encode once, scan a row with one query.
 
-Phase 2b asks up to ``|RES_A| * |RES_B|`` satisfiability questions per agent
-pair, and an N-agent campaign asks them for every pair — but the group
-conditions themselves only come from N groupings per test.  The legacy
-pipeline pays full price per query: every pair re-simplifies, re-bit-blasts
-and re-solves both conditions from scratch in a fresh SAT instance.
+Phase 2b asks whether ``C_A(i) AND C_B(j)`` is satisfiable for up to
+``|RES_A| * |RES_B|`` pairs per agent pair (§3.4), and nearly all of those
+pairs are UNSAT.  :class:`GroupEncoding` keeps **one** SAT instance per test.
+Each output-group condition is simplified and bit-blasted exactly once,
+guarded by a fresh *activation literal* ``act`` with implications
+``act -> atom`` for every conjunct of the simplified condition.
 
-:class:`GroupEncoding` keeps **one** SAT instance per test.  Each output-group
-condition is simplified and bit-blasted exactly once, guarded by a fresh
-*activation literal* ``act`` with implications ``act -> atom`` for every
-conjunct of the simplified condition.  The pair query (i, j) then becomes
-``solve(assumptions=[act_i, act_j])`` on the shared instance, re-using the
-shared bit-blasting structure and every clause learned while answering
-earlier pairs instead of rebuilding the backend.  The interval pre-check
-still short-circuits trivially-UNSAT (and concretely-verifiable SAT) pairs
-without touching the SAT backend, exactly as the legacy pipeline does.
+:meth:`GroupEncoding.check_row` decides a whole row of the pair matrix (one
+A-group against its candidate B-groups):
 
-All public methods are thread-safe.  Pair queries on one engine serialize on
-its lock (the shared SAT instance is stateful); a campaign's thread pool
-still overlaps Phase 2b across *different* tests' engines, and the pure-
-Python backend is GIL-bound either way.
+1. Cheap per-pair filters first: trivially constant conditions, the
+   ``(condition, condition)`` result cache and the interval pre-check, whose
+   verified models are kept as they are.
+2. The still-undecided candidates ``R`` get one *disjunctive* query: a fresh
+   selector ``sel`` with the clause ``-sel OR act_j for j in R``, solved
+   under ``{act_a, sel}`` and then retired with the unit clause ``-sel``.
+   Because activation literals are implication-only, a model satisfies
+   ``C_A(i)`` and at least one ``C_B(j)``.  Once a row turns out dense
+   (:data:`DENSE_ROW_HIT_SHARE`), its row queries ask the SAT core to try
+   the candidates' activation literals one at a time.
+3. On SAT every condition in ``R`` is evaluated on the model with the
+   compiled tapes; every hit is a verified inconsistency and leaves ``R``.
+   A SAT answer that satisfies no candidate is a solver bug and raises
+   :class:`~repro.errors.SolverError`.  On UNSAT every pair left in ``R`` is
+   UNSAT.
+4. The row is finished pair by pair (:meth:`GroupEncoding.check_pair`'s
+   assumption solve ``{act_a, act_j}``) once its hit rounds reach the number
+   of undecided candidates, when one candidate is left, or when the backend
+   answers UNKNOWN.  So a row with a decisive backend never makes more SAT
+   calls than it has candidates: the §3.4 bound still holds, and UNKNOWN
+   pairs are still reported as unknown.
+
+On ``packet_out`` (reference/ovs/modified, small scale) this turns 18,191
+pair queries into a few hundred SAT calls.  Every decided pair is stored in
+the result cache, so a re-run on the same engine makes no SAT call at all.
+
+All public methods are thread-safe.  Queries on one engine serialize on its
+lock (the shared SAT instance is stateful); a campaign's thread pool still
+overlaps Phase 2b across *different* tests' engines, and the pure-Python
+backend is GIL-bound either way.
 """
 
 from __future__ import annotations
@@ -27,9 +47,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.errors import SolverError
+from repro.symbex.compile import compile_term
 from repro.symbex.expr import BoolAnd, BoolConst, BoolExpr
 from repro.symbex.interval import analyze_conjunction
 from repro.symbex.simplify import simplify_bool
@@ -37,7 +58,15 @@ from repro.symbex.solver.model import complete_model, require_verified
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.solver.solver import SatResult, SolverConfig
 
-__all__ = ["GroupEncoding", "IncrementalStats", "PairOutcome"]
+__all__ = ["GroupEncoding", "IncrementalStats", "PairOutcome", "RowScan"]
+
+#: A row whose hit rounds reach this share of its candidates is *dense*: its
+#: row queries steer the SAT search to one candidate at a time.  Unsteered,
+#: the solver refutes a sparse row's disjunction at once (``packet_out``:
+#: ~1% of pairs SAT), but wanders on dense rows (flow-mod tests: ~15% SAT),
+#: where trying candidates one by one finds models faster and leaves
+#: refutations that make the row's final UNSAT query nearly free.
+DENSE_ROW_HIT_SHARE = 0.05
 
 
 @dataclass
@@ -48,8 +77,15 @@ class IncrementalStats:
     groups_encoded: int = 0
     #: Conditions requested again after their first encoding (the saving).
     encoding_reuses: int = 0
-    #: Queries answered by re-solving the shared instance under assumptions.
+    #: SAT calls on the shared instance under assumptions (row solves plus
+    #: pair-by-pair solves).
     assumption_solves: int = 0
+    #: Disjunctive row queries (one A-group against all undecided B-groups).
+    row_solves: int = 0
+    #: Row queries answered SAT (each decides at least one pair).
+    hit_rounds: int = 0
+    #: Rows finished pair by pair instead of by another row query.
+    pairwise_fallbacks: int = 0
     #: SAT instances constructed (1 per engine; the legacy path pays 1/query).
     backend_rebuilds: int = 0
     #: Pair queries decided by the interval pre-check (no SAT backend).
@@ -67,6 +103,9 @@ class IncrementalStats:
             "groups_encoded": self.groups_encoded,
             "encoding_reuses": self.encoding_reuses,
             "assumption_solves": self.assumption_solves,
+            "row_solves": self.row_solves,
+            "hit_rounds": self.hit_rounds,
+            "pairwise_fallbacks": self.pairwise_fallbacks,
             "backend_rebuilds": self.backend_rebuilds,
             "interval_decides": self.interval_decides,
             "pair_cache_hits": self.pair_cache_hits,
@@ -95,11 +134,35 @@ class _EncodedGroup:
 
 @dataclass
 class PairOutcome:
-    """Result of one pair query plus how it was decided."""
+    """Result of one pair query plus how it was decided.
+
+    ``result.time`` is the time spent deciding it; for a pair decided by a
+    row query that is the time of the row query's solve.
+    """
 
     result: SatResult
-    #: "trivial" | "interval" | "assumption" | "pair-cache"
+    #: "trivial" | "interval" | "pair-cache" | "row" | "assumption"
     via: str
+
+
+@dataclass
+class RowScan:
+    """Outcome of :meth:`GroupEncoding.check_row`: one entry per candidate."""
+
+    #: ``None`` for a candidate left undecided because ``stop`` fired.
+    outcomes: List[Optional[PairOutcome]]
+    #: Disjunctive row queries sent to the SAT backend.
+    row_solves: int = 0
+    #: Row queries answered SAT.
+    hit_rounds: int = 0
+    #: 1 when the row was finished pair by pair.
+    pairwise_fallbacks: int = 0
+    #: Pair-by-pair SAT calls.
+    pair_solves: int = 0
+
+    @property
+    def sat_calls(self) -> int:
+        return self.row_solves + self.pair_solves
 
 
 class GroupEncoding:
@@ -180,7 +243,7 @@ class GroupEncoding:
             return group
 
     # ------------------------------------------------------------------
-    # Pair queries
+    # Queries
     # ------------------------------------------------------------------
 
     def check_pair(self, condition_a: BoolExpr, condition_b: BoolExpr) -> PairOutcome:
@@ -191,12 +254,48 @@ class GroupEncoding:
             group_b = self.encode(condition_b)
             started = time.perf_counter()
             try:
-                return self._check_groups(group_a, group_b)
+                outcome = self._decide_cheaply(group_a, group_b)
+                if outcome is None:
+                    outcome = self._solve_pair(group_a, group_b)
+                return outcome
             finally:
                 self.stats.solve_time += time.perf_counter() - started
 
-    def _check_groups(self, group_a: _EncodedGroup,
-                      group_b: _EncodedGroup) -> PairOutcome:
+    def check_row(self, condition_a: BoolExpr, conditions_b: Sequence[BoolExpr],
+                  stop: Optional[Callable[[], bool]] = None) -> RowScan:
+        """Decide ``condition_a AND b`` for every *b* in *conditions_b*.
+
+        *stop* is polled before every pair filter and every SAT call; once it
+        returns true the scan ends and the candidates not yet decided keep a
+        ``None`` outcome.
+        """
+
+        with self._lock:
+            group_a = self.encode(condition_a)
+            groups_b = [self.encode(condition) for condition in conditions_b]
+            scan = RowScan(outcomes=[None] * len(groups_b))
+            started = time.perf_counter()
+            try:
+                pending: List[int] = []
+                for index, group_b in enumerate(groups_b):
+                    if stop is not None and stop():
+                        return scan
+                    filter_started = time.perf_counter()
+                    outcome = self._decide_cheaply(group_a, group_b)
+                    if outcome is None:
+                        pending.append(index)
+                    else:
+                        outcome.result.time = time.perf_counter() - filter_started
+                        scan.outcomes[index] = outcome
+                self._solve_row(group_a, groups_b, pending, scan, stop)
+                return scan
+            finally:
+                self.stats.solve_time += time.perf_counter() - started
+
+    def _decide_cheaply(self, group_a: _EncodedGroup,
+                        group_b: _EncodedGroup) -> Optional[PairOutcome]:
+        """Trivial, pair-cache and interval verdicts; ``None`` if undecided."""
+
         if group_a.trivially_false or group_b.trivially_false:
             self.stats.unsat += 1
             return PairOutcome(SatResult(SATStatus.UNSAT), via="trivial")
@@ -205,9 +304,8 @@ class GroupEncoding:
             self.stats.sat += 1
             return PairOutcome(SatResult(SATStatus.SAT, model={}), via="trivial")
 
-        cache_key = frozenset((group_a.activation, group_b.activation))
         if self.config.use_cache:
-            cached = self._pair_cache.get(cache_key)
+            cached = self._pair_cache.get(self._cache_key(group_a, group_b))
             if cached is not None:
                 self.stats.pair_cache_hits += 1
                 return PairOutcome(SatResult(cached.status, dict(cached.model)),
@@ -217,37 +315,121 @@ class GroupEncoding:
             outcome = analyze_conjunction(atoms)
             if outcome.is_unsat:
                 self.stats.interval_decides += 1
-                self.stats.unsat += 1
-                self._remember(cache_key, SatResult(SATStatus.UNSAT))
-                return PairOutcome(SatResult(SATStatus.UNSAT), via="interval")
+                return self._decided(group_a, group_b, SATStatus.UNSAT, "interval")
             if outcome.verified:
                 self.stats.interval_decides += 1
-                self.stats.sat += 1
                 model = complete_model(outcome.candidate, atoms)
-                self._remember(cache_key, SatResult(SATStatus.SAT, model=dict(model)))
-                return PairOutcome(SatResult(SATStatus.SAT, model=model), via="interval")
+                return self._decided(group_a, group_b, SATStatus.SAT, "interval",
+                                     model=model)
+        return None
+
+    def _solve_pair(self, group_a: _EncodedGroup,
+                    group_b: _EncodedGroup) -> PairOutcome:
+        """One SAT call under the pair's two activation literals."""
 
         self.stats.assumption_solves += 1
+        started = time.perf_counter()
         status = self._backend.check_sat(
             assumptions=[group_a.activation, group_b.activation],
             max_conflicts=self.config.max_conflicts)
+        elapsed = time.perf_counter() - started
         if status == SATStatus.UNKNOWN:
             # Never cached: a later call may run with a raised budget.
             self.stats.unknown += 1
-            return PairOutcome(SatResult(SATStatus.UNKNOWN), via="assumption")
-        if status == SATStatus.UNSAT:
-            self.stats.unsat += 1
-            self._remember(cache_key, SatResult(SATStatus.UNSAT))
-            return PairOutcome(SatResult(SATStatus.UNSAT), via="assumption")
+            return PairOutcome(SatResult(SATStatus.UNKNOWN, time=elapsed),
+                               via="assumption")
+        model = None
+        if status == SATStatus.SAT:
+            model = self._checked_model(self._backend.get_value(), group_a, group_b)
+        return self._decided(group_a, group_b, status, "assumption",
+                             model=model, elapsed=elapsed)
 
-        model = self._backend.get_value()
+    def _solve_row(self, group_a: _EncodedGroup, groups_b: List[_EncodedGroup],
+                   pending: List[int], scan: RowScan,
+                   stop: Optional[Callable[[], bool]]) -> None:
+        """Decide the *pending* candidates with disjunctive row queries."""
+
+        backend = self._backend
+        candidates = len(pending)
+        while len(pending) > max(scan.hit_rounds, 1):
+            if stop is not None and stop():
+                return
+            selector = backend.new_var()
+            activations = [groups_b[index].activation for index in pending]
+            backend.add_clause([-selector] + activations)
+            dense = (scan.hit_rounds > 0
+                     and scan.hit_rounds >= DENSE_ROW_HIT_SHARE * candidates)
+            self.stats.assumption_solves += 1
+            self.stats.row_solves += 1
+            scan.row_solves += 1
+            started = time.perf_counter()
+            status = backend.check_sat(assumptions=[group_a.activation, selector],
+                                       max_conflicts=self.config.max_conflicts,
+                                       prefer=activations if dense else ())
+            elapsed = time.perf_counter() - started
+            # Read the model before retiring the selector: adding a clause
+            # backtracks the SAT core to the root level.
+            model = backend.get_value() if status == SATStatus.SAT else None
+            backend.add_clause([-selector])
+            if status == SATStatus.UNKNOWN:
+                break
+            if status == SATStatus.UNSAT:
+                for index in pending:
+                    scan.outcomes[index] = self._decided(
+                        group_a, groups_b[index], SATStatus.UNSAT, "row",
+                        elapsed=elapsed)
+                return
+            hits = [index for index in pending
+                    if all(compile_term(atom).run_bool(model, default=0)
+                           for atom in groups_b[index].atoms)]
+            if not hits:
+                raise SolverError(
+                    "row query returned a model that satisfies none of its %d "
+                    "candidate conditions — this is a bug in the decision "
+                    "procedure" % (len(pending),))
+            self.stats.hit_rounds += 1
+            scan.hit_rounds += 1
+            for index in hits:
+                scan.outcomes[index] = self._decided(
+                    group_a, groups_b[index], SATStatus.SAT, "row",
+                    model=self._checked_model(model, group_a, groups_b[index]),
+                    elapsed=elapsed)
+            pending = [index for index in pending if scan.outcomes[index] is None]
+
+        if pending:
+            self.stats.pairwise_fallbacks += 1
+            scan.pairwise_fallbacks = 1
+        for index in pending:
+            if stop is not None and stop():
+                return
+            scan.pair_solves += 1
+            scan.outcomes[index] = self._solve_pair(group_a, groups_b[index])
+
+    def _checked_model(self, model: Dict[str, int], group_a: _EncodedGroup,
+                       group_b: _EncodedGroup) -> Dict[str, int]:
+        atoms = group_a.atoms + group_b.atoms
         if self.config.verify_models:
-            model = require_verified(model, atoms)
+            return require_verified(model, atoms)
+        return complete_model(model, atoms)
+
+    def _decided(self, group_a: _EncodedGroup, group_b: _EncodedGroup,
+                 status: str, via: str, model: Optional[Dict[str, int]] = None,
+                 elapsed: float = 0.0) -> PairOutcome:
+        """Count and cache a SAT/UNSAT verdict on one pair."""
+
+        if status == SATStatus.SAT:
+            self.stats.sat += 1
+            result = SatResult(SATStatus.SAT, model=dict(model), time=elapsed)
         else:
-            model = complete_model(model, atoms)
-        self.stats.sat += 1
-        self._remember(cache_key, SatResult(SATStatus.SAT, model=dict(model)))
-        return PairOutcome(SatResult(SATStatus.SAT, model=model), via="assumption")
+            self.stats.unsat += 1
+            result = SatResult(SATStatus.UNSAT, time=elapsed)
+        self._remember(self._cache_key(group_a, group_b),
+                       SatResult(result.status, model=dict(result.model)))
+        return PairOutcome(result, via=via)
+
+    @staticmethod
+    def _cache_key(group_a: _EncodedGroup, group_b: _EncodedGroup) -> FrozenSet[int]:
+        return frozenset((group_a.activation, group_b.activation))
 
     def _remember(self, cache_key: FrozenSet[int], result: SatResult) -> None:
         if self.config.use_cache:

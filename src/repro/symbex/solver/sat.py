@@ -440,6 +440,20 @@ class SATSolver:
             return var
         return None
 
+    def _preferred_decision(self, prefer: Sequence[int]) -> Optional[int]:
+        """The first unassigned literal of *prefer*, or None once one is true."""
+
+        assignment = self._assignment
+        decision = None
+        for lit in prefer:
+            value = assignment[lit if lit > 0 else -lit]
+            if value is None:
+                if decision is None:
+                    decision = lit
+            elif value == (lit > 0):
+                return None
+        return decision
+
     # ------------------------------------------------------------------
     # Learned-clause DB reduction
     # ------------------------------------------------------------------
@@ -489,7 +503,7 @@ class SATSolver:
     # ------------------------------------------------------------------
 
     def solve(self, assumptions: Sequence[int] = (), max_conflicts: Optional[int] = None,
-              cancel=None) -> str:
+              cancel=None, prefer: Sequence[int] = ()) -> str:
         """Solve the formula; returns one of the :class:`SATStatus` constants.
 
         *assumptions* are literals forced at the start of the search (they act
@@ -505,6 +519,11 @@ class SATSolver:
         backtracked to the root, assumption-reuse state reset — and returns
         ``UNKNOWN``, so the instance stays fully reusable for later calls.
         Portfolio racing uses this to stop losing backends promptly.
+
+        *prefer* steers decisions, never the answer: while none of its
+        literals is true, the search decides the first unassigned one before
+        consulting the activity heap.  For a clause ``l_1 OR ... OR l_k``
+        that makes the search try its disjuncts one at a time.
         """
 
         self.solves += 1
@@ -614,13 +633,16 @@ class SATSolver:
                     self._reset_assumption_trail()
                     self._backtrack(0)
                     return SATStatus.UNKNOWN
-                var = self._pick_branch_variable()
-                if var is None:
-                    return SATStatus.SAT
+                decision = self._preferred_decision(prefer) if prefer else None
+                if decision is None:
+                    var = self._pick_branch_variable()
+                    if var is None:
+                        return SATStatus.SAT
+                    polarity = self._polarity[var] if self.phase_saving else False
+                    decision = var if polarity else -var
                 self.decisions += 1
                 self._trail_lim.append(len(self._trail))
-                polarity = self._polarity[var] if self.phase_saving else False
-                self._enqueue(var if polarity else -var, None)
+                self._enqueue(decision, None)
 
     # ------------------------------------------------------------------
     # Model access

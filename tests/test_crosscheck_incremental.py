@@ -8,6 +8,7 @@ path is the reference implementation, the incremental one the fast path.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import Campaign, EncodingCache
 from repro.core.crosscheck import find_inconsistencies
@@ -16,8 +17,10 @@ from repro.core.grouping import GroupedResults, OutputGroup, group_paths
 from repro.core.tests_catalog import get_test
 from repro.core.trace import OutputTrace
 from repro.errors import CrosscheckError, SolverError
-from repro.symbex.expr import bvvar
+from repro.symbex.compile import evaluate_compiled_bool
+from repro.symbex.expr import bool_and, bool_or, bvvar
 from repro.symbex.solver import GroupEncoding, Solver, SolverConfig
+from repro.symbex.solver import incremental as incremental_module
 
 AGENTS = ("reference", "ovs", "modified")
 
@@ -75,8 +78,6 @@ def test_group_encoding_pair_queries_and_cache():
 def test_group_encoding_unknown_is_not_pair_cached():
     engine = GroupEncoding(SolverConfig(max_conflicts=0, use_interval_precheck=False))
     x = bvvar("x", 8)
-    from repro.symbex.expr import bool_or
-
     condition = bool_or(x == 5, x == 9)
     first = engine.check_pair(condition, x > 0)
     assert first.result.is_unknown
@@ -100,7 +101,6 @@ def test_soft_crosscheck_threads_solver_config():
     # zero conflict budget shows up as an UNKNOWN pair instead of being
     # silently replaced by the default 200k budget.
     from repro.core.soft import SOFT
-    from repro.symbex.expr import bool_or
 
     x = bvvar("x", 8)
     grouped_a = _synthetic_grouped("a", [0], "a-out")
@@ -250,6 +250,9 @@ def test_campaign_incremental_matches_legacy_and_bounds_rebuilds():
     assert fast.to_dict()["solver_stats"] == fast.solver_stats
     assert fast.to_dict()["incremental"] is True
     assert "phase 2b: incremental" in fast.describe()
+    assert ("%d pair(s) decided by %d SAT call(s)"
+            % (fast.total_queries, fast.solver_stats["assumption_solves"])
+            in fast.describe())
     assert "phase 2b: legacy" in slow.describe()
 
 
@@ -274,3 +277,194 @@ def test_cli_campaign_no_incremental_flag():
                                       "--agents", "reference,ovs",
                                       "--no-incremental"])
     assert args.no_incremental is True
+
+
+# ---------------------------------------------------------------------------
+# Row scan: one disjunctive SAT query per A-group row
+# ---------------------------------------------------------------------------
+
+def _grouped(agent, rows, test_key="synthetic"):
+    """Grouped results from ``(trace_tag, condition)`` rows."""
+
+    groups = [
+        OutputGroup(trace=OutputTrace(items=(("out", tag),)), condition=condition,
+                    path_ids=[index], path_count=1)
+        for index, (tag, condition) in enumerate(rows)
+    ]
+    return GroupedResults(agent_name=agent, test_key=test_key, groups=groups,
+                          grouping_time=0.0, total_paths=len(groups))
+
+
+def _pairwise_sat_pairs(grouped_a, grouped_b, engine):
+    """Reference answer: one ``check_pair`` per candidate pair, row-major."""
+
+    found = []
+    for group_a in grouped_a.groups:
+        for group_b in grouped_b.groups:
+            if group_a.trace == group_b.trace:
+                continue
+            if engine.check_pair(group_a.condition, group_b.condition).result.is_sat:
+                found.append((group_a.trace, group_b.trace,
+                              bool_and(group_a.condition, group_b.condition)))
+    return found
+
+
+def _sat_pairs(report):
+    return [(i.trace_a, i.trace_b, i.condition) for i in report.inconsistencies]
+
+
+_X = bvvar("x", 8)
+_BYTE = st.integers(min_value=0, max_value=255)
+
+
+@st.composite
+def _conditions(draw):
+    kind = draw(st.sampled_from(("eq", "range", "or", "range-or")))
+    if kind == "eq":
+        return _X == draw(_BYTE)
+    low, high = sorted((draw(_BYTE), draw(_BYTE)))
+    if kind == "range":
+        return bool_and(_X >= low, _X <= high)
+    if kind == "or":
+        return bool_or(_X == low, _X == high)
+    return bool_or(bool_and(_X >= low, _X <= high), _X == draw(_BYTE))
+
+
+_ROWS = st.lists(st.tuples(st.integers(min_value=0, max_value=3), _conditions()),
+                 min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ROWS, _ROWS, st.booleans())
+def test_row_scan_matches_pairwise_and_legacy(rows_a, rows_b, interval):
+    grouped_a = _grouped("a", rows_a)
+    grouped_b = _grouped("b", rows_b)
+    config = SolverConfig(use_interval_precheck=interval)
+    report = find_inconsistencies(grouped_a, grouped_b,
+                                  engine=GroupEncoding(config))
+    expected = _pairwise_sat_pairs(grouped_a, grouped_b, GroupEncoding(config))
+    legacy = find_inconsistencies(grouped_a, grouped_b,
+                                  solver=Solver(SolverConfig()))
+    assert _sat_pairs(report) == expected == _sat_pairs(legacy)
+    assert report.queries == legacy.queries
+    assert report.unsat_pairs == legacy.unsat_pairs
+    assert report.unknown_pairs == 0
+    for inconsistency in report.inconsistencies:
+        assert evaluate_compiled_bool(inconsistency.condition, inconsistency.example)
+    # The §3.4 bound: never more SAT calls than candidate pairs.
+    stats = report.solver_stats
+    assert stats["assumption_solves"] <= report.queries
+    assert stats["assumption_solves"] == stats["engine"]["assumption_solves"]
+
+
+def test_row_scan_falls_back_to_pairwise_when_hits_trickle_in():
+    # Every model of x < 8 hits exactly one of the disjoint B-groups, so hit
+    # rounds catch up with the undecided candidates and the row finishes
+    # pair by pair — still within one SAT call per candidate.
+    grouped_a = _grouped("a", [(0, _X < 8)])
+    grouped_b = _grouped("b", [(value + 1, _X == value) for value in range(8)])
+    engine = GroupEncoding(SolverConfig(use_interval_precheck=False))
+    report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
+    assert report.inconsistency_count == 8
+    assert report.queries == 8
+    stats = report.solver_stats
+    assert stats["assumption_solves"] <= 8
+    assert stats["row_solves"] >= 1
+    assert stats["pairwise_fallbacks"] >= 1
+    assert engine.stats.pairwise_fallbacks == stats["pairwise_fallbacks"]
+    assert engine.stats.hit_rounds == stats["hit_rounds"] >= 1
+    for inconsistency in report.inconsistencies:
+        assert inconsistency.example["x"] == inconsistency.trace_b.items[0][1] - 1
+        assert inconsistency.solver_time > 0
+
+
+def test_row_scan_decides_an_unsat_row_with_one_sat_call():
+    grouped_a = _grouped("a", [(0, _X > 200)])
+    grouped_b = _grouped("b", [(value + 1, _X == value) for value in range(6)])
+    engine = GroupEncoding(SolverConfig(use_interval_precheck=False))
+    report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
+    assert report.inconsistency_count == 0
+    assert report.unsat_pairs == report.queries == 6
+    assert report.solver_stats["assumption_solves"] == 1
+    assert report.solver_stats["row_solves"] == 1
+    assert report.solver_stats["hit_rounds"] == 0
+    # Every decided pair is cached: a re-scan makes no SAT call.
+    again = find_inconsistencies(grouped_a, grouped_b, engine=engine)
+    assert again.solver_stats["assumption_solves"] == 0
+    assert again.solver_stats["pair_cache_hits"] == 6
+
+
+def test_row_scan_unknown_row_answer_finishes_pairwise():
+    grouped_a = _grouped("a", [(0, bool_or(_X == 5, _X == 9))])
+    grouped_b = _grouped("b", [(1, _X > 0), (2, _X > 1)])
+    engine = GroupEncoding(SolverConfig(max_conflicts=0,
+                                        use_interval_precheck=False))
+    report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
+    assert report.queries == 2
+    assert report.unknown_pairs + report.inconsistency_count == 2
+    assert report.unknown_pairs >= 1
+    assert report.solver_stats["pairwise_fallbacks"] == 1
+
+
+def test_row_scan_rejects_a_model_that_satisfies_no_candidate(monkeypatch):
+    class NeverTrue:
+        def run_bool(self, assignment, default=None):
+            return False
+
+    monkeypatch.setattr(incremental_module, "compile_term", lambda term: NeverTrue())
+    grouped_a = _grouped("a", [(0, _X < 8)])
+    grouped_b = _grouped("b", [(1, _X == 1), (2, _X == 2)])
+    engine = GroupEncoding(SolverConfig(use_interval_precheck=False))
+    with pytest.raises(SolverError, match="satisfies none"):
+        find_inconsistencies(grouped_a, grouped_b, engine=engine)
+
+
+def test_deadline_is_checked_before_every_sat_call():
+    grouped_a = _grouped("a", [(0, _X == 1)])
+    grouped_b = _grouped("b", [(value, _X == value) for value in (1, 2, 3)])
+
+    class TickClock:
+        def __init__(self):
+            self.now = 0.0
+
+        def __call__(self):
+            self.now += 1.0
+            return self.now
+
+    # Ticks 1-3 pass the three pair filters, tick 4 the first row solve
+    # (which finds x == 1); tick 5 stops the second row solve.
+    report = find_inconsistencies(
+        grouped_a, grouped_b, deadline=4.5, clock=TickClock(),
+        engine=GroupEncoding(SolverConfig(use_interval_precheck=False)))
+    assert report.truncated is True
+    assert report.queries == report.inconsistency_count == 1
+    assert report.solver_stats["assumption_solves"] == 1
+
+
+_SEC34_TESTS = ("flow_mod", "eth_flow_mod", "short_symb")
+
+
+@pytest.fixture(scope="module")
+def grouped_flow_tests():
+    return {test: {agent: group_paths(explore_agent(agent, test)) for agent in AGENTS}
+            for test in _SEC34_TESTS}
+
+
+@pytest.mark.parametrize("test", _SEC34_TESTS)
+def test_row_scan_keeps_the_sec34_bound_on_the_catalog(test, grouped_flow_tests):
+    grouped = grouped_flow_tests[test]
+    rows, pairwise = GroupEncoding(), GroupEncoding()
+    row_calls = pairwise_calls = candidates = 0
+    for agent_a, agent_b in itertools.combinations(AGENTS, 2):
+        report = find_inconsistencies(grouped[agent_a], grouped[agent_b],
+                                      engine=rows)
+        before = pairwise.stats.assumption_solves
+        expected = _pairwise_sat_pairs(grouped[agent_a], grouped[agent_b], pairwise)
+        assert _sat_pairs(report) == expected
+        assert report.solver_stats["assumption_solves"] <= report.queries
+        row_calls += report.solver_stats["assumption_solves"]
+        pairwise_calls += pairwise.stats.assumption_solves - before
+        candidates += report.queries
+    assert row_calls == rows.stats.assumption_solves <= candidates
+    if test == "eth_flow_mod":
+        assert row_calls < pairwise_calls

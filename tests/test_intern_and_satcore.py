@@ -307,6 +307,22 @@ def test_sat_phase_saving_knob():
             assert any(model.get(var, False) for var in row)
 
 
+def test_sat_prefer_steers_decisions_but_not_answers():
+    solver = SATSolver()
+    a, b, c = solver.new_var(), solver.new_var(), solver.new_var()
+    solver.add_clause([a, b, c])
+    # Without hints the default polarity (false) leaves the last disjunct to
+    # propagation; with hints the first unassigned preferred literal is
+    # decided, and no further one once a preferred literal holds.
+    assert solver.solve(prefer=[c, b, a]) == SATStatus.SAT
+    assert solver.model_value(c) is True
+    assert solver.model_value(b) is False and solver.model_value(a) is False
+    assert solver.solve(assumptions=[-c], prefer=[c, b, a]) == SATStatus.SAT
+    assert solver.model_value(b) is True and solver.model_value(a) is False
+    grid = _pigeonhole(solver, 5, 4)
+    assert solver.solve(prefer=[row[0] for row in grid]) == SATStatus.UNSAT
+
+
 def test_sat_binary_clause_fast_path_chain():
     solver = SATSolver()
     variables = [solver.new_var() for _ in range(12)]

@@ -406,6 +406,7 @@ def test_corpus_replays_without_solver(triaged_campaign, monkeypatch):
 
     monkeypatch.setattr(Solver, "check", poisoned)
     monkeypatch.setattr(GroupEncoding, "check_pair", poisoned)
+    monkeypatch.setattr(GroupEncoding, "check_row", poisoned)
     run = corpus.run()
     assert run.ok
     assert run.replayed == len(corpus)
