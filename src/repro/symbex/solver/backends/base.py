@@ -138,8 +138,14 @@ class SolverBackend:
     def const_lit(self, value: bool) -> int:
         return self.true_lit if value else self.false_lit
 
-    def new_var(self) -> int:
-        """A fresh CNF variable (activation literals, selector gadgets)."""
+    def new_var(self, decision: bool = True) -> int:
+        """A fresh CNF variable (activation literals, selector gadgets).
+
+        A ``decision=False`` variable is never branched on: the SAT core
+        assigns it by propagation only and may answer SAT with it still
+        unassigned, so the caller's clauses must keep every such answer
+        completable (see :mod:`repro.symbex.solver.sat`).
+        """
 
         raise BackendCapabilityError(
             "backend %r has no CNF-level surface" % (self.name,))

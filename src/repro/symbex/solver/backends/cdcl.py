@@ -96,8 +96,8 @@ class CDCLBackend(SolverBackend):
     def false_lit(self) -> int:
         return self._cnf.false_lit
 
-    def new_var(self) -> int:
-        return self._cnf.new_var()
+    def new_var(self, decision: bool = True) -> int:
+        return self._cnf.new_var(decision=decision)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         self._cnf.add_clause(literals)

@@ -42,8 +42,8 @@ class CNFBuilder:
     def const(self, value: bool) -> int:
         return self._true_lit if value else -self._true_lit
 
-    def new_var(self) -> int:
-        return self.solver.new_var()
+    def new_var(self, decision: bool = True) -> int:
+        return self.solver.new_var(decision=decision)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         self.solver.add_clause(list(literals))

@@ -17,7 +17,24 @@ classic conflict-driven clause-learning solver with:
   activity, is dropped),
 * non-chronological backjumping,
 * geometric restarts,
-* an optional conflict budget so callers can bound worst-case work.
+* an optional conflict budget so callers can bound worst-case work,
+* **non-decision variables** (MiniSat's ``setDecisionVar``): a variable
+  allocated with ``new_var(decision=False)`` never enters the decision heap,
+  so the search only ever assigns it by propagation.
+
+:meth:`SATSolver.solve` answers SAT once every *decision* variable is
+assigned and propagation is conflict-free; non-decision variables may still
+be unassigned at that point.  That answer is sound only for formulas whose
+unassigned non-decision variables can always be completed.  The caller owes
+this contract.  The crosscheck engine's guarded path literals meet it: each
+path literal ``p`` of a group with activation literal ``act`` occurs only in
+``-act OR -p OR c`` (one per conjunct ``c``) and in ``-act OR p_1 OR ...``.
+Once every decision variable is assigned without conflict, an unassigned
+``p`` of an active group has all its conjuncts true: the conjuncts are
+decision variables' literals, so they are assigned, and a false one would
+have forced ``-p``.  So setting each unassigned ``p`` to the value of its
+``act`` extends the assignment to a full model.  Learned clauses are implied by the
+formula, so the extension satisfies them too.
 
 The solver is **incremental**: :meth:`SATSolver.solve` may be called any
 number of times on the same instance, clauses and variables may be added
@@ -93,11 +110,13 @@ class SATSolver:
         self._reason: List[Optional[_Clause]] = [None]
         self._activity: List[float] = [0.0]
         self._polarity: List[bool] = [False]
+        # decision[var] is False for variables the search never branches on.
+        self._decision: List[bool] = [False]
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         # Lazy-delete decision-order heap of (-activity, var): stale entries
         # (assigned vars, outdated activities) are discarded or re-keyed at
-        # pop time; every unassigned variable is always present.
+        # pop time; every unassigned decision variable is always present.
         self._heap: List[Tuple[float, int]] = []
         self._qhead = 0
         # Assumption-trail reuse: the literal sequence of the previous call's
@@ -125,8 +144,12 @@ class SATSolver:
     # Problem construction
     # ------------------------------------------------------------------
 
-    def new_var(self) -> int:
-        """Allocate and return a fresh variable (a positive integer)."""
+    def new_var(self, decision: bool = True) -> int:
+        """Allocate and return a fresh variable (a positive integer).
+
+        A ``decision=False`` variable is assigned by propagation only; see
+        the module docstring for the contract a SAT answer then relies on.
+        """
 
         self._num_vars += 1
         self._assignment.append(None)
@@ -134,7 +157,9 @@ class SATSolver:
         self._reason.append(None)
         self._activity.append(0.0)
         self._polarity.append(False)
-        heappush(self._heap, (0.0, self._num_vars))
+        self._decision.append(decision)
+        if decision:
+            heappush(self._heap, (0.0, self._num_vars))
         return self._num_vars
 
     @property
@@ -312,7 +337,7 @@ class SATSolver:
                 self._activity[index] *= 1e-100
             self._var_inc *= 1e-100
             self._rebuild_heap()
-        elif self._assignment[var] is None:
+        elif self._assignment[var] is None and self._decision[var]:
             heappush(self._heap, (-activity, var))
 
     def _bump_clause(self, clause: _Clause) -> None:
@@ -400,12 +425,14 @@ class SATSolver:
         assignment = self._assignment
         reason = self._reason
         activity = self._activity
+        decision = self._decision
         heap = self._heap
         for lit in reversed(self._trail[boundary:]):
             var = abs(lit)
             assignment[var] = None
             reason[var] = None
-            heappush(heap, (-activity[var], var))
+            if decision[var]:
+                heappush(heap, (-activity[var], var))
         del self._trail[boundary:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
@@ -417,7 +444,7 @@ class SATSolver:
     def _rebuild_heap(self) -> None:
         self._heap = [(-self._activity[var], var)
                       for var in range(1, self._num_vars + 1)
-                      if self._assignment[var] is None]
+                      if self._assignment[var] is None and self._decision[var]]
         heapify(self._heap)
 
     def _pick_branch_variable(self) -> Optional[int]:
@@ -524,6 +551,9 @@ class SATSolver:
         literals is true, the search decides the first unassigned one before
         consulting the activity heap.  For a clause ``l_1 OR ... OR l_k``
         that makes the search try its disjuncts one at a time.
+
+        ``SAT`` is answered once every decision variable is assigned; the
+        model may leave non-decision variables unassigned (module docstring).
         """
 
         self.solves += 1

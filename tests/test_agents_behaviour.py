@@ -14,7 +14,14 @@ from repro.agents import make_agent
 from repro.agents.modified.mutations import MUTATIONS, detectable_mutations, undetectable_mutations
 from repro.harness.driver import run_concrete_sequence
 from repro.openflow import constants as c
-from repro.openflow.actions import ActionOutput, ActionSetNwTos, ActionSetVlanVid
+from repro.openflow.actions import (
+    ActionOutput,
+    ActionSetNwTos,
+    ActionSetVlanVid,
+    RawAction,
+    pack_actions,
+    unpack_actions,
+)
 from repro.openflow.match import Match
 from repro.openflow.messages import (
     EchoRequest,
@@ -322,3 +329,20 @@ def test_crashed_agent_ignores_subsequent_inputs():
         [("control", EchoRequest(xid=9, data=b"x").pack())]
     result = run("reference", inputs)
     assert trace_kinds(result) == ["crash"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "RawAction.arg16_a holds bytes 4-5 of the action, but SET_NW_TOS and "
+    "SET_VLAN_PCP carry their value in byte 4 alone; the agents' RawAction "
+    "branches test all 16 bits"))
+def test_raw_set_nw_tos_validates_like_its_concrete_parse():
+    # A symbolic action type reaches the agent as a RawAction; the same bytes
+    # with a concrete type parse to ActionSetNwTos(nw_tos=0x00).
+    raw = RawAction(c.OFPAT_SET_NW_TOS, 8, 0x00FA, 0)
+    packed = pack_actions([raw])
+    (parsed,) = unpack_actions(packed, 0, len(packed))
+    assert parsed == ActionSetNwTos(0x00)
+    agent = make_agent("ovs")
+    symbolic = agent._validate_actions([raw], 1, for_flow_mod=True)
+    concrete = agent._validate_actions([parsed], 1, for_flow_mod=True)
+    assert symbolic == concrete

@@ -441,6 +441,88 @@ def test_deadline_is_checked_before_every_sat_call():
     assert report.solver_stats["assumption_solves"] == 1
 
 
+# ---------------------------------------------------------------------------
+# Guarded path encoding: inactive groups stay unassigned
+# ---------------------------------------------------------------------------
+
+_Y = bvvar("y", 8)
+
+
+def test_sat_answer_leaves_inactive_groups_unassigned():
+    # Three agents' multi-path groups over one shared atom pool.
+    agents = {
+        "reference": [bool_or(bool_and(_X == 1, _Y > 7), bool_and(_X < 40, _Y == 200)),
+                      bool_or(_X == 7, bool_and(_X > 100, _Y < 5))],
+        "ovs": [bool_or(bool_and(_X == 1, _Y == 9), bool_and(_X == _Y, _Y > 7)),
+                bool_or(bool_and(_X < 40, _Y < 5), _Y == 200)],
+        "modified": [bool_or(bool_and(_X == 1, _Y > 7, _X == _Y), _Y == 200),
+                     bool_or(_X == 7, bool_and(_X < 40, _Y == 9))],
+    }
+    engine = GroupEncoding(SolverConfig(use_interval_precheck=False))
+    groups = {agent: [engine.encode(condition) for condition in conditions]
+              for agent, conditions in agents.items()}
+    assert all(group.paths for encoded in groups.values() for group in encoded)
+    backend = engine._backend
+    group_a, group_b = groups["reference"][0], groups["ovs"][0]
+    assert backend.check_sat([group_a.activation, group_b.activation]) == "sat"
+    assignment = backend.sat_solver._assignment
+    others = [group for encoded in groups.values() for group in encoded
+              if group is not group_a and group is not group_b]
+    for group in others:
+        assert assignment[group.activation] is False
+        assert all(assignment[path] is None for path in group.paths)
+    condition = bool_and(agents["reference"][0], agents["ovs"][0])
+    assert evaluate_compiled_bool(condition, backend.get_value())
+    stats = engine.stats_dict()
+    assert stats["sat_propagations"] > 0 and stats["sat_decisions"] > 0
+    assert all(isinstance(value, (int, float)) for value in stats.values())
+
+
+_SMALL = st.integers(min_value=0, max_value=15)
+
+
+@st.composite
+def _atom(draw):
+    kind = draw(st.sampled_from(("x==", "x<", "y>=", "x==y", "y!=")))
+    if kind == "x==":
+        return _X == draw(_SMALL)
+    if kind == "x<":
+        return _X < draw(_SMALL)
+    if kind == "y>=":
+        return _Y >= draw(_SMALL)
+    if kind == "x==y":
+        return _X == _Y
+    return _Y != draw(_SMALL)
+
+
+@st.composite
+def _pooled_rows(draw):
+    """Two agents' rows of disjunctions of conjunctions over one atom pool."""
+
+    pool = draw(st.lists(_atom(), min_size=2, max_size=6))
+    path = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    condition = st.lists(path, min_size=1, max_size=3).map(
+        lambda paths: bool_or(*[bool_and(*conjuncts) for conjuncts in paths]))
+    rows = st.lists(st.tuples(st.integers(min_value=0, max_value=3), condition),
+                    min_size=1, max_size=6)
+    return draw(rows), draw(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pooled_rows(), st.booleans())
+def test_row_scan_on_shared_atom_pool_matches_legacy(rows, interval):
+    grouped_a, grouped_b = _grouped("a", rows[0]), _grouped("b", rows[1])
+    engine = GroupEncoding(SolverConfig(use_interval_precheck=interval))
+    report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
+    legacy = find_inconsistencies(grouped_a, grouped_b,
+                                  solver=Solver(SolverConfig()))
+    assert _sat_pairs(report) == _sat_pairs(legacy)
+    assert report.unsat_pairs == legacy.unsat_pairs
+    assert report.unknown_pairs == 0
+    for inconsistency in report.inconsistencies:
+        assert evaluate_compiled_bool(inconsistency.condition, inconsistency.example)
+
+
 _SEC34_TESTS = ("flow_mod", "eth_flow_mod", "short_symb")
 
 

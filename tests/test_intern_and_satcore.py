@@ -333,3 +333,138 @@ def test_sat_binary_clause_fast_path_chain():
     assert all(solver.model_value(var) for var in variables)
     solver.add_clause([-variables[-1]])
     assert solver.solve() == SATStatus.UNSAT
+
+
+# ---------------------------------------------------------------------------
+# Non-decision variables: assigned by propagation only
+# ---------------------------------------------------------------------------
+
+class _GuardedCNF:
+    """Guarded path gadgets over a SATSolver, the crosscheck engine's shape.
+
+    Each group has a decision activation literal ``act`` and non-decision
+    path literals ``p`` with ``-act OR -p OR c`` per conjunct ``c`` and
+    ``-act OR p_1 OR ... OR p_n``.  Every clause added is kept, so a model
+    can be completed per the SAT-answer contract and checked against all of
+    them.
+    """
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.clauses = []
+        self.owner = {}  # path literal -> activation literal
+
+    def add(self, clause):
+        self.clauses.append(list(clause))
+        return self.solver.add_clause(clause)
+
+    def group(self, paths):
+        act = self.solver.new_var()
+        literals = []
+        for conjuncts in paths:
+            path = self.solver.new_var(decision=False)
+            self.owner[path] = act
+            for conjunct in conjuncts:
+                self.add([-act, -path, conjunct])
+            literals.append(path)
+        self.add([-act] + literals)
+        return act, literals
+
+    def completed_model(self):
+        """The solver's assignment, unassigned path literals set to ``act``."""
+
+        model = self.solver.model()
+        for var in range(1, self.solver.num_vars + 1):
+            if var not in model:
+                assert not self.solver._decision[var], var
+                model[var] = model[self.owner[var]]
+        return model
+
+    def satisfied(self, model):
+        return all(any(model[abs(lit)] == (lit > 0) for lit in clause)
+                   for clause in self.clauses)
+
+
+def test_sat_answers_with_non_decision_variables_unassigned():
+    solver = SATSolver()
+    cnf = _GuardedCNF(solver)
+    x, y = solver.new_var(), solver.new_var()
+    cnf.add([x, y])
+    act, paths = cnf.group([[x], [y, -x]])
+    idle, idle_paths = cnf.group([[x, y], [-y]])
+    assert solver.solve(assumptions=[act]) == SATStatus.SAT
+    # The inactive group's path literals were never assigned or decided.
+    assert all(solver._assignment[p] is None for p in idle_paths)
+    assert solver.model_value(act) is True and solver.model_value(idle) is False
+    model = cnf.completed_model()
+    assert cnf.satisfied(model)
+    assert any(model[p] for p in paths)
+    assert solver.solve(assumptions=[-act, -idle]) == SATStatus.SAT
+    assert all(solver._assignment[p] is None for p in paths + idle_paths)
+    assert cnf.satisfied(cnf.completed_model())
+
+
+def test_sat_refutation_through_non_decision_variables():
+    solver = SATSolver()
+    a, x = solver.new_var(), solver.new_var()
+    p = solver.new_var(decision=False)
+    solver.add_clause([-a, p])
+    solver.add_clause([-p, x])
+    solver.add_clause([-p, -x])
+    assert solver.solve(assumptions=[a]) == SATStatus.UNSAT
+    assert solver.solve() == SATStatus.SAT
+    assert solver.model_value(a) is False
+    assert solver.solve(assumptions=[a]) == SATStatus.UNSAT
+
+
+def test_branching_never_picks_a_non_decision_variable_after_backtracks():
+    solver = SATSolver()
+    cnf = _GuardedCNF(solver)
+    grid = _pigeonhole(solver, 4, 3)
+    cells = [cell for row in grid for cell in row]
+    # Path literals over the pigeonhole cells, bumped by conflict analysis.
+    acts = [cnf.group([[cells[i], -cells[i + 1]], [cells[i + 2]]])[0]
+            for i in range(0, len(cells) - 2, 2)]
+    solver._var_inc = 1e100  # the first bump rescales and rebuilds the heap
+    assert solver.solve(assumptions=acts[:2]) == SATStatus.UNSAT
+    assert solver.conflicts > 0
+    solver._backtrack(0)
+    assert all(solver._decision[var] for _, var in solver._heap)
+    # Branch until the heap runs dry: every pick is a decision variable and
+    # afterwards only non-decision variables are left unassigned.
+    while True:
+        var = solver._pick_branch_variable()
+        if var is None:
+            break
+        assert solver._decision[var]
+        solver._trail_lim.append(len(solver._trail))
+        solver._enqueue(-var, None)
+    unassigned = [var for var in range(1, solver.num_vars + 1)
+                  if solver._assignment[var] is None]
+    assert unassigned and not any(solver._decision[var] for var in unassigned)
+    solver._backtrack(0)
+
+
+def test_clauses_added_between_solves_keep_the_non_decision_contract():
+    solver = SATSolver()
+    cnf = _GuardedCNF(solver)
+    x, y, z = solver.new_var(), solver.new_var(), solver.new_var()
+    first, _ = cnf.group([[x, y], [-x, z]])
+    assert solver.solve(assumptions=[first]) == SATStatus.SAT
+    assert cnf.satisfied(cnf.completed_model())
+    # A new group over fresh non-decision variables, added after a solve.
+    second, _ = cnf.group([[-y, -z], [x, -z]])
+    assert solver.solve(assumptions=[first, second]) == SATStatus.SAT
+    model = cnf.completed_model()
+    assert cnf.satisfied(model)
+    assert model[first] and model[second]
+    # A clause over existing path literals of a group: its models still
+    # complete, and a clause refuting every path of it makes it UNSAT.
+    third, third_paths = cnf.group([[x], [y]])
+    cnf.add([-third_paths[0], z])
+    assert solver.solve(assumptions=[third, -z]) == SATStatus.SAT
+    assert cnf.satisfied(cnf.completed_model())
+    cnf.add([-y])
+    assert solver.solve(assumptions=[third, -z]) == SATStatus.UNSAT
+    assert solver.solve(assumptions=[third]) == SATStatus.SAT
+    assert cnf.satisfied(cnf.completed_model())
