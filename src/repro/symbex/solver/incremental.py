@@ -144,8 +144,6 @@ class _EncodedGroup:
     #: model verification); empty when the condition simplified to a constant.
     atoms: List[BoolExpr] = field(default_factory=list)
     trivially_false: bool = False
-    #: The guarded path literals of a multi-path condition (empty otherwise).
-    paths: List[int] = field(default_factory=list)
     #: The original condition; pins the interned term alive so the engine's
     #: id-keyed group map stays valid for the lifetime of this entry.
     condition: Optional[BoolExpr] = None
@@ -251,22 +249,21 @@ class GroupEncoding:
                 else:
                     atoms = [simplified]
                 activation = self._backend.new_var()
-                paths: List[int] = []
                 if isinstance(simplified, BoolOr):
-                    paths = self._encode_paths(activation, simplified.operands)
+                    self._encode_paths(activation, simplified.operands)
                 else:
                     for atom in atoms:
                         self._backend.add_clause(
                             [-activation, self._backend.declare(atom)])
                 group = _EncodedGroup(activation=activation, atoms=atoms,
-                                      paths=paths, condition=condition)
+                                      condition=condition)
             self._groups[key] = group
             self.stats.groups_encoded += 1
             self.stats.encode_time += time.perf_counter() - started
             return group
 
     def _encode_paths(self, activation: int,
-                      disjuncts: Sequence[BoolExpr]) -> List[int]:
+                      disjuncts: Sequence[BoolExpr]) -> None:
         """Guarded one-sided encoding of ``activation -> OR(disjuncts)``.
 
         Each disjunct (one explored path) gets a non-decision path literal
@@ -287,7 +284,6 @@ class GroupEncoding:
                 backend.add_clause([-activation, -path, literal])
             paths.append(path)
         backend.add_clause([-activation] + paths)
-        return paths
 
     # ------------------------------------------------------------------
     # Queries

@@ -331,7 +331,7 @@ def test_crashed_agent_ignores_subsequent_inputs():
     assert trace_kinds(result) == ["crash"]
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "RawAction.arg16_a holds bytes 4-5 of the action, but SET_NW_TOS and "
     "SET_VLAN_PCP carry their value in byte 4 alone; the agents' RawAction "
     "branches test all 16 bits"))

@@ -459,18 +459,30 @@ def test_sat_answer_leaves_inactive_groups_unassigned():
                      bool_or(_X == 7, bool_and(_X < 40, _Y == 9))],
     }
     engine = GroupEncoding(SolverConfig(use_interval_precheck=False))
-    groups = {agent: [engine.encode(condition) for condition in conditions]
-              for agent, conditions in agents.items()}
-    assert all(group.paths for encoded in groups.values() for group in encoded)
     backend = engine._backend
-    group_a, group_b = groups["reference"][0], groups["ovs"][0]
+    solver = backend.sat_solver
+
+    def non_decision_vars():
+        return {var for var in range(1, solver.num_vars + 1)
+                if not solver._decision[var]}
+
+    # The path literals of a group are the non-decision variables its
+    # encoding allocates.
+    groups = {}
+    for agent, conditions in agents.items():
+        for index, condition in enumerate(conditions):
+            before = non_decision_vars()
+            group = engine.encode(condition)
+            groups[agent, index] = (group, non_decision_vars() - before)
+    assert all(paths for _, paths in groups.values())
+    group_a, group_b = groups["reference", 0][0], groups["ovs", 0][0]
     assert backend.check_sat([group_a.activation, group_b.activation]) == "sat"
-    assignment = backend.sat_solver._assignment
-    others = [group for encoded in groups.values() for group in encoded
-              if group is not group_a and group is not group_b]
-    for group in others:
+    assignment = solver._assignment
+    others = [entry for key, entry in groups.items()
+              if key not in (("reference", 0), ("ovs", 0))]
+    for group, paths in others:
         assert assignment[group.activation] is False
-        assert all(assignment[path] is None for path in group.paths)
+        assert all(assignment[path] is None for path in paths)
     condition = bool_and(agents["reference"][0], agents["ovs"][0])
     assert evaluate_compiled_bool(condition, backend.get_value())
     stats = engine.stats_dict()
