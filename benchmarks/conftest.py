@@ -8,6 +8,7 @@ the expensive Phase-1 work.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from typing import Dict, Optional, Tuple
@@ -16,6 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
+from benchmarks.compare_bench import BENCH_OUT
 from repro.core.crosscheck import CrosscheckReport, find_inconsistencies
 from repro.core.explorer import AgentExplorationReport, explore_agent
 from repro.core.grouping import GroupedResults, group_paths
@@ -78,3 +80,19 @@ def print_table(title: str, header, rows) -> None:
     print("  " + "  ".join(str(header[i]).ljust(widths[i]) for i in range(len(header))))
     for row in rows:
         print("  " + "  ".join(str(row[i]).ljust(widths[i]) for i in range(len(row))))
+
+
+def write_bench(name: str, payload: Dict[str, object]) -> str:
+    """Write one ``BENCH_*.json`` trajectory point into ``.bench_out/``.
+
+    The committed file of the same name at the repository root is the
+    baseline ``compare_bench.py`` compares this fresh point against.
+    """
+
+    os.makedirs(BENCH_OUT, exist_ok=True)
+    path = os.path.join(BENCH_OUT, name)
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    print("\nwrote %s" % path)
+    return path

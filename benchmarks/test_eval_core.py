@@ -22,12 +22,10 @@ every round.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import time
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_bench
 from repro.core.explorer import explore_agent
 from repro.symbex.compile import clear_compiled_cache, compile_term
 from repro.symbex.simplify import evaluate_bool
@@ -36,8 +34,6 @@ AGENTS = ("reference", "ovs", "modified")
 TEST = "packet_out"
 MODELS_PER_TERM = 24
 ROUNDS = 3
-
-BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_eval.json")
 
 
 def _workload():
@@ -124,9 +120,7 @@ def test_eval_core_benchmark():
             "compile_time": compile_time,
         },
     }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_bench("BENCH_eval.json", payload)
 
     print_table(
         "concrete evaluation kernel (%d terms x %d models)"

@@ -16,18 +16,14 @@ bench-smoke CI job uploads.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_bench
 from repro.core.explorer import explore_agent
 from repro.symbex.engine import EngineConfig
 
 AGENTS = ("reference", "ovs", "modified")
 TEST = "packet_out"
-
-BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_explore.json")
 
 
 def _path_set(report):
@@ -100,6 +96,4 @@ def test_exploration_prefix_oracle_benchmark(run_once):
         "query_reduction": 1.0 - (oracle["solver_queries"]
                                   / float(legacy["solver_queries"])),
     }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_bench("BENCH_explore.json", payload)

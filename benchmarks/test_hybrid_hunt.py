@@ -14,10 +14,7 @@ Two gates encode the point of the subsystem:
 
 from __future__ import annotations
 
-import json
-import os
-
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_bench
 from repro.hybrid import HybridConfig, HybridHunt
 
 TEST = "packet_out"
@@ -30,8 +27,6 @@ MODES = (
     ("symbex", ("symbex",)),
     ("fuzz", ("fuzz",)),
 )
-
-BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_hybrid.json")
 
 
 def _run_mode(stages):
@@ -101,7 +96,4 @@ def test_hybrid_hunt_beats_the_pure_baselines():
                                    - rows["symbex"]["clusters"]),
         },
     }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
-    print("\nwrote %s" % os.path.abspath(BENCH_PATH))
+    write_bench("BENCH_hybrid.json", data)

@@ -1,6 +1,6 @@
-"""Solver-core microbenchmark: SAT throughput, intern hit rate, end-to-end.
+"""Solver-core microbenchmark: SAT throughput and intern hit rate.
 
-Three measurements, one ``BENCH_solver.json`` trajectory point:
+Two measurements, one ``BENCH_solver.json`` trajectory point:
 
 * **SAT core** — deterministic random 3-SAT instances (fixed seed) driven
   straight through :class:`SATSolver`, reporting decisions/sec and
@@ -9,40 +9,23 @@ Three measurements, one ``BENCH_solver.json`` trajectory point:
 * **Interning** — a full Phase-1 exploration, reporting the hash-consing hit
   rate (constructions answered by the intern table) and the simplify-memo
   hit rate that interning enables.
-* **End-to-end** — the same single-test campaign on the fast path (prefix
-  oracle + incremental crosscheck) and on the legacy-compat path (full
-  solver query per branch side, fresh solver per pair), asserting identical
-  inconsistency sets and reporting the wall-clock speedup.
-* **Portfolio** — real path conditions from the seed catalogue replayed
-  through the default backend portfolio vs the single reference backend,
-  reporting per-backend win rates, the interval routing hit rate, and the
-  end-to-end campaign speedup (with inconsistency sets asserted identical).
 
-``benchmarks/compare_bench.py`` guards these numbers (and the BENCH_explore /
-BENCH_crosscheck ones) against >20% regressions in CI.
+``benchmarks/compare_bench.py`` guards these numbers (and the other
+``BENCH_*.json`` ones) against >20% regressions in CI.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import time
 
-from benchmarks.conftest import print_table
-from repro.core.campaign import Campaign
+from benchmarks.conftest import print_table, write_bench
 from repro.core.explorer import explore_agent
-from repro.symbex.engine import EngineConfig
 from repro.symbex.expr import intern_table
 from repro.symbex.simplify import simplify_cache_stats
-from repro.symbex.solver import (DEFAULT_PORTFOLIO, SATSolver, SATStatus,
-                                 Solver, SolverConfig)
+from repro.symbex.solver import SATSolver, SATStatus
 
-BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_solver.json")
-
-AGENTS = ("reference", "ovs", "modified")
 EXPLORE_TEST = "packet_out"
-CAMPAIGN_TEST = "stats_request"
 
 
 def _random_3sat(solver: SATSolver, num_vars: int, num_clauses: int,
@@ -116,152 +99,15 @@ def _bench_interning():
     }
 
 
-def _run_campaign(fast: bool):
-    if fast:
-        campaign = Campaign(replay_testcases=False, incremental=True)
-    else:
-        campaign = Campaign(replay_testcases=False, incremental=False,
-                            engine_config=EngineConfig(use_prefix_oracle=False))
-    started = time.perf_counter()
-    report = campaign.with_tests(CAMPAIGN_TEST).with_agents(*AGENTS).run()
-    return report, time.perf_counter() - started
-
-
-def _inconsistency_sets(report):
-    return {
-        (r.test_key, frozenset((r.agent_a, r.agent_b))):
-            frozenset((i.trace_a, i.trace_b) for i in r.crosscheck.inconsistencies)
-        for r in report.reports
-    }
-
-
-def _bench_portfolio_queries():
-    """Replay the seed catalogue's path conditions through the portfolio.
-
-    Two baselines: the *single reference backend* (pure CDCL, no interval
-    assist — what a lone complete backend costs) is the one the speedup gate
-    compares against; the legacy precheck *pipeline* (hard-wired interval
-    pre-analysis + CDCL) is reported alongside, since the portfolio's router
-    subsumes it and should hold parity there.
-    """
-
-    corpus = []
-    for agent in AGENTS:
-        report = explore_agent(agent, EXPLORE_TEST)
-        corpus.extend(outcome.constraints for outcome in report.outcomes
-                      if outcome.constraints)
-    assert corpus
-
-    def sweep(config):
-        solver = Solver(config)
-        started = time.perf_counter()
-        statuses = [solver.check(constraints).status for constraints in corpus]
-        return solver, statuses, time.perf_counter() - started
-
-    _, expected, single_wall = sweep(SolverConfig(
-        backend="cdcl", use_interval_precheck=False, use_cache=False))
-    _, pipeline_statuses, pipeline_wall = sweep(SolverConfig(use_cache=False))
-    solver, statuses, portfolio_wall = sweep(SolverConfig(
-        portfolio=DEFAULT_PORTFOLIO, use_cache=False))
-    assert statuses == expected, "portfolio verdicts diverged from reference"
-    assert pipeline_statuses == expected
-
-    stats = solver.portfolio.stats_dict()
-    queries = stats["portfolio_queries"]
-    routed = stats["routed_queries"]
-    routed_win_rate = stats["routed_wins"] / routed if routed else 0.0
-    backends = {}
-    for name in solver.portfolio.members:
-        wins = stats["win_%s" % name]
-        backends[name] = {
-            "wins": wins,
-            "win_rate": wins / queries if queries else 0.0,
-            "queries_routed": routed if solver.portfolio.is_cheap(name) else 0,
-        }
-    return {
-        "members": list(solver.portfolio.members),
-        "corpus_queries": len(corpus),
-        "single_backend_wall_clock": single_wall,
-        "pipeline_wall_clock": pipeline_wall,
-        "portfolio_wall_clock": portfolio_wall,
-        "query_speedup": (single_wall / portfolio_wall
-                          if portfolio_wall else None),
-        "query_speedup_vs_pipeline": (pipeline_wall / portfolio_wall
-                                      if portfolio_wall else None),
-        "backends": backends,
-        "routed": {
-            "queries_routed": routed,
-            "routed_wins": stats["routed_wins"],
-            "routed_win_rate": routed_win_rate,
-        },
-    }
-
-
-def _bench_portfolio_campaign():
-    """Best-of-2 campaign walls: single reference backend vs the portfolio.
-
-    Runs the legacy solver-per-query pipeline (no prefix oracle, no
-    incremental crosscheck) so the one-shot solver actually carries the
-    load; the baseline disables the inline interval assist, i.e. every
-    query pays the reference CDCL backend.
-    """
-
-    def build(**kwargs):
-        return Campaign(replay_testcases=False, incremental=False,
-                        triage=False,
-                        engine_config=EngineConfig(use_prefix_oracle=False),
-                        **kwargs)
-
-    variants = {
-        "reference": lambda: build(
-            solver_config=SolverConfig(use_interval_precheck=False)),
-        "portfolio": lambda: build(portfolio=True),
-    }
-    walls = {label: [] for label in variants}
-    sets = {}
-    for _ in range(2):
-        for label, make in variants.items():
-            campaign = make()
-            started = time.perf_counter()
-            report = campaign.with_tests(CAMPAIGN_TEST).with_agents(*AGENTS).run()
-            walls[label].append(time.perf_counter() - started)
-            current = _inconsistency_sets(report)
-            assert sets.setdefault(label, current) == current
-    identical = sets["reference"] == sets["portfolio"]
-    assert identical, "portfolio campaign diverged from the reference backend"
-    reference_wall = min(walls["reference"])
-    portfolio_wall = min(walls["portfolio"])
-    return {
-        "test": CAMPAIGN_TEST,
-        "agents": list(AGENTS),
-        "identical_inconsistency_sets": identical,
-        "reference_wall_clock": reference_wall,
-        "portfolio_wall_clock": portfolio_wall,
-        "speedup": (reference_wall / portfolio_wall
-                    if portfolio_wall else None),
-    }
-
-
 def test_solver_core_benchmark(run_once):
     sat = run_once(_bench_sat_core)
     interning = _bench_interning()
-    new_report, new_wall = _run_campaign(fast=True)
-    old_report, old_wall = _run_campaign(fast=False)
-    portfolio = _bench_portfolio_queries()
-    portfolio["end_to_end"] = _bench_portfolio_campaign()
 
-    identical = _inconsistency_sets(new_report) == _inconsistency_sets(old_report)
-    assert identical, "fast-path campaign diverged from the legacy-compat one"
     assert sat["decisions_per_sec"] > 0 and sat["propagations_per_sec"] > 0
     assert interning["hit_rate"] is not None and interning["hit_rate"] > 0.5
-    # The routed word-level backend must carry real weight on the catalogue's
-    # conditions, and racing must never lose to the single-backend pipeline.
-    assert portfolio["routed"]["routed_win_rate"] >= 0.2
-    assert portfolio["end_to_end"]["speedup"] >= 1.0
 
     print_table(
-        "Solver core: SAT throughput, interning, end-to-end (%s, %d agents)"
-        % (CAMPAIGN_TEST, len(AGENTS)),
+        "Solver core: SAT throughput and interning (%s)" % EXPLORE_TEST,
         ("Metric", "Value"),
         [
             ("SAT decisions/sec", "%.0f" % sat["decisions_per_sec"]),
@@ -269,34 +115,10 @@ def test_solver_core_benchmark(run_once):
             ("SAT DB reductions", sat["db_reductions"]),
             ("Intern hit rate", "%.1f%%" % (100 * interning["hit_rate"])),
             ("Distinct terms", interning["distinct_terms"]),
-            ("Campaign fast path", "%.2fs" % new_wall),
-            ("Campaign legacy path", "%.2fs" % old_wall),
-            ("End-to-end speedup", "%.2fx" % (old_wall / new_wall
-                                              if new_wall else 0.0)),
-            ("Portfolio corpus queries", portfolio["corpus_queries"]),
-            ("Interval routed win rate",
-             "%.1f%%" % (100 * portfolio["routed"]["routed_win_rate"])),
-            ("Portfolio query speedup",
-             "%.2fx" % portfolio["query_speedup"]),
-            ("Portfolio campaign speedup",
-             "%.2fx" % portfolio["end_to_end"]["speedup"]),
         ])
 
-    payload = {
+    write_bench("BENCH_solver.json", {
         "benchmark": "solver_core",
         "sat_core": sat,
         "intern": interning,
-        "end_to_end": {
-            "test": CAMPAIGN_TEST,
-            "agents": list(AGENTS),
-            "identical_inconsistency_sets": identical,
-            "new_wall_clock": new_wall,
-            "legacy_wall_clock": old_wall,
-            "speedup": old_wall / new_wall if new_wall else None,
-        },
-        "portfolio": portfolio,
-    }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print("wrote %s" % os.path.abspath(BENCH_PATH))
+    })

@@ -16,11 +16,9 @@ properties are gated and one trajectory point is emitted:
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, write_bench
 from repro.core.campaign import Campaign
 from repro.core.corpus import WitnessCorpus
 from repro.symbex.solver.incremental import GroupEncoding
@@ -30,8 +28,6 @@ TESTS = ("set_config", "flow_mod")
 AGENTS = ("reference", "modified")
 #: Replay the whole corpus this many times for a stable throughput estimate.
 CORPUS_ROUNDS = 5
-
-BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_triage.json")
 
 
 def test_triage_and_corpus_benchmark(tmp_path):
@@ -113,7 +109,4 @@ def test_triage_and_corpus_benchmark(tmp_path):
             "all_confirmed": all(run.ok for run in runs),
         },
     }
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
-    print("\nwrote %s" % os.path.abspath(BENCH_PATH))
+    write_bench("BENCH_triage.json", data)

@@ -46,20 +46,18 @@ from repro.errors import (
     WitnessError,
 )
 from repro.hybrid.scheduler import ALL_STAGES, HybridConfig, HybridHunt
-from repro.symbex.solver import SolverConfig, backend_names
 from repro.symbex.strategies import strategy_names
 
 __all__ = ["main", "build_parser"]
 
-#: ``soft bench`` suites: name -> (pytest file, JSON trajectory point).
+#: ``soft bench`` suites: name -> pytest file (each writes one
+#: ``.bench_out/BENCH_*.json`` trajectory point).
 BENCH_SUITES = {
-    "explore": ("benchmarks/test_exploration.py", "BENCH_explore.json"),
-    "crosscheck": ("benchmarks/test_incremental_crosscheck.py",
-                   "BENCH_crosscheck.json"),
-    "solver": ("benchmarks/test_solver_core.py", "BENCH_solver.json"),
-    "triage": ("benchmarks/test_triage_corpus.py", "BENCH_triage.json"),
-    "hybrid": ("benchmarks/test_hybrid_hunt.py", "BENCH_hybrid.json"),
-    "eval": ("benchmarks/test_eval_core.py", "BENCH_eval.json"),
+    "explore": "benchmarks/test_exploration.py",
+    "solver": "benchmarks/test_solver_core.py",
+    "triage": "benchmarks/test_triage_corpus.py",
+    "hybrid": "benchmarks/test_hybrid_hunt.py",
+    "eval": "benchmarks/test_eval_core.py",
 }
 
 
@@ -87,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="test to explore (required unless --load is given)")
     explore.add_argument("--coverage", action="store_true",
                          help="also report instruction/branch coverage")
-    explore.add_argument("--backend", choices=backend_names(), default=None,
-                         help="solver backend for Phase-1 queries (default cdcl; "
-                              "'interval' is semi-decision and may give up on "
-                              "queries outside its fragment)")
     explore.add_argument("--strategy", choices=strategy_names(), default=None,
                          help="frontier discipline for Phase 1 (default: dfs); "
                               "all strategies explore the same path set")
@@ -134,23 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="pool kind for Phase 1 (process = true CPU parallelism)")
     campaign.add_argument("--no-replay", action="store_true",
                           help="skip concrete replay of generated test cases")
-    campaign.add_argument("--no-incremental", action="store_true",
-                          help="crosscheck with a fresh solver per pair instead of "
-                               "the shared incremental SAT engine")
     campaign.add_argument("--no-triage", action="store_true",
                           help="skip the witness pipeline (replay confirmation, "
                                "minimization, clustering)")
     campaign.add_argument("--no-minimize", action="store_true",
                           help="triage without delta-minimization of witnesses")
-    campaign.add_argument("--backend", choices=backend_names(), default=None,
-                          help="solver backend for every phase (default cdcl, "
-                               "the reference CDCL configuration)")
-    campaign.add_argument("--portfolio", nargs="?", const="default", default=None,
-                          metavar="NAME[,NAME...]",
-                          help="race solver backends per query; with no value "
-                               "uses the model-deterministic default "
-                               "(interval,cdcl), a comma-separated list names "
-                               "explicit members")
     campaign.add_argument("--strategy", choices=strategy_names(), default=None,
                           help="Phase-1 frontier discipline (default: dfs)")
     campaign.add_argument("--cell-timeout", type=float, default=None,
@@ -296,10 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--threshold", type=float, default=0.20,
                        help="relative regression that fails the comparison "
                             "(default: 0.20)")
-    bench.add_argument("--keep-json", action="store_true",
-                       help="keep the freshly generated BENCH_*.json files in "
-                            "the repo root instead of restoring the committed "
-                            "baselines afterwards")
 
     return parser
 
@@ -374,12 +352,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
 
-        solver_config = (SolverConfig(backend=args.backend)
-                         if args.backend else None)
-
         def run_exploration():
             return explore_agent(args.agent, args.test,
-                                 solver_config=solver_config,
                                  with_coverage=args.coverage,
                                  strategy=args.strategy, workers=args.workers)
 
@@ -453,17 +427,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-    portfolio: object = False
-    if args.portfolio is not None:
-        portfolio = True if args.portfolio == "default" \
-            else _split_csv(args.portfolio)
     campaign = Campaign(workers=args.workers, executor=args.executor,
                         replay_testcases=not args.no_replay,
-                        incremental=not args.no_incremental,
                         triage=not args.no_triage,
                         minimize=not args.no_minimize,
-                        backend=args.backend,
-                        portfolio=portfolio,
                         strategy=args.strategy,
                         cell_timeout=args.cell_timeout,
                         retries=args.retries,
@@ -668,9 +635,7 @@ def _find_bench_root() -> Optional[str]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import shutil
     import subprocess
-    import tempfile
 
     root = _find_bench_root()
     if root is None:
@@ -693,40 +658,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in extra + [env.get("PYTHONPATH", "")] if path)
 
-    with tempfile.TemporaryDirectory(prefix="soft-bench-") as baseline_dir:
-        committed = sorted(
-            name for name in os.listdir(root)
-            if name.startswith("BENCH_") and name.endswith(".json"))
-        for name in committed:
-            shutil.copy(os.path.join(root, name),
-                        os.path.join(baseline_dir, name))
-
-        failed = []
-        for name in names:
-            test_file, _ = BENCH_SUITES[name]
-            print("== bench: %s (%s) ==" % (name, test_file))
-            proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-s", test_file],
-                cwd=root, env=env)
-            if proc.returncode:
-                failed.append(name)
-
-        compare = subprocess.run(
-            [sys.executable, os.path.join("benchmarks", "compare_bench.py"),
-             baseline_dir, ".", "--threshold", str(args.threshold)],
+    failed = []
+    for name in names:
+        test_file = BENCH_SUITES[name]
+        print("== bench: %s (%s) ==" % (name, test_file))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-s", test_file],
             cwd=root, env=env)
+        if proc.returncode:
+            failed.append(name)
 
-        if not args.keep_json:
-            # Put the committed trajectory points back so the working tree
-            # stays clean; fresh JSONs without a committed baseline go away.
-            for name in committed:
-                shutil.copy(os.path.join(baseline_dir, name),
-                            os.path.join(root, name))
-            for name in names:
-                bench_json = BENCH_SUITES[name][1]
-                fresh = os.path.join(root, bench_json)
-                if bench_json not in committed and os.path.exists(fresh):
-                    os.remove(fresh)
+    # Committed BENCH_*.json at the root vs the fresh ones in .bench_out/.
+    compare = subprocess.run(
+        [sys.executable, os.path.join("benchmarks", "compare_bench.py"),
+         "--threshold", str(args.threshold)],
+        cwd=root, env=env)
 
     if failed:
         print("error: benchmark suite(s) failed: %s" % ", ".join(failed),

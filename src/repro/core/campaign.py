@@ -20,7 +20,6 @@ work of the public API:
   incremental SAT engine per test, so each agent's group conditions are
   bit-blasted **once per test** no matter how many pairs reference them, and
   every pair query is an assumption-based re-solve of the shared instance.
-  ``incremental=False`` restores the legacy fresh-solver-per-pair behaviour.
 * The result is a :class:`CampaignReport` aggregating one
   :class:`~repro.core.soft.SoftReport` per (test, pair), with totals, timing
   and machine-readable JSON output.
@@ -44,7 +43,7 @@ import itertools
 import json
 import threading
 import time
-from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.agents.registry import AGENT_REGISTRY
@@ -69,14 +68,7 @@ from repro.errors import CampaignError
 from repro.symbex.engine import EngineConfig
 from repro.symbex.expr import intern_table
 from repro.symbex.simplify import clear_simplify_cache, simplify_cache_stats
-from repro.symbex.solver import (
-    DEFAULT_PORTFOLIO,
-    GroupEncoding,
-    Solver,
-    SolverConfig,
-    backend_names,
-    merge_stat_dicts,
-)
+from repro.symbex.solver import GroupEncoding, SolverConfig
 
 __all__ = ["Campaign", "CampaignReport", "EncodingCache", "ExplorationCache"]
 
@@ -272,8 +264,6 @@ class CampaignReport:
     #: Agents whose loaded artifacts were never consumed (excluded by the
     #: pair list); non-empty means a supplied artifact contributed nothing.
     unused_loaded_agents: List[str] = dataclass_field(default_factory=list)
-    #: Whether Phase 2b ran on the shared incremental engines.
-    incremental: bool = True
     #: Campaign-wide Phase-2b solver counters (mode, encodings reused,
     #: assumption solves, backend rebuilds, ...).
     solver_stats: Dict[str, object] = dataclass_field(default_factory=dict)
@@ -396,7 +386,6 @@ class CampaignReport:
             "explorations_loaded": self.explorations_loaded,
             "cache_hits": self.cache_hits,
             "unused_loaded_agents": list(self.unused_loaded_agents),
-            "incremental": self.incremental,
             "solver_stats": dict(self.solver_stats),
             "intern_stats": dict(self.intern_stats),
             "triage": self.triage.to_dict() if self.triage is not None else None,
@@ -470,10 +459,6 @@ class CampaignReport:
                    stats.get("pairwise_fallbacks", 0),
                    stats.get("interval_decides", 0),
                    stats.get("backend_rebuilds", 0)))
-        elif stats.get("mode") == "legacy":
-            lines.append(
-                "  phase 2b: legacy: %d backend rebuild(s) across %d query(ies)"
-                % (stats.get("sat_backend_runs", 0), stats.get("queries", 0)))
         if self.coverage is not None:
             lines.append(
                 "  coverage: %d of %d static decision site(s) reached "
@@ -544,12 +529,9 @@ class Campaign:
                  executor: str = "thread",
                  engine_config: Optional[EngineConfig] = None,
                  solver_config: Optional[SolverConfig] = None,
-                 backend: Optional[str] = None,
-                 portfolio: Union[bool, Sequence[str]] = False,
                  with_coverage: bool = False,
                  build_testcases: bool = True,
                  replay_testcases: bool = True,
-                 incremental: bool = True,
                  strategy: Optional[str] = None,
                  reset_intern: bool = False,
                  triage: bool = True,
@@ -570,17 +552,10 @@ class Campaign:
         self.workers = max(1, int(workers))
         self.executor = executor
         self.engine_config = engine_config
-        #: *backend* / *portfolio* are conveniences over *solver_config*: they
-        #: derive one (or override the given one) so callers can switch the
-        #: decision procedure without spelling out a full SolverConfig.
-        #: ``portfolio=True`` enables the model-deterministic default race;
-        #: a sequence names explicit members.
-        self.solver_config = self._derive_solver_config(
-            solver_config, backend, portfolio)
+        self.solver_config = solver_config
         self.with_coverage = with_coverage
         self.build_testcases = build_testcases
         self.replay_testcases = replay_testcases
-        self.incremental = incremental
         #: Reset the process-wide expression intern table (and the simplify
         #: memo built on top of it) at the start of each run.  Off by
         #: default: sharing terms across runs is what makes repeated
@@ -647,30 +622,6 @@ class Campaign:
             self.with_agents(*agents)
         if pairs is not None:
             self.with_pairs(*pairs)
-
-    @staticmethod
-    def _derive_solver_config(solver_config: Optional[SolverConfig],
-                              backend: Optional[str],
-                              portfolio: Union[bool, Sequence[str]]
-                              ) -> Optional[SolverConfig]:
-        if backend is None and not portfolio:
-            return solver_config
-        if backend is not None and backend not in backend_names():
-            raise CampaignError("unknown solver backend %r (choose from: %s)"
-                                % (backend, ", ".join(backend_names())))
-        members: Tuple[str, ...] = ()
-        if portfolio is True:
-            members = DEFAULT_PORTFOLIO
-        elif portfolio:
-            members = tuple(portfolio)
-            for name in members:
-                if name not in backend_names():
-                    raise CampaignError(
-                        "unknown portfolio member %r (choose from: %s)"
-                        % (name, ", ".join(backend_names())))
-        base = solver_config if solver_config is not None else SolverConfig()
-        return dataclass_replace(base, backend=backend or base.backend,
-                                 portfolio=members or base.portfolio)
 
     # ------------------------------------------------------------------
     # Fluent configuration
@@ -1011,14 +962,9 @@ class Campaign:
         entry_b = self.cache.get(agent_b, spec)
         shares_a = (exploration_shares or {}).get((agent_a, spec.key), 1)
         shares_b = (exploration_shares or {}).get((agent_b, spec.key), 1)
-        if self.incremental:
-            crosscheck = find_inconsistencies(
-                entry_a.grouped, entry_b.grouped,
-                engine=self.encodings.engine_for(spec))
-        else:
-            crosscheck = find_inconsistencies(
-                entry_a.grouped, entry_b.grouped,
-                solver=Solver(self.solver_config or SolverConfig()))
+        crosscheck = find_inconsistencies(
+            entry_a.grouped, entry_b.grouped,
+            engine=self.encodings.engine_for(spec))
 
         testcases: List[ConcreteTestCase] = []
         replays: List[ReplayOutcome] = []
@@ -1080,7 +1026,7 @@ class Campaign:
             return None, {}
         checkpoint = CampaignCheckpoint(self.checkpoint_dir)
         checkpoint.open(CampaignCheckpoint.fingerprint_for(
-            specs, paired_agents, pairs, self.strategy, self.incremental,
+            specs, paired_agents, pairs, self.strategy,
             self.hybrid is not None), resume=self.resume)
         completed = checkpoint.completed_cells() if self.resume else {}
         return checkpoint, completed
@@ -1247,18 +1193,13 @@ class Campaign:
                 corpus_saved = WitnessCorpus(self.corpus_dir).add_clusters(
                     triage_report.clusters)
 
-        if self.incremental:
-            # Report per-run deltas: engines and their counters persist on
-            # the instance, and a re-run must not double-count earlier work
-            # (same accounting as the exploration cache above).
-            solver_stats = self.encodings.aggregated()
-            for name, value in solver_stats.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    solver_stats[name] = value - encoding_stats_before.get(name, 0)
-        else:
-            solver_stats = {"mode": "legacy"}
-            for report in reports:
-                merge_stat_dicts(solver_stats, report.crosscheck.solver_stats)
+        # Report per-run deltas: engines and their counters persist on the
+        # instance, and a re-run must not double-count earlier work (same
+        # accounting as the exploration cache above).
+        solver_stats = self.encodings.aggregated()
+        for name, value in solver_stats.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                solver_stats[name] = value - encoding_stats_before.get(name, 0)
 
         exploration_stats: List[Dict[str, object]] = []
         coverage_sites = 0
@@ -1324,7 +1265,6 @@ class Campaign:
             total_time=time.perf_counter() - started,
             unused_loaded_agents=[agent for agent in self.cache.loaded_agent_names()
                                   if agent not in paired_agents],
-            incremental=self.incremental,
             solver_stats=solver_stats,
             exploration_stats=exploration_stats,
             intern_stats=intern_stats,
@@ -1428,7 +1368,6 @@ class Campaign:
             cache_hits=0,
             workers=self.workers,
             total_time=time.perf_counter() - started,
-            incremental=False,
             solver_stats={"mode": "hybrid"},
             triage=triage_report,
             corpus_dir=self.corpus_dir,

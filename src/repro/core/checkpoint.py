@@ -150,7 +150,7 @@ class CampaignCheckpoint:
     @staticmethod
     def fingerprint_for(specs: Sequence[TestSpec], agents: Sequence[str],
                         pairs: Sequence[Tuple[str, str]], strategy: Optional[str],
-                        incremental: bool, hybrid: bool) -> Dict[str, object]:
+                        hybrid: bool) -> Dict[str, object]:
         """The campaign-shape fingerprint recorded in ``meta.json``."""
 
         return {
@@ -158,7 +158,6 @@ class CampaignCheckpoint:
             "agents": sorted(agents),
             "pairs": sorted([sorted(pair) for pair in pairs]),
             "strategy": strategy,
-            "incremental": bool(incremental),
             "hybrid": bool(hybrid),
         }
 

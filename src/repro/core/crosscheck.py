@@ -7,7 +7,7 @@ is reported together with both output traces so a human can judge which (if
 either) implementation violates the specification.
 
 The paper bounds this stage by ``|RES_A| * |RES_B|`` solver queries (§3.4).
-Nearly all of them are UNSAT, so the default path does not ask them one by
+Nearly all of them are UNSAT, so the crosscheck does not ask them one by
 one.  It scans the pair matrix a row at a time on a shared
 :class:`~repro.symbex.solver.incremental.GroupEncoding`: every group
 condition is bit-blasted once behind an activation literal, and
@@ -15,16 +15,13 @@ condition is bit-blasted once behind an activation literal, and
 candidate B-groups of one A-group with one disjunctive SAT query per hit
 round, falling back to pair-by-pair solves only where that would not save a
 call.  Pass ``engine=`` to share the encoding across several pair reports of
-the same test (what :class:`~repro.core.campaign.Campaign` does).
+the same test (what :class:`~repro.core.campaign.Campaign` does), or across
+re-scans of a growing pair matrix (what the hybrid scheduler does: the
+engine's pair cache answers every pair an earlier scan decided).
 
 ``CrosscheckReport.queries`` counts *pairs decided*, whatever decided them,
 so it keeps the meaning of the paper's query count; the SAT calls actually
 made are ``solver_stats["assumption_solves"]``.
-
-The legacy path (``solver=`` or ``incremental=False``) re-simplifies,
-re-bit-blasts and re-solves every pair from scratch through a
-:class:`~repro.symbex.solver.Solver`.  It is the reference the row scan is
-equivalence-tested against, and the hybrid scheduler's query cache uses it.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from repro.core.grouping import GroupedResults, OutputGroup
 from repro.core.trace import OutputTrace
 from repro.errors import CrosscheckError
 from repro.symbex.expr import BoolExpr, bool_and
-from repro.symbex.solver import GroupEncoding, SatResult, Solver, SolverConfig
+from repro.symbex.solver import GroupEncoding, SatResult
 
 __all__ = ["Inconsistency", "CrosscheckReport", "find_inconsistencies"]
 
@@ -100,8 +97,8 @@ class CrosscheckReport:
     identical_output_pairs: int
     #: True when ``max_pairs`` stopped the scan before every pair was queried.
     truncated: bool = False
-    #: How the queries were answered: ``mode`` plus per-mode counters (for the
-    #: incremental mode also an ``engine`` snapshot, cumulative when shared).
+    #: How the pairs were decided (per-filter and SAT-call counters) plus an
+    #: ``engine`` snapshot, cumulative when the engine is shared.
     solver_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -125,14 +122,15 @@ class CrosscheckReport:
 
 
 def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
-                         solver: Optional[Solver] = None,
                          max_pairs: Optional[int] = None,
                          engine: Optional[GroupEncoding] = None,
-                         incremental: Optional[bool] = None,
                          deadline: Optional[float] = None,
                          clock: Callable[[], float] = time.perf_counter,
                          ) -> CrosscheckReport:
     """Crosscheck two agents' grouped results for one test specification.
+
+    *engine* is the (possibly shared) encoding to scan on; by default a
+    fresh one is created for this report.
 
     *max_pairs* caps the number of pairs decided **globally** across the
     whole pair matrix (a row's candidates are trimmed to the remaining
@@ -142,13 +140,8 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
     ``time.perf_counter``): once reached, the scan stops before the next
     pair filter or SAT call and the report is flagged ``truncated``, like a
     *max_pairs* cutoff.  Pairs left undecided are neither counted nor
-    reported.  Callers with query caches (the hybrid scheduler) simply
-    re-scan on the next slice — already-solved pairs are cheap.
-
-    Mode selection: an explicit *engine* drives the incremental path on that
-    (possibly shared) encoding; an explicit *solver* or ``incremental=False``
-    selects the legacy per-query path; by default a fresh incremental engine
-    is created for this report.
+    reported.  A caller that re-scans on the same *engine* (the hybrid
+    scheduler) gets every already-decided pair from its pair cache.
     """
 
     if grouped_a.test_key != grouped_b.test_key:
@@ -156,29 +149,14 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
             "cannot crosscheck different tests: %r vs %r"
             % (grouped_a.test_key, grouped_b.test_key)
         )
-    if engine is not None and (solver is not None or incremental is False):
-        raise CrosscheckError(
-            "pass either engine= (incremental) or solver=/incremental=False "
-            "(legacy), not both")
-    use_incremental = engine is not None or (solver is None and incremental is not False)
-    if use_incremental:
-        if engine is None:
-            engine = GroupEncoding(SolverConfig())
-        engine.bind_test(grouped_a.test_key)
-    elif solver is None:
-        solver = Solver(SolverConfig())
+    if engine is None:
+        engine = GroupEncoding()
+    engine.bind_test(grouped_a.test_key)
 
     started = time.perf_counter()
     tally = _Tally(grouped_a.agent_name, grouped_b.agent_name)
-    if use_incremental:
-        stop = None if deadline is None else (lambda: clock() >= deadline)
-        solver_stats = _scan_rows(grouped_a, grouped_b, engine, tally,
-                                  max_pairs, stop)
-    else:
-        _scan_pairs(grouped_a, grouped_b, solver, tally, max_pairs,
-                    deadline, clock)
-        solver_stats = {"mode": "legacy"}
-        solver_stats.update(solver.stats_dict())
+    stop = None if deadline is None else (lambda: clock() >= deadline)
+    solver_stats = _scan_rows(grouped_a, grouped_b, engine, tally, max_pairs, stop)
 
     return CrosscheckReport(
         agent_a=grouped_a.agent_name,
@@ -232,7 +210,7 @@ class _Tally:
 def _scan_rows(grouped_a: GroupedResults, grouped_b: GroupedResults,
                engine: GroupEncoding, tally: _Tally, max_pairs: Optional[int],
                stop: Optional[Callable[[], bool]]) -> Dict[str, object]:
-    """The incremental path: one :meth:`GroupEncoding.check_row` per A-group."""
+    """One :meth:`GroupEncoding.check_row` per A-group."""
 
     via_counts: Counter = Counter()
     calls: Counter = Counter()
@@ -271,25 +249,3 @@ def _scan_rows(grouped_a: GroupedResults, grouped_b: GroupedResults,
         "pairwise_fallbacks": calls["pairwise_fallbacks"],
         "engine": engine.stats_dict(),
     }
-
-
-def _scan_pairs(grouped_a: GroupedResults, grouped_b: GroupedResults,
-                solver: Solver, tally: _Tally, max_pairs: Optional[int],
-                deadline: Optional[float], clock: Callable[[], float]) -> None:
-    """The legacy path: one from-scratch solver query per pair."""
-
-    for group_a in grouped_a.groups:
-        for group_b in grouped_b.groups:
-            if group_a.trace == group_b.trace:
-                tally.identical += 1
-                continue
-            if max_pairs is not None and tally.queries >= max_pairs:
-                tally.truncated = True
-                return
-            if deadline is not None and clock() >= deadline:
-                tally.truncated = True
-                return
-            query_started = time.perf_counter()
-            result = solver.check([group_a.condition, group_b.condition])
-            tally.record(group_a, group_b, result,
-                         time.perf_counter() - query_started)

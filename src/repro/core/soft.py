@@ -20,7 +20,7 @@ from repro.core.testcase import ConcreteTestCase, ReplayOutcome
 from repro.core.tests_catalog import TestSpec
 from repro.core.witness import Witness
 from repro.symbex.engine import EngineConfig
-from repro.symbex.solver import GroupEncoding, Solver, SolverConfig
+from repro.symbex.solver import GroupEncoding, SolverConfig
 
 __all__ = ["SOFT", "SoftReport"]
 
@@ -104,14 +104,12 @@ class SOFT:
                  with_coverage: bool = False,
                  build_testcases: bool = True,
                  replay_testcases: bool = True,
-                 incremental: bool = True,
                  triage: bool = True) -> None:
         self.engine_config = engine_config
         self.solver_config = solver_config
         self.with_coverage = with_coverage
         self.build_testcases = build_testcases
         self.replay_testcases = replay_testcases
-        self.incremental = incremental
         self.triage = triage
 
     # ------------------------------------------------------------------
@@ -134,11 +132,8 @@ class SOFT:
                    grouped_b: GroupedResults) -> CrosscheckReport:
         """Phase 2b: find inconsistencies between two grouped results."""
 
-        if self.incremental:
-            engine = GroupEncoding(self.solver_config or SolverConfig())
-            return find_inconsistencies(grouped_a, grouped_b, engine=engine)
-        return find_inconsistencies(grouped_a, grouped_b,
-                                    solver=Solver(self.solver_config or SolverConfig()))
+        engine = GroupEncoding(self.solver_config)
+        return find_inconsistencies(grouped_a, grouped_b, engine=engine)
 
     # ------------------------------------------------------------------
     # End-to-end convenience
@@ -158,7 +153,6 @@ class SOFT:
             with_coverage=self.with_coverage,
             build_testcases=self.build_testcases,
             replay_testcases=self.replay_testcases,
-            incremental=self.incremental,
             triage=self.triage,
         )
 

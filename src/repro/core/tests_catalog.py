@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.harness.inputs import ControlMessageInput, ProbeInput, TestInput
@@ -129,8 +130,7 @@ def _symbolic_wildcards(state: PathState, name: str, symbolic_bits: int) -> obje
 # ---------------------------------------------------------------------------
 
 
-def _build_packet_out(state: PathState) -> SymBuffer:
-    scale = current_scale()
+def _build_packet_out(state: PathState, scale: str) -> SymBuffer:
     buffer_id = state.new_symbol("po.buffer_id", 32)
     action_type = state.new_symbol("po.act.type", 16)
     action_arg = state.new_symbol("po.act.arg", 16)
@@ -193,8 +193,7 @@ def _flow_mod_match(state: PathState, prefix: str, symbolic_bits: int,
     return Match(**fields)
 
 
-def _build_flow_mod(state: PathState) -> SymBuffer:
-    scale = current_scale()
+def _build_flow_mod(state: PathState, scale: str) -> SymBuffer:
     command = state.new_symbol("fm.command", 16)
     flags = state.new_symbol("fm.flags", 16)
     buffer_id = state.new_symbol("fm.buffer_id", 32)
@@ -241,8 +240,7 @@ def _build_flow_mod(state: PathState) -> SymBuffer:
     return message.pack()
 
 
-def _build_eth_flow_mod(state: PathState) -> SymBuffer:
-    scale = current_scale()
+def _build_eth_flow_mod(state: PathState, scale: str) -> SymBuffer:
     out_port = state.new_symbol("efm.act.out_port", 16)
     action_type = state.new_symbol("efm.act.type", 16)
     action_arg = state.new_symbol("efm.act.arg", 16)
@@ -297,8 +295,7 @@ def _build_cs_first(state: PathState) -> SymBuffer:
     return _concrete_exact_flow_mod()
 
 
-def _build_cs_second(state: PathState) -> SymBuffer:
-    scale = current_scale()
+def _build_cs_second(state: PathState, scale: str) -> SymBuffer:
     command = state.new_symbol("cs.command", 16)
     out_port_filter = state.new_symbol("cs.out_port", 16)
     flags = state.new_symbol("cs.flags", 16)
@@ -361,13 +358,17 @@ def _build_short_symb(state: PathState) -> SymBuffer:
 
 
 def _table1_specs(scale: str) -> Dict[str, TestSpec]:
+    # Scale-dependent builders are bound to *scale* here, so a spec built
+    # for one scale never reads SOFT_SCALE when it runs; ``partial`` of a
+    # module-level function keeps the spec picklable for process workers.
     return {
         "packet_out": TestSpec(
             key="packet_out",
             title="Packet Out",
             description="A single Packet Out message containing a symbolic action "
                         "and a symbolic output action.",
-            inputs=[ControlMessageInput("packet_out", _build_packet_out)],
+            inputs=[ControlMessageInput("packet_out",
+                                        partial(_build_packet_out, scale=scale))],
             message_count=1,
             scale=scale,
         ),
@@ -397,7 +398,7 @@ def _table1_specs(scale: str) -> Dict[str, TestSpec]:
             description="A symbolic Flow Mod with a symbolic action and a symbolic "
                         "output action followed by a probing TCP packet.",
             inputs=[
-                ControlMessageInput("flow_mod", _build_flow_mod),
+                ControlMessageInput("flow_mod", partial(_build_flow_mod, scale=scale)),
                 ProbeInput("tcp_probe", _tcp_probe),
             ],
             message_count=2,
@@ -409,7 +410,7 @@ def _table1_specs(scale: str) -> Dict[str, TestSpec]:
             description="A symbolic Flow Mod whose non-Ethernet fields are concretized, "
                         "followed by a probing Ethernet packet.",
             inputs=[
-                ControlMessageInput("eth_flow_mod", _build_eth_flow_mod),
+                ControlMessageInput("eth_flow_mod", partial(_build_eth_flow_mod, scale=scale)),
                 ProbeInput("eth_probe", _eth_probe),
             ],
             message_count=2,
@@ -421,7 +422,8 @@ def _table1_specs(scale: str) -> Dict[str, TestSpec]:
             description="Two Flow Mods: the first concrete, the second symbolic.",
             inputs=[
                 ControlMessageInput("concrete_flow_mod", _build_cs_first, symbolic=False),
-                ControlMessageInput("symbolic_flow_mod", _build_cs_second),
+                ControlMessageInput("symbolic_flow_mod",
+                                    partial(_build_cs_second, scale=scale)),
             ],
             message_count=2,
             scale=scale,

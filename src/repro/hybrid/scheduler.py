@@ -75,7 +75,7 @@ from repro.symbex.concolic import ConcolicExecutor
 from repro.symbex.engine import Engine, EngineConfig, ExplorationResult
 from repro.symbex.expr import reset_branch_hook, set_branch_hook
 from repro.symbex.compile import evaluate_compiled_bool
-from repro.symbex.solver import Solver, SolverConfig
+from repro.symbex.solver import GroupEncoding, Solver, SolverConfig
 from repro.symbex.state import PathState
 
 __all__ = ["HybridConfig", "HybridHunt", "HybridStats", "StageStats",
@@ -381,7 +381,10 @@ class HybridHunt:
         }
         self._symbex_results: Dict[str, Optional[ExplorationResult]] = {
             self.agent_a: None, self.agent_b: None}
-        self._crosscheck_solver = Solver(solver_config)
+        # One encoding for the whole hunt: every slice re-scans the growing
+        # pair matrix on it, and its pair cache answers the pairs earlier
+        # slices decided.
+        self._crosscheck_engine = GroupEncoding(solver_config)
         self._reported_examples: set = set()
         self._executors = {
             name: ConcolicExecutor(solver=Solver(solver_config))
@@ -638,10 +641,10 @@ class HybridHunt:
         grouped_a = group_paths(self._exploration_report(self.agent_a, result_a))
         grouped_b = group_paths(self._exploration_report(self.agent_b, result_b))
         # The pair scan is deadline-bounded on the hunt's own clock: a slice
-        # must never hold the scheduler past the global budget (the solver's
-        # query cache makes re-scanning the matrix next slice cheap).
+        # must never hold the scheduler past the global budget (the engine's
+        # pair cache makes re-scanning the matrix next slice cheap).
         crosscheck = find_inconsistencies(
-            grouped_a, grouped_b, solver=self._crosscheck_solver,
+            grouped_a, grouped_b, engine=self._crosscheck_engine,
             max_pairs=self.config.max_pairs_per_slice,
             deadline=deadline, clock=self.clock)
         replayed = 0

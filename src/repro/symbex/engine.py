@@ -354,7 +354,7 @@ class Engine:
         compiled_before = compiled_cache_stats()
         oracle = self.oracle
         oracle_solves_before = oracle.stats.assumption_solves if oracle else 0
-        oracle_stats_before = self._oracle_mode_stats() if oracle else {}
+        oracle_stats_before = oracle.stats_dict() if oracle else {}
 
         records: List[PathRecord] = []
         path_id = 0
@@ -439,26 +439,12 @@ class Engine:
     _STATS_GAUGES = ("sat_variables", "sat_clauses", "max_query_time",
                      "model_pool_size")
 
-    def _oracle_mode_stats(self) -> Dict[str, float]:
-        """Oracle counters plus the concretization solver's portfolio ones.
-
-        Concretization queries go through ``self.solver`` even in oracle
-        mode, so its portfolio attribution (routed queries, per-backend
-        wins) must ride along in the same snapshot for the per-run delta
-        arithmetic to apply to it.
-        """
-
-        stats = self._oracle.stats_dict()
-        if self.solver.portfolio is not None:
-            stats.update(self.solver.portfolio.stats_dict())
-        return stats
-
     def _solver_stats_snapshot(self, concretize_queries: int,
                                before: Dict[str, float]) -> Dict[str, float]:
         """Per-run solver counters (a reused engine must not accumulate)."""
 
         if self._oracle is not None:
-            stats = self._oracle_mode_stats()
+            stats = self._oracle.stats_dict()
             mode = "prefix-oracle"
         else:
             stats = self.solver.stats_dict()

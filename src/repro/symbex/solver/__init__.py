@@ -10,27 +10,18 @@ The pipeline mirrors what STP provides to the original SOFT prototype:
 4. a CDCL SAT solver (:mod:`repro.symbex.solver.sat`),
 5. model extraction and independent verification
    (:mod:`repro.symbex.solver.model`).
+
+Every query runs on that one engine, :class:`CDCLBackend`
+(:mod:`repro.symbex.solver.backend`): one-shot through :class:`Solver`,
+incrementally through the Phase-1 :class:`PrefixOracle` and the Phase-2b
+:class:`GroupEncoding`.
 """
 
 from repro.symbex.solver.sat import SATSolver, SATStatus
 from repro.symbex.solver.cnf import CNFBuilder
 from repro.symbex.solver.bitblast import BitBlaster
 from repro.symbex.solver.model import extract_model, verify_model
-from repro.symbex.solver.backends import (
-    ALT_CDCL_KNOBS,
-    BackendCapabilityError,
-    CancellationToken,
-    CDCLBackend,
-    DEFAULT_PORTFOLIO,
-    IntervalBackend,
-    PortfolioAnswer,
-    PortfolioSolver,
-    SolverBackend,
-    backend_info,
-    backend_names,
-    classify_query,
-    make_backend,
-)
+from repro.symbex.solver.backend import CancellationToken, CDCLBackend
 from repro.symbex.solver.solver import (
     SatResult,
     Solver,
@@ -46,19 +37,8 @@ __all__ = [
     "SATStatus",
     "CNFBuilder",
     "BitBlaster",
-    "ALT_CDCL_KNOBS",
-    "BackendCapabilityError",
     "CancellationToken",
     "CDCLBackend",
-    "DEFAULT_PORTFOLIO",
-    "IntervalBackend",
-    "PortfolioAnswer",
-    "PortfolioSolver",
-    "SolverBackend",
-    "backend_info",
-    "backend_names",
-    "classify_query",
-    "make_backend",
     "extract_model",
     "verify_model",
     "SatResult",

@@ -71,6 +71,7 @@ from repro.symbex.compile import compile_term
 from repro.symbex.expr import BoolAnd, BoolConst, BoolExpr, BoolOr
 from repro.symbex.interval import analyze_conjunction
 from repro.symbex.simplify import simplify_bool
+from repro.symbex.solver.backend import CDCLBackend
 from repro.symbex.solver.model import complete_model, require_verified
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.solver.solver import SatResult, SolverConfig
@@ -103,7 +104,7 @@ class IncrementalStats:
     hit_rounds: int = 0
     #: Rows finished pair by pair instead of by another row query.
     pairwise_fallbacks: int = 0
-    #: SAT instances constructed (1 per engine; the legacy path pays 1/query).
+    #: SAT instances constructed (1 per engine).
     backend_rebuilds: int = 0
     #: Pair queries decided by the interval pre-check (no SAT backend).
     interval_decides: int = 0
@@ -194,10 +195,7 @@ class GroupEncoding:
         self.config = config if config is not None else SolverConfig()
         self.stats = IncrementalStats(backend_rebuilds=1)
         self._lock = threading.RLock()
-        # Activation literals need the CNF-level surface (new_var/add_clause),
-        # so the engine asks for an *incremental* backend; a non-incremental
-        # configured backend (interval) falls back to the reference CDCL one.
-        self._backend = self.config.make_incremental_backend()
+        self._backend = CDCLBackend(**self.config.sat_knobs())
         # id-keyed: group conditions are hash-consed, so identity is
         # structural identity (each _EncodedGroup pins its condition alive).
         self._groups: Dict[int, _EncodedGroup] = {}

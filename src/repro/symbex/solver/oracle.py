@@ -79,6 +79,7 @@ from repro.symbex.expr import (
     Expr,
 )
 from repro.symbex.simplify import simplify_bool
+from repro.symbex.solver.backend import CDCLBackend
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.solver.solver import SolverConfig
 
@@ -188,12 +189,7 @@ class PrefixOracle:
     def __init__(self, config: Optional[SolverConfig] = None) -> None:
         self.config = config if config is not None else SolverConfig()
         self.stats = PrefixOracleStats()
-        # Assumption-based solving needs declare() + a literal namespace, so
-        # the oracle asks the config for an *incremental* backend (the
-        # reference CDCL engine unless overridden with another incremental
-        # one); the word-level interval engine contributes through the
-        # oracle's own pre-filter instead.
-        self._backend = self.config.make_incremental_backend()
+        self._backend = CDCLBackend(**self.config.sat_knobs())
         # id-keyed (the expression layer hash-conses terms): entry values
         # carry the condition so its id stays pinned while the entry lives.
         self._literals: Dict[int, Tuple[BoolExpr, int]] = {}

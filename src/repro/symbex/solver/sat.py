@@ -540,12 +540,11 @@ class SATSolver:
 
         *cancel* is an optional cooperative cancellation token (any object
         with an ``is_cancelled`` attribute, e.g.
-        :class:`repro.symbex.solver.backends.CancellationToken`).  The search
+        :class:`repro.symbex.solver.backend.CancellationToken`).  The search
         loop polls it at every conflict and every decision; once it reads
         true, the call unwinds exactly like a budget exhaustion — trail
         backtracked to the root, assumption-reuse state reset — and returns
         ``UNKNOWN``, so the instance stays fully reusable for later calls.
-        Portfolio racing uses this to stop losing backends promptly.
 
         *prefer* steers decisions, never the answer: while none of its
         literals is true, the search decides the first unassigned one before

@@ -11,8 +11,7 @@ constraints (implicitly conjoined).  The pipeline is:
 Queries are cached on the identities of the (sorted) simplified constraints
 — hash-consing makes identity structural, so the cache key is a tuple of
 small ints instead of nested structural keys; each cached entry keeps the
-constraint list alive so ids cannot be recycled.  This matters for the
-crosscheck phase where many grouped conditions share clauses.
+constraint list alive so ids cannot be recycled.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ from repro.symbex.expr import (
 )
 from repro.symbex.interval import analyze_conjunction
 from repro.symbex.simplify import simplify_bool
-from repro.symbex.solver.backends import PortfolioSolver, SolverBackend, make_backend
+from repro.symbex.solver.backend import CDCLBackend
 from repro.symbex.solver.model import complete_model, require_verified
-from repro.symbex.solver.sat import SATSolver, SATStatus
+from repro.symbex.solver.sat import SATStatus
 from repro.testing.faults import fault_point
 
 __all__ = ["Solver", "SolverConfig", "SolverStats", "SatResult", "merge_stat_dicts"]
@@ -47,8 +46,8 @@ def merge_stat_dicts(target: Dict[str, object], source: Dict[str, object],
 
     Non-numeric values keep the first one seen, *max_keys* merge as
     high-water marks, and every other number sums.  Used by the parallel
-    exploration merge and the campaign-wide solver-stats rollup so gauge
-    semantics live in exactly one place.
+    exploration merge for both solver counters and strategy metrics, so
+    gauge semantics live in exactly one place.
     """
 
     for name, value in source.items():
@@ -81,18 +80,9 @@ class SolverConfig:
     learned_db_growth: float = 1.2
     #: SAT-core: conflicts before the first restart (geometric growth after).
     restart_first: int = 100
-    #: Registered backend answering one-shot queries ("cdcl" is the reference;
-    #: see :mod:`repro.symbex.solver.backends`).
-    backend: str = "cdcl"
-    #: Backend names raced per query; empty disables the portfolio (the
-    #: single ``backend`` runs alone).
-    portfolio: Tuple[str, ...] = ()
-    #: Portfolio only: learn per-feature-bucket routing so interval-friendly
-    #: queries go straight to the cheap word-level backend (no race).
-    route_queries: bool = True
 
     def sat_knobs(self) -> Dict[str, object]:
-        """The SAT-core knobs as ``SATSolver`` constructor kwargs."""
+        """The SAT-core knobs as :class:`CDCLBackend` constructor kwargs."""
 
         return {
             "phase_saving": self.phase_saving,
@@ -100,50 +90,6 @@ class SolverConfig:
             "learned_db_base": self.learned_db_base,
             "learned_db_growth": self.learned_db_growth,
         }
-
-    def make_sat_solver(self) -> SATSolver:
-        """Build a :class:`SATSolver` configured with these knobs."""
-
-        return SATSolver(**self.sat_knobs())
-
-    def make_backend(self, name: Optional[str] = None) -> SolverBackend:
-        """A fresh instance of *name* (default: the configured backend)."""
-
-        return make_backend(name or self.backend, self.sat_knobs())
-
-    def make_incremental_backend(self) -> SolverBackend:
-        """An incremental backend for assumption-based consumers.
-
-        The PrefixOracle / GroupEncoding machinery needs ``declare`` and the
-        CNF-level surface; when the configured backend cannot provide them
-        (the interval engine), fall back to the reference CDCL backend — the
-        word-level engine still participates through those consumers' own
-        interval pre-filters.
-        """
-
-        backend = self.make_backend()
-        if not backend.incremental:
-            backend = self.make_backend("cdcl")
-        return backend
-
-    def make_portfolio(self) -> Optional[PortfolioSolver]:
-        """The configured :class:`PortfolioSolver`, or None when disabled."""
-
-        if not self.portfolio:
-            return None
-        return PortfolioSolver(self.portfolio, factory=self.make_backend,
-                               route_queries=self.route_queries)
-
-    def backend_key(self) -> Tuple[object, ...]:
-        """Identity of the decision procedure for query-cache keying.
-
-        Two configs sharing a cache must never exchange answers produced by
-        different engines or budgets: SAT models differ across backends, and
-        a looser budget can turn UNKNOWN into a verdict.
-        """
-
-        return (self.backend, tuple(self.portfolio), self.route_queries,
-                self.max_conflicts)
 
 
 @dataclass
@@ -205,33 +151,24 @@ class SatResult:
 
 
 class Solver:
-    """The decision procedure used by both the engine and the crosscheck phase."""
+    """The one-shot decision procedure.
+
+    Phase-1 concretization (and branch feasibility with the prefix oracle
+    off) and the concolic executor's branch flips query through it.
+    """
 
     def __init__(self, config: SolverConfig = None) -> None:
         self.config = config if config is not None else SolverConfig()
         self.stats = SolverStats()
-        self._portfolio = self.config.make_portfolio()
-        # Cache keys carry the decision-procedure identity alongside the
-        # constraint ids: answers from different backends/budgets must never
-        # be exchanged.  Values carry the constraint list to pin the interned
-        # terms the id components refer to.
-        self._backend_key = self.config.backend_key()
-        self._cache: Dict[Tuple[object, ...],
+        # Values carry the constraint list to pin the interned terms the
+        # key's ids refer to.
+        self._cache: Dict[Tuple[int, ...],
                           Tuple[List[BoolExpr], SatResult]] = {}
 
-    @property
-    def portfolio(self):
-        """The live :class:`PortfolioSolver`, or None when disabled."""
-
-        return self._portfolio
-
     def stats_dict(self) -> Dict[str, float]:
-        """Aggregate counters, including portfolio attribution when racing."""
+        """Aggregate counters."""
 
-        snapshot = self.stats.as_dict()
-        if self._portfolio is not None:
-            snapshot.update(self._portfolio.stats_dict())
-        return snapshot
+        return self.stats.as_dict()
 
     # ------------------------------------------------------------------
     # Public API
@@ -302,10 +239,9 @@ class Solver:
         if not simplified:
             return SatResult(SATStatus.SAT, model={})
 
-        cache_key: Optional[Tuple[object, ...]] = None
+        cache_key: Optional[Tuple[int, ...]] = None
         if self.config.use_cache:
-            cache_key = (self._backend_key,
-                         tuple(sorted(id(c) for c in simplified)))
+            cache_key = tuple(sorted(id(c) for c in simplified))
             cached = self._cache.get(cache_key)
             if cached is not None:
                 self.stats.cache_hits += 1
@@ -325,12 +261,6 @@ class Solver:
         return result
 
     def _decide(self, constraints: List[BoolExpr]) -> SatResult:
-        if self._portfolio is not None:
-            # The portfolio's router owns the interval-vs-CDCL decision; the
-            # inline pre-check would double-pay the interval analysis and rob
-            # the routed backend of its wins.
-            return self._decide_with_portfolio(constraints)
-
         if self.config.use_interval_precheck:
             outcome = analyze_conjunction(constraints)
             if outcome.is_unsat:
@@ -344,11 +274,11 @@ class Solver:
         return self._decide_with_sat(constraints)
 
     def _decide_with_sat(self, constraints: List[BoolExpr]) -> SatResult:
-        """One-shot query through a fresh instance of the configured backend."""
+        """One-shot query through a fresh CDCL instance."""
 
         started = time.perf_counter()
         self.stats.sat_backend_runs += 1
-        backend = self.config.make_backend()
+        backend = CDCLBackend(**self.config.sat_knobs())
         for constraint in constraints:
             backend.assert_formula(constraint)
         status = backend.check_sat(max_conflicts=self.config.max_conflicts)
@@ -356,31 +286,7 @@ class Solver:
 
         if status != SATStatus.SAT:
             return SatResult(status)
-        return SatResult(SATStatus.SAT,
-                         model=self._finish_model(backend.get_value(),
-                                                  constraints))
-
-    def _decide_with_portfolio(self, constraints: List[BoolExpr]) -> SatResult:
-        started = time.perf_counter()
-        self.stats.sat_backend_runs += 1
-        answer = self._portfolio.check(constraints,
-                                       max_conflicts=self.config.max_conflicts)
-        self.stats.sat_backend_time += time.perf_counter() - started
-
-        if answer.status != SATStatus.SAT:
-            return SatResult(answer.status)
-        if answer.verified:
-            # The winning backend already checked the model by concrete
-            # evaluation (interval wins) — mirror the inline pre-check path
-            # and only fill in the unconstrained variables.
-            self.stats.interval_decides += 1
-            return SatResult(SATStatus.SAT,
-                             model=complete_model(answer.model, constraints))
-        return SatResult(SATStatus.SAT,
-                         model=self._finish_model(answer.model, constraints))
-
-    def _finish_model(self, model: Dict[str, int],
-                      constraints: List[BoolExpr]) -> Dict[str, int]:
+        model = backend.get_value()
         if self.config.verify_models:
-            return require_verified(model, constraints)
-        return complete_model(model, constraints)
+            return SatResult(SATStatus.SAT, model=require_verified(model, constraints))
+        return SatResult(SATStatus.SAT, model=complete_model(model, constraints))

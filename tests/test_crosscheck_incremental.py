@@ -1,8 +1,9 @@
 """Tests of the incremental crosscheck engine and the max_pairs cap.
 
-The incremental path (shared SAT instance + activation literals) must report
-the exact same inconsistency set as the legacy per-query path — the legacy
-path is the reference implementation, the incremental one the fast path.
+The row scan (shared SAT instance + activation literals) must report the
+exact same inconsistency set as the pair-by-pair reference scan in
+:mod:`tests.oracles` (called "legacy" below: it is the per-query Phase 2b
+the row scan replaced).
 """
 
 import itertools
@@ -16,11 +17,12 @@ from repro.core.explorer import explore_agent
 from repro.core.grouping import GroupedResults, OutputGroup, group_paths
 from repro.core.tests_catalog import get_test
 from repro.core.trace import OutputTrace
-from repro.errors import CrosscheckError, SolverError
+from repro.errors import SolverError
 from repro.symbex.compile import evaluate_compiled_bool
 from repro.symbex.expr import bool_and, bool_or, bvvar
-from repro.symbex.solver import GroupEncoding, Solver, SolverConfig
+from repro.symbex.solver import GroupEncoding, SolverConfig
 from repro.symbex.solver import incremental as incremental_module
+from tests.oracles import pairwise_crosscheck
 
 AGENTS = ("reference", "ovs", "modified")
 
@@ -114,14 +116,6 @@ def test_soft_crosscheck_threads_solver_config():
     assert SOFT().crosscheck(grouped_a, grouped_b).inconsistency_count == 1
 
 
-def test_find_inconsistencies_rejects_conflicting_modes():
-    grouped = _synthetic_grouped("a", [1], "out")
-    other = _synthetic_grouped("b", [2], "other")
-    with pytest.raises(CrosscheckError):
-        find_inconsistencies(grouped, other, engine=GroupEncoding(),
-                             solver=Solver(SolverConfig()))
-
-
 # ---------------------------------------------------------------------------
 # max_pairs cap (global accounting)
 # ---------------------------------------------------------------------------
@@ -130,18 +124,14 @@ def test_max_pairs_cap_is_global_across_the_pair_matrix():
     grouped_a = _synthetic_grouped("a", [1, 2, 3], "a-out")
     grouped_b = _synthetic_grouped("b", [1, 2, 3], "b-out")
     # 9 candidate pairs (all traces differ); the cap must bound the total.
-    for mode in ("incremental", "legacy"):
-        kwargs = {} if mode == "incremental" else {"solver": Solver(SolverConfig())}
-        report = find_inconsistencies(grouped_a, grouped_b, max_pairs=4, **kwargs)
-        assert report.queries == 4
-        assert report.truncated is True
-        full = find_inconsistencies(grouped_a, grouped_b,
-                                    **({} if mode == "incremental"
-                                       else {"solver": Solver(SolverConfig())}))
-        assert full.queries == 9
-        assert full.truncated is False
-        # x==i AND x==j is satisfiable exactly when i == j.
-        assert full.inconsistency_count == 3
+    report = find_inconsistencies(grouped_a, grouped_b, max_pairs=4)
+    assert report.queries == 4
+    assert report.truncated is True
+    full = find_inconsistencies(grouped_a, grouped_b)
+    assert full.queries == 9
+    assert full.truncated is False
+    # x==i AND x==j is satisfiable exactly when i == j.
+    assert full.inconsistency_count == 3
 
 
 def test_max_pairs_zero_queries_nothing():
@@ -183,7 +173,7 @@ def test_deadline_truncates_the_pair_scan():
 
 
 # ---------------------------------------------------------------------------
-# Equivalence with the legacy path on the seed catalog
+# Equivalence with the pair-by-pair reference scan on the seed catalog
 # ---------------------------------------------------------------------------
 
 def test_incremental_matches_legacy_on_seed_catalog():
@@ -192,8 +182,7 @@ def test_incremental_matches_legacy_on_seed_catalog():
                    for agent in AGENTS}
         engine = GroupEncoding()
         for agent_a, agent_b in itertools.combinations(AGENTS, 2):
-            legacy = find_inconsistencies(grouped[agent_a], grouped[agent_b],
-                                          solver=Solver(SolverConfig()))
+            legacy = pairwise_crosscheck(grouped[agent_a], grouped[agent_b])
             incremental = find_inconsistencies(grouped[agent_a], grouped[agent_b],
                                                engine=engine)
             assert _trace_pairs(incremental) == _trace_pairs(legacy)
@@ -201,7 +190,6 @@ def test_incremental_matches_legacy_on_seed_catalog():
             assert incremental.unsat_pairs == legacy.unsat_pairs
             assert incremental.unknown_pairs == legacy.unknown_pairs
             assert incremental.solver_stats["mode"] == "incremental"
-            assert legacy.solver_stats["mode"] == "legacy"
             # Every SAT example is a real model of both group conditions
             # (verified inside the engine), so divergence witnesses hold.
             for inconsistency in incremental.inconsistencies:
@@ -227,33 +215,26 @@ def test_encoding_cache_shares_one_engine_per_test():
 
 
 def test_campaign_incremental_matches_legacy_and_bounds_rebuilds():
-    def run(incremental):
-        return (Campaign(replay_testcases=False, incremental=incremental)
-                .with_tests("stats_request", "set_config")
-                .with_agents(*AGENTS)
-                .run())
-
-    fast = run(True)
-    slow = run(False)
-    assert fast.pair_count == slow.pair_count == 6
+    fast = (Campaign(replay_testcases=False)
+            .with_tests("stats_request", "set_config")
+            .with_agents(*AGENTS)
+            .run())
+    assert fast.pair_count == 6
     for report in fast.reports:
-        twin = slow.report_for(report.test_key, report.agent_a, report.agent_b)
-        assert _trace_pairs(report.crosscheck) == _trace_pairs(twin.crosscheck)
+        twin = pairwise_crosscheck(report.grouped_a, report.grouped_b)
+        assert _trace_pairs(report.crosscheck) == _trace_pairs(twin)
+        assert report.crosscheck.queries == twin.queries
     # One backend per test, not one per pair query.
     assert fast.solver_stats["mode"] == "incremental"
     assert fast.solver_stats["engines"] == 2
     assert fast.solver_stats["backend_rebuilds"] == 2 < fast.pair_count
     assert fast.solver_stats["encoding_reuses"] > 0
-    assert slow.solver_stats["mode"] == "legacy"
-    assert slow.solver_stats["sat_backend_runs"] >= 0
     # Stats surface identically in the JSON report and the CLI table.
     assert fast.to_dict()["solver_stats"] == fast.solver_stats
-    assert fast.to_dict()["incremental"] is True
     assert "phase 2b: incremental" in fast.describe()
     assert ("%d pair(s) decided by %d SAT call(s)"
             % (fast.total_queries, fast.solver_stats["assumption_solves"])
             in fast.describe())
-    assert "phase 2b: legacy" in slow.describe()
 
 
 def test_campaign_rerun_solver_stats_are_per_run():
@@ -270,13 +251,29 @@ def test_campaign_rerun_solver_stats_are_per_run():
     assert second.solver_stats["pair_cache_hits"] == second.total_queries
 
 
-def test_cli_campaign_no_incremental_flag():
-    from repro.cli.main import build_parser
+def _assert_cli_usage_error(argv, capsys):
+    from repro.cli.main import main
 
-    args = build_parser().parse_args(["campaign", "--tests", "concrete",
-                                      "--agents", "reference,ovs",
-                                      "--no-incremental"])
-    assert args.no_incremental is True
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_campaign_no_incremental_flag(capsys):
+    # The row scan is the only crosscheck path; the opt-out flag is gone.
+    _assert_cli_usage_error(["campaign", "--tests", "concrete",
+                             "--agents", "reference,ovs", "--no-incremental"],
+                            capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--portfolio"],
+    ["campaign", "--backend", "cdcl"],
+    ["explore", "--agent", "reference", "--test", "concrete", "--backend", "cdcl"],
+])
+def test_cli_rejects_removed_solver_backend_flags(argv, capsys):
+    _assert_cli_usage_error(argv, capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +340,7 @@ def test_row_scan_matches_pairwise_and_legacy(rows_a, rows_b, interval):
     report = find_inconsistencies(grouped_a, grouped_b,
                                   engine=GroupEncoding(config))
     expected = _pairwise_sat_pairs(grouped_a, grouped_b, GroupEncoding(config))
-    legacy = find_inconsistencies(grouped_a, grouped_b,
-                                  solver=Solver(SolverConfig()))
+    legacy = pairwise_crosscheck(grouped_a, grouped_b)
     assert _sat_pairs(report) == expected == _sat_pairs(legacy)
     assert report.queries == legacy.queries
     assert report.unsat_pairs == legacy.unsat_pairs
@@ -526,8 +522,7 @@ def test_row_scan_on_shared_atom_pool_matches_legacy(rows, interval):
     grouped_a, grouped_b = _grouped("a", rows[0]), _grouped("b", rows[1])
     engine = GroupEncoding(SolverConfig(use_interval_precheck=interval))
     report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
-    legacy = find_inconsistencies(grouped_a, grouped_b,
-                                  solver=Solver(SolverConfig()))
+    legacy = pairwise_crosscheck(grouped_a, grouped_b)
     assert _sat_pairs(report) == _sat_pairs(legacy)
     assert report.unsat_pairs == legacy.unsat_pairs
     assert report.unknown_pairs == 0

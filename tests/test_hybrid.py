@@ -10,6 +10,7 @@ directly — the motivating scenario for the whole subsystem.
 
 import random
 import tempfile
+import time
 
 import pytest
 
@@ -21,11 +22,13 @@ from repro.core.witness import TriageIndex
 from repro.coverage.tracker import CoverageTracker
 from repro.errors import CampaignError
 from repro.harness.inputs import ControlMessageInput
-from repro.hybrid import HybridConfig, HybridHunt, SeedPool
+from repro.hybrid import HybridConfig, HybridHunt, SeedPool, StageStats
+from repro.hybrid import scheduler as scheduler_module
 from repro.openflow import constants as c
 from repro.openflow.actions import ActionOutput
 from repro.openflow.messages import PacketOut
 from repro.packetlib.builder import build_tcp_packet, build_udp_packet
+from repro.symbex.engine import EngineConfig
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,37 @@ def test_symbex_slice_respects_the_wall_clock_budget():
     assert report.stats.wall_time < config.budget * 1.5
     symbex = report.stats.stages["symbex"]
     assert symbex.slices >= 2  # preemption: budget spread over several slices
+
+
+def test_symbex_slices_rescan_on_one_encoding(monkeypatch):
+    # Each symbex slice re-scans the grown pair matrix on the hunt's one
+    # GroupEncoding: pairs an earlier slice decided come from its pair cache,
+    # and no group condition is encoded twice.
+    scans = []
+    real = scheduler_module.find_inconsistencies
+
+    def recording(grouped_a, grouped_b, **kwargs):
+        report = real(grouped_a, grouped_b, **kwargs)
+        scans.append((grouped_a, grouped_b, kwargs["engine"], report))
+        return report
+
+    monkeypatch.setattr(scheduler_module, "find_inconsistencies", recording)
+    config = HybridConfig(seed=0, stages=("symbex",),
+                          engine_config=EngineConfig(max_paths=4),
+                          coverage_packages=("repro.agents.common",))
+    hunt = HybridHunt("stats_request", "reference", "modified", config=config)
+    stage = StageStats(name="symbex")
+    deadline = time.perf_counter() + 600.0
+    hunt._run_symbex_slice(stage, deadline)
+    hunt._run_symbex_slice(stage, deadline)
+
+    (_, _, engine, first), (_, _, again, second) = scans
+    assert engine is again is hunt._crosscheck_engine
+    assert second.queries > first.queries          # the matrix grew
+    assert second.solver_stats["pair_cache_hits"] > 0
+    conditions = {id(group.condition) for grouped_a, grouped_b, _, _ in scans
+                  for group in grouped_a.groups + grouped_b.groups}
+    assert engine.stats.groups_encoded == engine.group_count == len(conditions)
 
 
 def test_scheduler_max_slices_caps_the_hunt():

@@ -15,13 +15,20 @@ from repro.core.explorer import explore_agent
 from repro.core.grouping import balanced_or, group_paths
 from repro.core.soft import SOFT
 from repro.core.testcase import build_testcase, replay_testcase
-from repro.core.tests_catalog import TABLE1_TESTS, catalog, current_scale, get_test
+from repro.core.tests_catalog import (
+    TABLE1_TESTS,
+    VALID_SCALES,
+    catalog,
+    current_scale,
+    get_test,
+)
 from repro.core.trace import OutputTrace
 from repro.core.variants import TABLE5_VARIANTS, concretization_spec, flow_mod_sequence_spec
 from repro.coverage.tracker import CoverageTracker
 from repro.openflow import constants as c
 from repro.symbex.expr import bvvar
 from repro.symbex.simplify import evaluate_bool
+from repro.symbex.state import PathState
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +63,34 @@ def test_current_scale_warns_on_invalid_value(monkeypatch):
     monkeypatch.setenv("SOFT_SCALE", "large")
     with pytest.warns(RuntimeWarning, match="small, paper"):
         assert current_scale() == "small"
+
+
+def _built_shape(spec):
+    """Symbols and assumptions one run of the spec's input builders creates."""
+
+    state = PathState(path_id=0)
+    for test_input in spec.inputs:
+        test_input.build(state)
+    return sorted(state.symbols.items()), [str(atom) for atom in state.condition]
+
+
+@pytest.mark.parametrize("key", ["packet_out", "flow_mod", "eth_flow_mod",
+                                 "cs_flow_mods"])
+def test_spec_scale_is_the_only_scale_source(key, monkeypatch):
+    # A spec built for one scale must build that scale's messages whatever
+    # SOFT_SCALE says when the builders run.
+    shapes = {}
+    for scale in VALID_SCALES:
+        monkeypatch.setenv("SOFT_SCALE", scale)
+        shapes[scale] = _built_shape(get_test(key, scale=scale))
+    assert shapes["small"] != shapes["paper"]
+    for spec_scale in VALID_SCALES:
+        spec = get_test(key, scale=spec_scale)
+        for env_scale in VALID_SCALES:
+            monkeypatch.setenv("SOFT_SCALE", env_scale)
+            assert _built_shape(spec) == shapes[spec_scale], (spec_scale, env_scale)
+        monkeypatch.delenv("SOFT_SCALE")
+        assert _built_shape(spec) == shapes[spec_scale]
 
 
 def test_cli_rejects_invalid_scale(monkeypatch, capsys):
