@@ -7,14 +7,21 @@ to the crosschecking party.  The crosschecking party loads any number of such
 artifacts into a :class:`~repro.core.campaign.Campaign` and runs Phase 2
 without re-exploring anything.
 
-File layout::
+File layout (compact JSON, one line)::
 
     {
-      "format": "soft/exploration-artifact/v1",
-      "agent": "...", "test": "...",
-      "outcomes": [ {"constraints": [...], "trace": [...], ...}, ... ],
-      ...
+      "format": "soft/exploration-artifact/v2",
+      "agent": "...", "test": "...", "scale": "...", ...
+      "terms": [ ["var", 16, "x"], ["const", 16, 3], ["cmp", "eq", 0, 1], ... ],
+      "traces": [ [["ctrl_msg", ...], ...], ... ],
+      "outcomes": [ {"path_id": 0, "constraints": [2, ...], "trace": 0, ...}, ... ]
     }
+
+``terms`` lists each distinct expression node once, children before
+parents, with each child given as the index of an earlier row; ``traces``
+lists each distinct normalized output trace once.  An outcome refers to
+both tables by index, so a term shared by thousands of path conditions is
+written once (:mod:`repro.symbex.serialize`).
 """
 
 from __future__ import annotations
@@ -39,14 +46,16 @@ __all__ = [
 PathLike = Union[str, "os.PathLike[str]"]
 
 
-def save_exploration_artifact(report: AgentExplorationReport, path: PathLike,
-                              indent: int = 2) -> Dict[str, object]:
-    """Write *report* to *path* as JSON; returns the serialized dict."""
+def save_exploration_artifact(report: AgentExplorationReport,
+                              path: PathLike) -> Dict[str, object]:
+    """Write *report* to *path* as compact JSON; returns the serialized dict."""
 
     data = report.to_dict()
     try:
         with open(path, "w") as handle:
-            json.dump(data, handle, indent=indent)
+            # json.dumps without indent runs the C encoder; json.dump and
+            # any indent= fall back to the pure-Python one.
+            handle.write(json.dumps(data))
             handle.write("\n")
     except OSError as exc:
         raise ArtifactError("cannot write artifact %s: %s" % (path, exc))

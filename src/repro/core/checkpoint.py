@@ -46,7 +46,9 @@ from repro.symbex.serialize import bool_expr_from_obj, expr_to_obj
 __all__ = ["CampaignCheckpoint", "CHECKPOINT_FORMAT", "PAIR_CELL_FORMAT",
            "HUNT_CELL_FORMAT"]
 
-CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v1"
+#: v2: phase-1 payloads are term-table exploration artifacts, so an older
+#: checkpoint is refused when it is opened rather than cell by cell.
+CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v2"
 PAIR_CELL_FORMAT = "soft/pair-cell/v1"
 HUNT_CELL_FORMAT = "soft/hunt-cell/v1"
 

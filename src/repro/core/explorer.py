@@ -51,35 +51,6 @@ class PathOutcome:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe rendering of this path (constraints serialized as trees)."""
-
-        from repro.symbex.serialize import expr_to_obj
-
-        return {
-            "path_id": self.path_id,
-            "constraints": [expr_to_obj(c) for c in self.constraints],
-            "trace": self.trace.to_obj(),
-            "constraint_size": self.constraint_size,
-            "decisions": self.decisions,
-            "symbols": dict(self.symbols),
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PathOutcome":
-        from repro.symbex.serialize import bool_expr_from_obj
-
-        return cls(
-            path_id=int(data["path_id"]),
-            constraints=[bool_expr_from_obj(c) for c in data.get("constraints", [])],
-            trace=OutputTrace.from_obj(data.get("trace", [])),
-            constraint_size=int(data.get("constraint_size", 0)),
-            decisions=int(data.get("decisions", 0)),
-            symbols={str(k): int(v) for k, v in dict(data.get("symbols", {})).items()},
-            error=data.get("error"),
-        )
-
 
 @dataclass
 class AgentExplorationReport:
@@ -126,17 +97,36 @@ class AgentExplorationReport:
         }
 
     #: Format tag stamped into serialized artifacts.
-    ARTIFACT_FORMAT = "soft/exploration-artifact/v1"
+    ARTIFACT_FORMAT = "soft/exploration-artifact/v2"
 
     def to_dict(self) -> Dict[str, object]:
         """Serialize the whole Phase-1 result as a JSON-safe dict.
 
         This is the paper's vendor artifact: path conditions plus normalized
-        output traces, but no agent source code.  Round-trips through
-        :meth:`from_dict` to a report whose grouping and crosschecking results
-        are identical to the original's.
+        output traces, but no agent source code.  ``terms`` holds each
+        distinct term once (see :class:`~repro.symbex.serialize.TermTableWriter`)
+        and ``traces`` each distinct trace once; every outcome refers to
+        them by index.  Round-trips through :meth:`from_dict` to a report
+        whose grouping and crosschecking results are identical to the
+        original's.
         """
 
+        from repro.symbex.serialize import TermTableWriter
+
+        terms = TermTableWriter()
+        traces: Dict[OutputTrace, int] = {}
+        outcomes = [
+            {
+                "path_id": outcome.path_id,
+                "constraints": [terms.add(c) for c in outcome.constraints],
+                "trace": traces.setdefault(outcome.trace, len(traces)),
+                "constraint_size": outcome.constraint_size,
+                "decisions": outcome.decisions,
+                "symbols": dict(outcome.symbols),
+                "error": outcome.error,
+            }
+            for outcome in self.outcomes
+        ]
         return {
             "format": self.ARTIFACT_FORMAT,
             "agent": self.agent_name,
@@ -149,7 +139,9 @@ class AgentExplorationReport:
             "engine_stats": dict(self.engine_stats),
             "coverage": self.coverage.as_dict() if self.coverage is not None else None,
             "truncated": self.truncated,
-            "outcomes": [outcome.to_dict() for outcome in self.outcomes],
+            "terms": terms.rows,
+            "traces": [trace.to_obj() for trace in traces],
+            "outcomes": outcomes,
         }
 
     @classmethod
@@ -157,16 +149,25 @@ class AgentExplorationReport:
         """Rebuild a Phase-1 artifact serialized with :meth:`to_dict`."""
 
         from repro.errors import ArtifactError, ExpressionError
+        from repro.symbex.serialize import terms_from_table
 
         if not isinstance(data, dict):
             raise ArtifactError("exploration artifact must be a JSON object, got %r"
                                 % (type(data).__name__,))
-        tag = data.get("format", cls.ARTIFACT_FORMAT)
+        tag = data.get("format")
         if tag != cls.ARTIFACT_FORMAT:
-            raise ArtifactError("unsupported artifact format %r (expected %r)"
-                                % (tag, cls.ARTIFACT_FORMAT))
+            raise ArtifactError(
+                "unsupported artifact format %r (this version reads %r; explore "
+                "and save again to convert an older artifact)"
+                % (tag, cls.ARTIFACT_FORMAT))
         try:
-            outcomes = [PathOutcome.from_dict(o) for o in data.get("outcomes", [])]
+            terms = terms_from_table(data["terms"])
+            # Only boolean rows can be path constraints.
+            conditions = {row: term for row, term in enumerate(terms)
+                          if isinstance(term, BoolExpr)}
+            traces = [OutputTrace.from_obj(obj) for obj in data["traces"]]
+            outcomes = [_outcome_from_obj(obj, conditions, traces)
+                        for obj in data["outcomes"]]
             coverage_data = data.get("coverage")
             return cls(
                 agent_name=str(data["agent"]),
@@ -184,6 +185,33 @@ class AgentExplorationReport:
             )
         except (KeyError, TypeError, ValueError, ExpressionError) as exc:
             raise ArtifactError("malformed exploration artifact: %s" % (exc,))
+
+
+def _outcome_from_obj(obj: Dict[str, object], conditions: Dict[int, BoolExpr],
+                      traces: List[OutputTrace]) -> PathOutcome:
+    """One serialized outcome, its indices resolved against the shared tables."""
+
+    constraints = []
+    for row in obj["constraints"]:
+        # ``type(...) is int`` rejects JSON true/false and floats as indices.
+        term = conditions.get(row) if type(row) is int else None
+        if term is None:
+            raise ValueError("path %r: constraint %r is not a boolean term row"
+                             % (obj.get("path_id"), row))
+        constraints.append(term)
+    trace = obj["trace"]
+    if type(trace) is not int or not 0 <= trace < len(traces):
+        raise ValueError("path %r: trace %r is not a trace row"
+                         % (obj.get("path_id"), trace))
+    return PathOutcome(
+        path_id=int(obj["path_id"]),
+        constraints=constraints,
+        trace=traces[trace],
+        constraint_size=int(obj.get("constraint_size", 0)),
+        decisions=int(obj.get("decisions", 0)),
+        symbols={str(k): int(v) for k, v in dict(obj.get("symbols", {})).items()},
+        error=obj.get("error"),
+    )
 
 
 def _resolve_agent_factory(agent: AgentSpec) -> (str, Callable[[], OpenFlowAgent]):

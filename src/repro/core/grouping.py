@@ -74,50 +74,6 @@ class GroupedResults:
     def traces(self) -> List[OutputTrace]:
         return [group.trace for group in self.groups]
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe rendering of the grouped intermediate result."""
-
-        from repro.symbex.serialize import expr_to_obj
-
-        return {
-            "agent": self.agent_name,
-            "test": self.test_key,
-            "grouping_time": self.grouping_time,
-            "total_paths": self.total_paths,
-            "groups": [
-                {
-                    "trace": group.trace.to_obj(),
-                    "condition": expr_to_obj(group.condition),
-                    "path_ids": list(group.path_ids),
-                    "path_count": group.path_count,
-                }
-                for group in self.groups
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "GroupedResults":
-        """Rebuild grouped results serialized with :meth:`to_dict`."""
-
-        from repro.symbex.serialize import bool_expr_from_obj
-
-        groups = [
-            OutputGroup(
-                trace=OutputTrace.from_obj(g["trace"]),
-                condition=bool_expr_from_obj(g["condition"]),
-                path_ids=[int(p) for p in g.get("path_ids", [])],
-                path_count=int(g.get("path_count", 0)),
-            )
-            for g in data.get("groups", [])
-        ]
-        return cls(
-            agent_name=str(data["agent"]),
-            test_key=str(data["test"]),
-            groups=groups,
-            grouping_time=float(data.get("grouping_time", 0.0)),
-            total_paths=int(data.get("total_paths", 0)),
-        )
-
 
 def group_paths(report: AgentExplorationReport,
                 include_failed_paths: bool = False) -> GroupedResults:

@@ -9,11 +9,14 @@ from repro.core.artifacts import load_exploration_artifact, save_exploration_art
 from repro.core.campaign import Campaign
 from repro.core.crosscheck import find_inconsistencies
 from repro.core.explorer import AgentExplorationReport, explore_agent
-from repro.core.grouping import GroupedResults, group_paths
+from repro.core.grouping import group_paths
 from repro.core.trace import OutputTrace
 from repro.errors import ArtifactError, ExpressionError
 from repro.symbex.expr import (
+    FALSE,
+    TRUE,
     BoolAnd,
+    BoolNot,
     bool_and,
     bool_not,
     bool_or,
@@ -22,7 +25,13 @@ from repro.symbex.expr import (
     ite,
     structurally_equal,
 )
-from repro.symbex.serialize import bool_expr_from_obj, expr_from_obj, expr_to_obj
+from repro.symbex.serialize import (
+    TermTableWriter,
+    bool_expr_from_obj,
+    expr_from_obj,
+    expr_to_obj,
+    terms_from_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,15 +44,28 @@ def test_expr_round_trip_covers_all_node_kinds():
     samples = [
         (x + 3) * y,
         ~(x ^ y) - (x << 2),
+        -x,
         concat(x, y).extract(23, 8),
         x.zext(32) + 1,
         x.sext(32),
         ite(x == y, x & 0xFF, y | 1),
         bool_and(x < y, bool_not(x == 3), bool_or(y >= 5, x.sle(0))),
+        BoolNot(bool_or(x == 1, y == 2)),
+        TRUE,
+        FALSE,
     ]
-    for expr in samples:
-        rebuilt = expr_from_obj(json.loads(json.dumps(expr_to_obj(expr))))
-        assert structurally_equal(expr, rebuilt), expr.pretty()
+    writer = TermTableWriter()
+    roots = [writer.add(expr) for expr in samples]
+    rows = json.loads(json.dumps(writer.rows))
+    terms = terms_from_table(rows)
+    for expr, root in zip(samples, roots):
+        # Interned constructors hand back the very same objects.
+        assert terms[root] is expr, expr.pretty()
+        assert expr_from_obj(json.loads(json.dumps(expr_to_obj(expr)))) is expr
+    assert len({id(term) for term in terms}) == len(rows)  # each node written once
+    assert {row[0] for row in rows} == {"const", "var", "binop", "unop", "extract", "concat",
+                                        "zext", "sext", "ite", "bool", "not", "and", "or",
+                                        "cmp"}
 
 
 def test_expr_deserialize_rejects_garbage():
@@ -87,14 +109,98 @@ def test_exploration_report_dict_round_trip_identical_crosscheck():
             == sorted((i.trace_a.items, i.trace_b.items) for i in fresh.inconsistencies))
 
 
-def test_grouped_results_dict_round_trip():
-    grouped = group_paths(explore_agent("ovs", "set_config"))
-    rebuilt = GroupedResults.from_dict(json.loads(json.dumps(grouped.to_dict())))
-    assert rebuilt.distinct_output_count == grouped.distinct_output_count
-    assert rebuilt.traces() == grouped.traces()
-    for old, new in zip(grouped.groups, rebuilt.groups):
-        assert structurally_equal(old.condition, new.condition)
-        assert old.path_ids == new.path_ids
+#: Where a term row's child indices start, per tag (leaves have none).
+_FIRST_CHILD = {"binop": 2, "unop": 2, "extract": 3, "concat": 1, "zext": 2, "sext": 2,
+                "ite": 1, "not": 1, "and": 1, "or": 1, "cmp": 2}
+
+
+def test_exploration_artifact_writes_each_term_and_trace_once():
+    report = explore_agent("reference", "flow_mod")
+    data = json.loads(json.dumps(report.to_dict()))
+    assert data["format"] == AgentExplorationReport.ARTIFACT_FORMAT
+
+    distinct = set()
+    stack = [c for outcome in report.outcomes for c in outcome.constraints]
+    while stack:
+        node = stack.pop()
+        if id(node) not in distinct:
+            distinct.add(id(node))
+            stack.extend(node.children())
+    assert len(data["terms"]) == len(distinct)
+    assert len(data["traces"]) == len(report.distinct_traces())
+    for position, row in enumerate(data["terms"]):
+        children = row[_FIRST_CHILD.get(row[0], len(row)):]
+        assert all(0 <= child < position for child in children), row
+
+    rebuilt = AgentExplorationReport.from_dict(data)
+    for old, new in zip(report.outcomes, rebuilt.outcomes):
+        assert len(old.constraints) == len(new.constraints)
+        assert all(a is b for a, b in zip(old.constraints, new.constraints))
+        assert new.trace == old.trace
+    # Outcomes with the same trace share one rebuilt trace object.
+    assert len({id(o.trace) for o in rebuilt.outcomes}) == len(data["traces"])
+
+
+_VAR, _CONST, _CMP = ["var", 8, "x"], ["const", 8, 1], ["cmp", "eq", 0, 1]
+
+
+def _tiny_artifact(terms=(_VAR, _CONST, _CMP), constraints=(2,), trace=0, **extra):
+    data = {"format": AgentExplorationReport.ARTIFACT_FORMAT,
+            "agent": "reference", "test": "concrete",
+            "terms": [list(row) for row in terms],
+            "traces": [[["ctrl_msg", 0, ["ECHO_REPLY"]]]],
+            "outcomes": [{"path_id": 0, "constraints": list(constraints),
+                          "trace": trace}]}
+    data.update(extra)
+    return data
+
+
+def test_tiny_artifact_fixture_is_valid():
+    report = AgentExplorationReport.from_dict(_tiny_artifact())
+    assert report.outcomes[0].constraints == [bvvar("x", 8) == 1]
+    assert report.outcomes[0].trace.items == (("ctrl_msg", 0, ("ECHO_REPLY",)),)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(_tiny_artifact(terms=[_VAR, ["not", 1]], constraints=[1]),
+                 id="row-refers-to-itself"),
+    pytest.param(_tiny_artifact(terms=[_VAR, ["cmp", "eq", 0, 2], _CONST], constraints=[1]),
+                 id="row-refers-to-later-row"),
+    pytest.param(_tiny_artifact(terms=[_VAR, _CONST, ["cmp", "eq", 0, 99]]),
+                 id="row-refers-out-of-range"),
+    pytest.param(_tiny_artifact(terms=[_VAR, _CONST, ["cmp", "eq", -1, 1]]),
+                 id="row-refers-to-negative-row"),
+    pytest.param(_tiny_artifact(terms=[_VAR, _CONST, ["cmp", "eq", True, 1]]),
+                 id="row-refers-by-bool"),
+    pytest.param(_tiny_artifact(terms=[["warp", 1, 2]], constraints=[0]),
+                 id="unknown-tag"),
+    pytest.param(_tiny_artifact(terms=[_VAR, _CONST, _CMP, ["binop", "add", 2, 0],
+                                       ["cmp", "eq", 3, 0]], constraints=[4]),
+                 id="bool-row-where-bv-required"),
+    pytest.param(_tiny_artifact(constraints=[0]), id="constraint-is-bv-row"),
+    pytest.param(_tiny_artifact(constraints=[3]), id="constraint-out-of-range"),
+    pytest.param(_tiny_artifact(constraints=[-1]), id="constraint-negative"),
+    pytest.param(_tiny_artifact(trace=1), id="trace-out-of-range"),
+    pytest.param(_tiny_artifact(trace=-1), id="trace-negative"),
+    pytest.param(_tiny_artifact(terms={"0": _VAR}), id="terms-not-a-list"),
+    pytest.param(_tiny_artifact(terms=[_VAR, "cmp"]), id="row-not-a-list"),
+    pytest.param({k: v for k, v in _tiny_artifact().items() if k != "terms"},
+                 id="no-terms"),
+    pytest.param({k: v for k, v in _tiny_artifact().items() if k != "format"},
+                 id="no-format"),
+])
+def test_malformed_exploration_artifact_raises_artifact_error(data):
+    with pytest.raises(ArtifactError):
+        AgentExplorationReport.from_dict(json.loads(json.dumps(data)))
+
+
+def test_nested_v1_artifact_is_refused_naming_both_formats(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_tiny_artifact(format="soft/exploration-artifact/v1")))
+    with pytest.raises(ArtifactError) as info:
+        load_exploration_artifact(path)
+    assert "soft/exploration-artifact/v1" in str(info.value)
+    assert AgentExplorationReport.ARTIFACT_FORMAT in str(info.value)
 
 
 def test_output_trace_obj_round_trip_hash_equal():

@@ -296,6 +296,35 @@ def test_checkpoint_refuses_mismatched_fingerprint(tmp_path):
                  checkpoint_dir=ckpt).run()
 
 
+def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch, capsys):
+    import repro.core.campaign as campaign_module
+    from repro.cli.main import main as cli_main
+
+    ckpt = tmp_path / "ckpt"
+    Campaign(tests=["concrete"], agents=["reference", "ovs"],
+             replay_testcases=False, triage=False,
+             checkpoint_dir=str(ckpt)).run()
+    meta = ckpt / "meta.json"
+    data = json.loads(meta.read_text())
+    data["format"] = "soft/campaign-checkpoint/v1"  # nested-tree phase-1 payloads
+    meta.write_text(json.dumps(data))
+
+    explored = []
+    monkeypatch.setattr(campaign_module, "explore_agent",
+                        lambda *args, **kwargs: explored.append(args))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint format"):
+        Campaign(tests=["concrete"], agents=["reference", "ovs"],
+                 replay_testcases=False, triage=False,
+                 checkpoint_dir=str(ckpt), resume=True).run()
+    assert explored == []
+
+    code = cli_main(["campaign", "--tests", "concrete", "--agents", "reference,ovs",
+                     "--checkpoint", str(ckpt), "--resume", "--quiet"])
+    assert code == 2
+    assert "unsupported checkpoint format" in capsys.readouterr().err
+    assert explored == []
+
+
 def test_checkpoint_journal_tolerates_truncated_tail(tmp_path):
     directory = str(tmp_path / "ckpt")
     checkpoint = CampaignCheckpoint(directory)
