@@ -4,13 +4,23 @@ Phase-1 exploration builds a *program* — a deterministic callable over a
 :class:`~repro.symbex.state.PathState` — that the exploration engine re-runs
 once per path.  The same driver also supports fully concrete runs (used to
 replay generated test cases and by the OFTest-style baseline).
+
+Decision-free input builds are recorded once per exploration.  The first
+time :meth:`TestDriver.program` builds an input, it notes the symbols the
+build declared, the constraints it assumed and the value it returned.  If
+the build made no branch decision, no ``concretize`` call and no event, that
+record stands in for the build on every later path: the symbols and
+constraints are replayed in their recorded order and each agent gets its own
+copy of the recorded buffers.  Any other build runs on every path.  The path
+a record produces is the one a fresh build would, so explored path
+conditions, traces and concolic replays are unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.agents.common.base import OpenFlowAgent
 from repro.agents.common.context import RecordingContext
@@ -19,6 +29,7 @@ from repro.core.trace import OutputTrace
 from repro.errors import AgentCrash, HarnessError
 from repro.harness.inputs import ControlMessageInput, ProbeInput, TestInput
 from repro.openflow.messages import Hello
+from repro.symbex.expr import BoolExpr
 from repro.symbex.state import PathState
 from repro.wire.buffer import SymBuffer
 from repro.wire.fields import FieldValue
@@ -37,6 +48,9 @@ class TestDriver:
         self.inputs = list(inputs)
         self.coverage_tracker = coverage_tracker
         self.perform_handshake = perform_handshake
+        # Input index -> its recorded build, or None for a build that must
+        # run on every path (it branched, concretized or emitted an event).
+        self._recorded: Dict[int, Optional[_RecordedBuild]] = {}
 
     # ------------------------------------------------------------------
     # The symbolic program
@@ -59,10 +73,10 @@ class TestDriver:
                 break  # the process is gone; nothing further can be observed
             ctx.set_input_index(index)
             if isinstance(test_input, ControlMessageInput):
-                buf = test_input.build(state)
+                buf = self._build(index, test_input, state)
                 self._feed_control(agent, ctx, buf)
             elif isinstance(test_input, ProbeInput):
-                port, frame = test_input.build(state)
+                port, frame = self._build(index, test_input, state)
                 self._feed_probe(agent, ctx, port, frame)
             else:
                 raise HarnessError("unknown test input %r" % (test_input,))
@@ -70,6 +84,37 @@ class TestDriver:
         trace = OutputTrace.from_events(ctx.events)
         state.data["trace"] = trace
         return trace
+
+    def _build(self, index: int, test_input: TestInput, state: PathState) -> Any:
+        """Input *index* built on *state*: from its record, or run afresh."""
+
+        recorded = self._recorded.get(index)
+        # A symbol declared earlier with another width makes a fresh build
+        # raise; only a fresh build reports that.
+        if recorded is not None and all(
+                state.symbols.get(name, width) == width
+                for name, width in recorded.symbols.items()):
+            state.symbols.update(recorded.symbols)
+            for constraint in recorded.constraints:
+                state.condition.add(constraint)
+            return _private_copy(recorded.value)
+        symbols = len(state.symbols)
+        constraints = len(state.condition)
+        decisions = len(state.decisions)
+        concretizations = state.concretizations
+        events = len(state.events)
+        value = test_input.build(state)
+        if index in self._recorded:
+            return value
+        if (len(state.decisions) == decisions
+                and state.concretizations == concretizations
+                and len(state.events) == events):
+            self._recorded[index] = _RecordedBuild(
+                dict(list(state.symbols.items())[symbols:]),
+                state.condition.since(constraints), value)
+            return _private_copy(value)
+        self._recorded[index] = None
+        return value
 
     def _feed_control(self, agent: OpenFlowAgent, ctx: RecordingContext,
                       buf: SymBuffer) -> None:
@@ -106,6 +151,28 @@ class TestDriver:
             agent.handle_dataplane_packet(port, frame)
         except AgentCrash as crash:
             ctx.crash(crash.reason)
+
+
+class _RecordedBuild:
+    """What one decision-free input build did to a path state."""
+
+    __slots__ = ("symbols", "constraints", "value")
+
+    def __init__(self, symbols: Dict[str, int], constraints: List[BoolExpr],
+                 value: Any) -> None:
+        self.symbols = symbols
+        self.constraints = constraints
+        self.value = value
+
+
+def _private_copy(value: Any) -> Any:
+    """*value* with every buffer copied, so an agent cannot alter the record."""
+
+    if isinstance(value, SymBuffer):
+        return value.copy()
+    if isinstance(value, tuple):
+        return tuple(_private_copy(item) for item in value)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,9 @@ class Engine:
         # Prefix-trie node mirroring the current path condition (oracle
         # mode): each decision extends the node by one literal delta.
         self._path_node: Optional[PrefixNode] = None
+        # The deepest node of the current path that holds a witness: the
+        # base every feasibility check on this path starts from.
+        self._base_node: Optional[PrefixNode] = None
         self._synced_constraints = 0
 
     @property
@@ -470,6 +473,7 @@ class Engine:
         self._current_state = state
         self._current_prefix = prefix
         self._path_node = self._oracle.root() if self._oracle is not None else None
+        self._base_node = self._path_node
         self._synced_constraints = 0
         error: Optional[str] = None
         result: Any = None
@@ -487,6 +491,11 @@ class Engine:
         # soft-lint: disable=broad-except -- the explored program is arbitrary agent code; any crash is this path's error output
         except Exception as exc:  # noqa: BLE001 - program bugs become path errors
             error = "%s: %s" % (type(exc).__name__, exc)
+        finally:
+            if self._base_node is not None:
+                # The path ends here: its base witness has no later use.
+                self._oracle.release(self._base_node)
+                self._base_node = self._path_node = None
         return PathRecord(
             path_id=path_id,
             condition=state.condition,
@@ -535,8 +544,8 @@ class Engine:
             # is a one-literal delta on the parent prefix.
             self._sync_path_node(state)
             lit = self._oracle.literal(condition)
-            self._path_node = self._oracle.extend(
-                self._path_node, lit if outcome else -lit)
+            self._advance(self._oracle.extend(
+                self._path_node, lit if outcome else -lit))
         state.decisions.append(outcome)
         state.condition.add(condition if outcome else bool_not(condition))
         if self._oracle is not None:
@@ -547,9 +556,24 @@ class Engine:
         """Encode constraints added outside branching (assume/concretize)."""
 
         for constraint in state.condition.since(self._synced_constraints):
-            self._path_node = self._oracle.extend(
-                self._path_node, self._oracle.literal(constraint))
+            self._advance(self._oracle.extend(
+                self._path_node, self._oracle.literal(constraint)))
         self._synced_constraints = len(state.condition)
+
+    def _advance(self, node: PrefixNode) -> None:
+        """Move the path to *node*; a witnessed node becomes the new base.
+
+        The old base is then behind the path — both sides of its branch are
+        decided — and no check starts from it again, so its witness goes.
+        Nodes without a witness (assume/concretize constraints, cached or
+        forced decisions) leave the base where it is; the next check
+        evaluates every literal added since.
+        """
+
+        self._path_node = node
+        if node.witness is not None and node is not self._base_node:
+            self._oracle.release(self._base_node)
+            self._base_node = node
 
     def _decide_with_oracle(self, state: PathState, condition: BoolExpr) -> bool:
         self._sync_path_node(state)
@@ -567,8 +591,8 @@ class Engine:
         self._frontier.push(tuple(state.decisions) + (False,))
         return True
 
-    def _oracle_check(self, node: "PrefixNode") -> str:
-        status = self._oracle.check_node(node)
+    def _oracle_check(self, node: PrefixNode) -> str:
+        status = self._oracle.check_node(node, base=self._base_node)
         if status == SATStatus.UNKNOWN:
             raise SolverError(
                 "solver gave up while checking branch feasibility; raise the "

@@ -232,7 +232,7 @@ def intern_table() -> InternTable:
 class Expr:
     """Common base class of bit-vector and boolean expressions."""
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "_hash", "_size")
 
     def key(self) -> tuple:
         """Return a hashable nested tuple uniquely describing this term."""
@@ -282,9 +282,15 @@ def expr_size(expr: Expr) -> int:
     """Number of distinct operator nodes in *expr*, counting shared subterms once.
 
     This is the metric the paper calls "constraint size" (number of boolean
-    operations in a path condition).
+    operations in a path condition).  The count is a property of the term
+    alone, so it is computed on first use and kept on the node itself: paths
+    share their interned constraints, and each is walked once.  The memo
+    lives and dies with its term, across intern generations too.
     """
 
+    size = getattr(expr, "_size", None)
+    if size is not None:
+        return size
     seen = set()
     stack = [expr]
     count = 0
@@ -298,6 +304,7 @@ def expr_size(expr: Expr) -> int:
         seen.add(k)
         count += 1
         stack.extend(node.children())
+    object.__setattr__(expr, "_size", count)
     return count
 
 

@@ -18,7 +18,7 @@ then just a set of literals, and its feasibility one
 ``solve(assumptions=prefix)`` call that reuses the shared bit-blasting
 structure and all learned clauses.
 
-Four layers short-circuit the backend entirely:
+Every check runs through these layers, cheapest first:
 
 * a **prefix trie of bitblast deltas** — paths are nodes; a child path that
   extends a parent prefix by one decision reuses the parent's encoded
@@ -31,15 +31,22 @@ Four layers short-circuit the backend entirely:
 * a **trivial check** — a prefix containing the false literal or a
   complementary pair is UNSAT without solving (detected in O(1) at node
   creation against the parent's set);
+* the **base witness** — every node proven SAT keeps the model that proved
+  it (its *witness*; the root's is the empty model, every variable 0).  The
+  engine passes the nearest witnessed ancestor on the current path as
+  ``base``, so a child is first evaluated only on its *fresh* literals (the
+  ones after ``base``), usually one: if they hold under the base's witness,
+  the child is SAT and shares that witness (``witness_inherits``).  If not,
+  the failing inputs are patched on a copy of the witness and every literal
+  of the node is re-verified (``witness_repairs``).  Per-path work thus
+  scales with the path's fresh decisions, not with its depth.
 * a **model-witness pool** — every model the backend produces is extracted
   once and kept in a bounded MRU pool.  A prefix is proven SAT without the
   backend when some pooled model satisfies every assumption literal, which
   is checked by *compiled concrete evaluation* of each literal's source
   condition (:mod:`repro.symbex.compile`), memoized per (model, literal).
   Any extension of a pooled model is a genuine witness, so a hit answers
-  exactly what the backend would answer.  When no pooled model fits, the
-  freshest one is *repaired* (inputs of failing atomic literals patched and
-  the whole prefix re-verified) before giving up.
+  exactly what the backend would answer.
 * a **word-level interval pre-filter** — the unsigned-interval domain of
   :mod:`repro.symbex.interval` runs over the prefix's source conditions;
   only its two sound outcomes short-circuit (a proven-empty domain is
@@ -47,6 +54,18 @@ Four layers short-circuit the backend entirely:
   pool), so verdicts — and the explored path set — stay bit-identical to
   the pool-free oracle (the exploration benchmark asserts this equivalence
   against the legacy engine).
+* a **pool repair** — the freshest pooled model is repaired like a base
+  witness before the backend is asked.
+
+Only then does the backend solve.  Every SAT verdict hands the node its
+witness: the base's, a repaired copy, a pooled model, a verified interval
+candidate or the backend's model.  A witness lives while the node can still
+be a base: the engine releases it (:meth:`PrefixOracle.release`) when the
+path's base moves past the node — once both sides of the node's branch are
+decided — and when a path ends on it.  A scheduled-but-unexplored sibling
+keeps its witness until its replay reaches it, so after an exhaustive
+exploration only the root holds one.  Nodes hold no parent pointer (the
+base is passed in), so a finished trie is freed by reference counting.
 
 The oracle decides feasibility only; it never *returns* models.
 Concretization keeps using the engine's legacy :class:`Solver` so that the
@@ -64,7 +83,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.symbex.compile import compile_term
-from repro.symbex.interval import analyze_conjunction
+from repro.symbex.interval import IntervalOutcome, analyze_conjunction
 from repro.symbex.expr import (
     BoolAnd,
     BoolConst,
@@ -100,9 +119,13 @@ class PrefixOracleStats:
     trivial_decides: int = 0
     #: Checks answered from a node's cached verdict (shared prefix ancestry).
     prefix_cache_hits: int = 0
+    #: Checks proven SAT by the base witness alone: the node's fresh
+    #: literals (usually one) hold under it (no solve, no prefix walk).
+    witness_inherits: int = 0
     #: Checks proven SAT by a pooled backend model (no solve).
     model_pool_hits: int = 0
-    #: Checks proven SAT by locally repairing a pooled model (no solve).
+    #: Checks proven SAT by locally repairing the base witness or a pooled
+    #: model (no solve).
     witness_repairs: int = 0
     #: Checks that consulted the pool and still needed the backend.
     model_pool_misses: int = 0
@@ -131,6 +154,7 @@ class PrefixOracleStats:
             "branch_checks": self.branch_checks,
             "trivial_decides": self.trivial_decides,
             "prefix_cache_hits": self.prefix_cache_hits,
+            "witness_inherits": self.witness_inherits,
             "model_pool_hits": self.model_pool_hits,
             "witness_repairs": self.witness_repairs,
             "model_pool_misses": self.model_pool_misses,
@@ -155,10 +179,13 @@ class PrefixNode:
     which the SAT core's assumption-trail reuse wants) are built from the
     parent by a single-literal delta instead of re-walking the whole path.
     ``trivial_unsat`` is decided in O(1) at creation.  ``status`` caches the
-    feasibility verdict (UNKNOWN is never cached).
+    feasibility verdict (UNKNOWN is never cached).  ``witness`` is the model
+    that proved the node SAT while it may still serve as a check's base
+    (``None`` once released, or when the verdict came from a cache).
     """
 
-    __slots__ = ("lits", "ordered", "status", "trivial_unsat", "children")
+    __slots__ = ("lits", "ordered", "status", "trivial_unsat", "children",
+                 "witness")
 
     def __init__(self, lits: FrozenSet[int], ordered: Tuple[int, ...],
                  trivial_unsat: bool) -> None:
@@ -167,6 +194,7 @@ class PrefixNode:
         self.trivial_unsat = trivial_unsat
         self.status: Optional[str] = None
         self.children: Dict[int, "PrefixNode"] = {}
+        self.witness: Optional[Dict[str, int]] = None
 
 
 class _PooledModel:
@@ -197,6 +225,9 @@ class PrefixOracle:
         # reverse map the model pool evaluates assumptions through.
         self._lit_conditions: Dict[int, Tuple[BoolExpr, int]] = {}
         self._root = PrefixNode(frozenset(), (), False)
+        # The empty prefix is satisfied by every model: the empty one, with
+        # every variable read as 0, is the base every path starts from.
+        self._root.witness = {}
         # Set-keyed verdicts shared across trie nodes: two orderings of the
         # same literal set are the same query (node.status is the per-node
         # fast path in front of this map).
@@ -266,16 +297,25 @@ class PrefixOracle:
 
         Convenience wrapper over the node API: walks the trie from the root
         (every step after the first visit is a delta hit) and checks the
-        final node.
+        final node against the root's witness.  The answer is all a caller
+        gets, so the node's witness is released again.
         """
 
         node = self._root
         for lit in literals:
             node = self.extend(node, lit)
-        return self.check_node(node)
+        status = self.check_node(node, base=self._root)
+        self.release(node)
+        return status
 
-    def check_node(self, node: PrefixNode) -> str:
-        """Satisfiability of one prefix node (cached per node)."""
+    def check_node(self, node: PrefixNode,
+                   base: Optional[PrefixNode] = None) -> str:
+        """Satisfiability of one prefix node (cached per node).
+
+        *base* is a witnessed ancestor of *node* on the same trie path
+        (normally its parent).  Its witness is tried before any layer that
+        walks the whole prefix; see the module docstring for the order.
+        """
 
         self.stats.branch_checks += 1
         if node.trivial_unsat:
@@ -299,33 +339,36 @@ class PrefixOracle:
                     self.stats.unsat += 1
                 return cached
 
-        if self._witness_in_pool(node):
+        if base is not None and base.witness is not None:
+            witness = base.witness
+            if all(self._holds(lit, witness)
+                   for lit in node.ordered[len(base.ordered):]):
+                self.stats.witness_inherits += 1
+                return self._proven_sat(node, witness)
+            repaired = self._repair_witness(node, witness)
+            if repaired is not None:
+                self.stats.witness_repairs += 1
+                return self._proven_sat(node, repaired)
+        pooled = self._witness_in_pool(node)
+        if pooled is not None:
             self.stats.model_pool_hits += 1
-            self.stats.sat += 1
-            if self.config.use_cache:
-                node.status = SATStatus.SAT
-                self._prefix_cache[node.lits] = SATStatus.SAT
-            return SATStatus.SAT
-        word_level = self._interval_prefilter(node)
-        if word_level is not None:
-            if word_level == SATStatus.SAT:
-                self.stats.interval_sat += 1
-                self.stats.sat += 1
-            else:
-                self.stats.interval_unsat += 1
-                self.stats.unsat += 1
-            if self.config.use_cache:
-                node.status = word_level
-                self._prefix_cache[node.lits] = word_level
-            return word_level
-        if self._repair_witness(node):
-            self.stats.witness_repairs += 1
-            self.stats.sat += 1
-            if self.config.use_cache:
-                node.status = SATStatus.SAT
-                self._prefix_cache[node.lits] = SATStatus.SAT
-            return SATStatus.SAT
+            return self._proven_sat(node, pooled)
+        outcome = self._interval_prefilter(node)
+        if outcome is not None and outcome.is_unsat:
+            self.stats.interval_unsat += 1
+            self.stats.unsat += 1
+            self._cache(node, SATStatus.UNSAT)
+            return SATStatus.UNSAT
+        if outcome is not None and outcome.verified:
+            self.stats.interval_sat += 1
+            candidate = dict(outcome.candidate)
+            self._pool(candidate)
+            return self._proven_sat(node, candidate)
         if self._models:
+            repaired = self._repair_witness(node, self._models[0].assignment)
+            if repaired is not None:
+                self.stats.witness_repairs += 1
+                return self._proven_sat(node, repaired)
             self.stats.model_pool_misses += 1
 
         started = time.perf_counter()
@@ -338,26 +381,61 @@ class PrefixOracle:
             self.stats.unknown += 1
             return status
         if status == SATStatus.SAT:
-            self.stats.sat += 1
-            self._pool_model()
-        else:
-            self.stats.unsat += 1
+            model = self._backend.get_value()
+            self._pool(model)
+            self.stats.models_pooled += 1
+            return self._proven_sat(node, model)
+        self.stats.unsat += 1
+        self._cache(node, status)
+        return status
+
+    def release(self, node: PrefixNode) -> None:
+        """Drop *node*'s witness: it will not serve as a base again.
+
+        The root keeps its (empty) witness for every later path.
+        """
+
+        if node is not self._root:
+            node.witness = None
+
+    def _proven_sat(self, node: PrefixNode, witness: Dict[str, int]) -> str:
+        self.stats.sat += 1
+        self._cache(node, SATStatus.SAT)
+        self._set_witness(node, witness)
+        return SATStatus.SAT
+
+    def _set_witness(self, node: PrefixNode, witness: Dict[str, int]) -> None:
+        """Hand *node* the model that proved it SAT (the one assignment point)."""
+
+        node.witness = witness
+
+    def _cache(self, node: PrefixNode, status: str) -> None:
         if self.config.use_cache:
             node.status = status
             self._prefix_cache[node.lits] = status
-        return status
 
-    def _interval_prefilter(self, node: PrefixNode) -> Optional[str]:
-        """Sound word-level verdict for *node*, or ``None`` for "ask the SAT core".
+    def _holds(self, lit: int, model: Dict[str, int]) -> bool:
+        """Whether assumption *lit* is true under *model* (unbound reads 0)."""
+
+        entry = self._lit_conditions.get(lit if lit > 0 else -lit)
+        if entry is None:
+            return False  # not evaluable: a later layer decides
+        condition, encoded = entry
+        truth = bool(compile_term(condition).run(model, default=0))
+        # The encoded literal of the condition may itself be negative.
+        return truth == ((lit > 0) == (encoded > 0))
+
+    def _interval_prefilter(self, node: PrefixNode) -> Optional[IntervalOutcome]:
+        """The word-level domain's outcome for *node* (``None``: not evaluable).
 
         Reconstructs the conjunction of source conditions behind the
         assumption literals (negative assumptions become ``BoolNot``) and
         runs the unsigned-interval domain over it.  Only the two *sound*
-        outcomes short-circuit: a proven-empty variable domain is UNSAT, and
-        a candidate model verified by compiled concrete evaluation is SAT
-        (and joins the witness pool).  Everything else falls through to the
-        backend, so verdicts — and hence the explored path set — stay
-        bit-identical to the oracle-free engine.
+        outcomes may short-circuit: a proven-empty variable domain is UNSAT,
+        and a candidate model verified by compiled concrete evaluation is
+        SAT.  Everything else falls through to the backend, so verdicts —
+        and hence the explored path set — stay bit-identical to the
+        oracle-free engine.
         """
 
         atoms: List[BoolExpr] = []
@@ -369,28 +447,20 @@ class PrefixOracle:
             if (lit > 0) != (encoded > 0):
                 condition = BoolNot(condition)
             atoms.append(condition)
-        outcome = analyze_conjunction(atoms)
-        if outcome.is_unsat:
-            return SATStatus.UNSAT
-        if outcome.verified:
-            self._models.insert(0, _PooledModel(dict(outcome.candidate)))
-            del self._models[self.MODEL_POOL_LIMIT:]
-            return SATStatus.SAT
-        return None
+        return analyze_conjunction(atoms)
 
     # ------------------------------------------------------------------
     # Model-witness pool
     # ------------------------------------------------------------------
 
-    def _pool_model(self) -> None:
-        """Extract the backend's current model into the MRU pool."""
+    def _pool(self, model: Dict[str, int]) -> None:
+        """Put *model* at the front of the MRU pool."""
 
-        self._models.insert(0, _PooledModel(self._backend.get_value()))
+        self._models.insert(0, _PooledModel(model))
         del self._models[self.MODEL_POOL_LIMIT:]
-        self.stats.models_pooled += 1
 
-    def _witness_in_pool(self, node: PrefixNode) -> bool:
-        """True when some pooled model satisfies every assumption of *node*."""
+    def _witness_in_pool(self, node: PrefixNode) -> Optional[Dict[str, int]]:
+        """A pooled model satisfying every assumption of *node*, if any."""
 
         for index, pooled in enumerate(self._models):
             truths = pooled.truths
@@ -417,51 +487,51 @@ class PrefixOracle:
                 if index:
                     # MRU: children of this prefix will ask again soon.
                     self._models.insert(0, self._models.pop(index))
-                return True
-        return False
+                return pooled.assignment
+        return None
 
-    def _repair_witness(self, node: PrefixNode) -> bool:
-        """Prove *node* SAT by locally repairing the freshest pooled model.
+    def _repair_witness(self, node: PrefixNode,
+                        base: Dict[str, int]) -> Optional[Dict[str, int]]:
+        """A witness for *node* patched from the model *base*, or ``None``.
 
-        The dominant backend-bound check in practice is a known-SAT prefix
-        extended by one *new* condition (a fresh ``field == const`` match
-        that no pooled model happens to satisfy).  Instead of solving, copy
-        the most recent pooled model and patch the inputs of failing
-        *atomic* literals (variable/extract against a constant); accept only
-        if a full compiled re-evaluation of **every** literal then passes —
-        the repaired model is a genuine witness, so this can never flip an
-        answer; anything unrepairable falls through to the backend.
+        The dominant check in practice is a known-SAT prefix extended by one
+        *new* condition (a fresh ``field == const`` match the known model
+        does not satisfy).  Instead of solving, copy *base* — the check's
+        base witness or the freshest pooled model — and patch the inputs of
+        failing *atomic* literals (variable/extract against a constant);
+        accept only if a full compiled re-evaluation of **every** literal
+        then passes.  The repaired model is a genuine witness, so this can
+        never flip an answer; anything unrepairable falls through.  A
+        repaired model joins the pool.
         """
 
-        if not self._models or not node.ordered:
-            return False
-        candidate = dict(self._models[0].assignment)
         conditions: List[Tuple[BoolExpr, bool]] = []
-        for lit in node.ordered:
-            base = lit if lit > 0 else -lit
-            entry = self._lit_conditions.get(base)
+        # Freshest literal first: under a base witness only the literals
+        # after the base can fail, so an unrepairable one ends the attempt
+        # at once and a repairable one is patched before the rest is checked.
+        for lit in reversed(node.ordered):
+            entry = self._lit_conditions.get(lit if lit > 0 else -lit)
             if entry is None:
-                return False
+                return None
             condition, encoded = entry
             conditions.append((condition, (lit > 0) == (encoded > 0)))
+        candidate = dict(base)
         for _attempt in range(3):
-            repaired_any = False
-            failed = False
+            # A pass proves the candidate once every literal held when it was
+            # checked and no patch came after a literal checked earlier.
+            checked = stale = False
             for condition, target in conditions:
-                if bool(compile_term(condition).run(candidate, default=0)) == target:
-                    continue
-                failed = True
-                if _repair_condition(condition, target, candidate):
-                    repaired_any = True
-                else:
-                    return False
-            if not failed:
-                self._models.insert(0, _PooledModel(candidate))
-                del self._models[self.MODEL_POOL_LIMIT:]
-                return True
-            if not repaired_any:
-                return False
-        return False
+                program = compile_term(condition)
+                if bool(program.run(candidate, default=0)) != target:
+                    if not (_repair_condition(condition, target, candidate)
+                            and bool(program.run(candidate, default=0)) == target):
+                        return None
+                    stale = stale or checked
+                checked = True
+            if not stale:
+                self._pool(candidate)
+                return candidate
+        return None
 
     # ------------------------------------------------------------------
     # Introspection

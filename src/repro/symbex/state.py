@@ -101,6 +101,9 @@ class PathState:
     symbols: Dict[str, int] = field(default_factory=dict)
     #: Arbitrary per-path scratch storage for the program under test.
     data: Dict[str, Any] = field(default_factory=dict)
+    #: Number of :meth:`concretize` calls so far.  A caller can tell from it
+    #: whether code it ran only assumed constraints or also pinned values.
+    concretizations: int = 0
     _engine: Any = None
 
     # -- symbolic inputs ------------------------------------------------------
@@ -154,6 +157,7 @@ class PathState:
 
         if self._engine is None:
             raise ConcretizationError("no engine attached to this path state")
+        self.concretizations += 1
         return self._engine.concretize_in_state(self, value, hint=hint)
 
     # -- introspection -----------------------------------------------------------

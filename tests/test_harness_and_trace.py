@@ -192,3 +192,117 @@ def test_table5_symbolic_probe_spec_explores_multiple_paths():
     report = explore_agent("reference", spec)
     assert report.path_count >= 1
     assert report.test_key == "table5_symbolic_probe"
+
+
+# ---------------------------------------------------------------------------
+# Decision-free input builds are recorded once per exploration
+# ---------------------------------------------------------------------------
+
+
+def _spied_reference(received):
+    """A reference agent that logs (and then scribbles over) every buffer."""
+
+    agent = make_agent("reference")
+    handle = agent.handle_control_buffer
+
+    def spy(buf):
+        # Symbolic bytes compare by term key (``==`` would build a condition).
+        received.append([b if isinstance(b, int) else b.key() for b in buf])
+        handle(buf)
+        buf._bytes[:] = [0xEE] * len(buf)  # an agent may mutate its input
+
+    agent.handle_control_buffer = spy
+    return agent
+
+
+def _counting_input(calls, body):
+    def build(state: PathState):
+        calls.append(state.path_id)
+        return body(state)
+
+    return ControlMessageInput("set_config", build)
+
+
+def _symbolic_set_config(state: PathState):
+    from repro.openflow.messages import SetConfig
+
+    flags = state.new_symbol("sc.flags", 16)
+    miss_send_len = state.new_symbol("sc.miss_send_len", 16)
+    state.assume(miss_send_len <= 200)
+    return SetConfig(xid=3, flags=flags, miss_send_len=miss_send_len).pack()
+
+
+def test_recorded_build_replays_symbols_constraints_and_bytes():
+    calls = []
+    inputs = [_counting_input(calls, _symbolic_set_config),
+              ProbeInput("probe", lambda state: (1, build_tcp_packet()))]
+    recorded_bytes, fresh_bytes = [], []
+
+    # One driver for the whole exploration: the build is recorded ...
+    driver = TestDriver(agent_factory=lambda: _spied_reference(recorded_bytes),
+                        inputs=inputs)
+    recorded = Engine().explore(driver.program)
+    built_once = len(calls)
+    del calls[:]
+    # ... against a new driver, and so a fresh build, on every path.
+    fresh = Engine().explore(lambda state: TestDriver(
+        agent_factory=lambda: _spied_reference(fresh_bytes),
+        inputs=inputs).program(state))
+
+    assert recorded.path_count == fresh.path_count > 1
+    assert built_once == 1 and len(calls) == fresh.path_count
+    for replayed, built in zip(recorded.paths, fresh.paths):
+        assert list(replayed.symbols.items()) == list(built.symbols.items())
+        assert replayed.condition.constraints() == built.condition.constraints()
+        assert replayed.result == built.result
+    # Every path saw the pristine message, although each agent overwrote it.
+    assert recorded_bytes == fresh_bytes
+    assert all(0xEE not in message for message in recorded_bytes)
+
+
+def test_branching_and_concretizing_builds_run_on_every_path():
+    def branching(state: PathState):
+        flags = state.new_symbol("sc.flags", 16)
+        if flags == 0:
+            flags = 0
+        return _symbolic_set_config(state)
+
+    def concretizing(state: PathState):
+        from repro.openflow.messages import SetConfig
+
+        flags = state.new_symbol("sc.flags", 16)
+        miss_send_len = state.new_symbol("sc.miss_send_len", 16)
+        pinned = state.concretize(miss_send_len, hint=128)
+        return SetConfig(xid=3, flags=flags, miss_send_len=pinned).pack()
+
+    for body in (branching, concretizing):
+        calls = []
+        driver = TestDriver(agent_factory=lambda: make_agent("reference"),
+                            inputs=[_counting_input(calls, body),
+                                    ProbeInput("probe", lambda state: (1, build_tcp_packet()))])
+        result = Engine().explore(driver.program)
+        assert result.path_count > 1
+        assert len(calls) == result.path_count, body.__name__
+
+
+def test_concolic_trace_over_a_recording_driver_follows_its_assignment():
+    from repro.core.tests_catalog import get_test
+    from repro.symbex.compile import evaluate_compiled_bool
+    from repro.symbex.concolic import ConcolicExecutor
+
+    spec = get_test("set_config", scale="small")
+    driver = TestDriver(agent_factory=lambda: make_agent("reference"), inputs=spec.inputs)
+    explored = Engine().explore(driver.program)  # records the builds
+    assignment = {"sc.flags": 1, "sc.miss_send_len": 0x40}
+    traced = ConcolicExecutor().trace(driver.program, assignment)
+    fresh = ConcolicExecutor().trace(
+        TestDriver(agent_factory=lambda: make_agent("reference"),
+                   inputs=spec.inputs).program, assignment)
+
+    assert traced.error is None
+    assert traced.decisions == fresh.decisions
+    assert traced.constraints == fresh.constraints
+    assert traced.events == fresh.events
+    assert all(evaluate_compiled_bool(constraint, assignment, default=0)
+               for constraint in traced.constraints)
+    assert traced.decisions in {path.decisions for path in explored.paths}

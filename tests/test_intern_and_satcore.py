@@ -120,6 +120,48 @@ def test_intern_reset_keeps_constant_singletons():
         clear_simplify_cache()
 
 
+def _uncached_size(expr):
+    """Distinct operator nodes of *expr*, by a fresh walk (no memo)."""
+
+    seen, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children())
+    return len(seen)
+
+
+def test_memoized_expr_size_matches_a_fresh_walk_on_the_catalog():
+    from repro.core.explorer import explore_agent
+    from repro.core.tests_catalog import TABLE1_TESTS, get_test
+
+    constraints = []
+    for test in TABLE1_TESTS:
+        spec = get_test(test, scale="small")
+        for agent in ("reference", "ovs", "modified"):
+            for outcome in explore_agent(agent, spec).outcomes:
+                sizes = [expr_size(c) for c in outcome.constraints]
+                assert sizes == [_uncached_size(c) for c in outcome.constraints]
+                assert outcome.constraint_size == sum(sizes)
+                constraints.extend(outcome.constraints)
+    assert constraints
+    before = [expr_size(c) for c in constraints]
+
+    # A new intern generation neither drops nor confuses the memo: old
+    # terms keep their sizes, and re-interned copies compute equal ones.
+    intern_table().reset()
+    clear_simplify_cache()
+    try:
+        assert [expr_size(c) for c in constraints] == before
+        fresh = [pickle.loads(pickle.dumps(c)) for c in constraints[:200]]
+        assert all(new is not old for new, old in zip(fresh, constraints))
+        assert [expr_size(c) for c in fresh] == before[:200]
+        assert [_uncached_size(c) for c in fresh] == before[:200]
+    finally:
+        clear_simplify_cache()
+
+
 def test_invalid_construction_is_not_interned():
     from repro.errors import ExpressionError
     from repro.symbex.expr import BVExtract, BVSignExt, BVZeroExt

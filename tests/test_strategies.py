@@ -406,13 +406,16 @@ def test_reused_engine_solver_stats_are_per_run_deltas():
     engine = Engine()
     first = engine.explore(program)
     second = engine.explore(program)
-    # The first run decides the branch without the prefix cache (interval
-    # pre-filter or backend); the second is served entirely by the persistent
-    # prefix cache, so every counter in solver_stats must be a per-run delta,
-    # not a lifetime total.
+    # The first run decides the branch without the prefix cache (base
+    # witness, interval pre-filter or backend: ``x == 1`` is decided by
+    # patching the root's empty witness); the second is served entirely by
+    # the persistent prefix cache, so every counter in solver_stats must be
+    # a per-run delta, not a lifetime total.
     first_decides = (first.solver_stats["assumption_solves"]
                      + first.solver_stats["interval_unsat"]
-                     + first.solver_stats["interval_sat"])
+                     + first.solver_stats["interval_sat"]
+                     + first.solver_stats["witness_inherits"]
+                     + first.solver_stats["witness_repairs"])
     assert first_decides >= 1
     assert second.solver_stats["assumption_solves"] == 0
     assert second.solver_stats["interval_unsat"] == 0
@@ -441,3 +444,67 @@ def test_forkless_paths_still_consume_their_novelty():
     strategy.on_path_complete(FakeRecord(["new"]))  # genuinely new: score 1
     assert strategy.pop() == ("novel",)
     assert strategy.pop() == ("stale",)
+
+
+# ---------------------------------------------------------------------------
+# Phase-1 invariants of the witness-carrying oracle
+# ---------------------------------------------------------------------------
+
+
+def _trie_nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children.values())
+
+
+def _explore_with_driver(agent, test, use_prefix_oracle):
+    from repro.agents import make_agent
+    from repro.core.tests_catalog import get_test
+    from repro.harness.driver import TestDriver
+
+    spec = get_test(test, scale="small")
+    driver = TestDriver(agent_factory=lambda: make_agent(agent), inputs=spec.inputs)
+    engine = Engine(config=EngineConfig(use_prefix_oracle=use_prefix_oracle))
+    return engine, engine.explore(driver.program)
+
+
+def _path_view(result):
+    return [(path.decisions, path.condition.constraints(), path.result,
+             path.constraint_size(), path.error) for path in result.paths]
+
+
+@pytest.mark.parametrize("test", ["flow_mod", "packet_out"])
+@pytest.mark.parametrize("agent", ["reference", "ovs", "modified"])
+def test_oracle_witnesses_are_models_and_released(monkeypatch, agent, test):
+    from repro.symbex.compile import evaluate_compiled_bool
+
+    handed = []
+    original = PrefixOracle._set_witness
+
+    def checked_set_witness(oracle, node, witness):
+        # (i) every witness handed to a node satisfies all of its literals
+        # under compiled evaluation (unbound inputs read 0).
+        for lit in node.ordered:
+            condition, encoded = oracle._lit_conditions[abs(lit)]
+            truth = evaluate_compiled_bool(condition, witness, default=0)
+            assert truth == ((lit > 0) == (encoded > 0)), (node.ordered, lit)
+        handed.append(node)
+        original(oracle, node, witness)
+
+    monkeypatch.setattr(PrefixOracle, "_set_witness", checked_set_witness)
+    engine, result = _explore_with_driver(agent, test, use_prefix_oracle=True)
+    assert handed and not result.stats.truncated
+    assert result.solver_stats["witness_inherits"] > 0
+
+    # (ii) once explore returns, only the root still holds a witness.
+    root = engine.oracle.root()
+    assert root.witness == {}
+    holders = [node.ordered for node in _trie_nodes(root)
+               if node is not root and node.witness is not None]
+    assert holders == []
+
+    # (iii) the explored artifact is the legacy engine's, path by path.
+    _, legacy = _explore_with_driver(agent, test, use_prefix_oracle=False)
+    assert _path_view(result) == _path_view(legacy)
