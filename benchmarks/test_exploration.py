@@ -1,6 +1,7 @@
-"""Phase-1 exploration benchmark: legacy engine vs the prefix-oracle engine.
+"""Phase-1 exploration benchmark: the test reference engine vs the prefix oracle.
 
-The legacy engine answers every branch-feasibility question with a full
+The reference engine (:class:`tests.oracles.ReferenceEngine`, reported as
+``legacy``) answers every branch-feasibility question with a full
 :class:`Solver` query — re-simplify, re-bit-blast and re-solve the whole
 path condition in a fresh SAT instance, up to twice per branch.  The
 prefix-oracle engine encodes every distinct branch condition once into one
@@ -20,29 +21,40 @@ import time
 
 from benchmarks.conftest import print_table, write_bench
 from repro.core.explorer import explore_agent
-from repro.symbex.engine import EngineConfig
+from tests.oracles import ReferenceEngine, explore_with_driver
 
 AGENTS = ("reference", "ovs", "modified")
 TEST = "packet_out"
 
 
-def _path_set(report):
+def _path_set(constraint_lists):
     return frozenset(
-        tuple(sorted(constraint.key() for constraint in outcome.constraints))
-        for outcome in report.outcomes
+        tuple(sorted(constraint.key() for constraint in constraints))
+        for constraints in constraint_lists
     )
 
 
-def _run_engine(config: EngineConfig):
+def _explore_oracle(agent):
+    report = explore_agent(agent, TEST)
+    return (report.path_count, int(report.engine_stats["solver_queries"]),
+            _path_set(outcome.constraints for outcome in report.outcomes))
+
+
+def _explore_reference(agent):
+    _, _, result = explore_with_driver(agent, TEST, ReferenceEngine())
+    return (result.path_count, result.stats.solver_queries,
+            _path_set(path.condition.constraints() for path in result.paths))
+
+
+def _run_engine(explore):
     totals = {"paths": 0, "solver_queries": 0, "wall_clock": 0.0}
     path_sets = {}
     for agent in AGENTS:
         started = time.perf_counter()
-        report = explore_agent(agent, TEST, engine_config=config)
+        paths, queries, path_sets[agent] = explore(agent)
         totals["wall_clock"] += time.perf_counter() - started
-        totals["paths"] += report.path_count
-        totals["solver_queries"] += int(report.engine_stats["solver_queries"])
-        path_sets[agent] = _path_set(report)
+        totals["paths"] += paths
+        totals["solver_queries"] += queries
     totals["paths_per_sec"] = (totals["paths"] / totals["wall_clock"]
                                if totals["wall_clock"] else 0.0)
     totals["queries_per_path"] = (totals["solver_queries"] / totals["paths"]
@@ -59,20 +71,20 @@ ORACLE_ROUNDS = 3
 
 
 def test_exploration_prefix_oracle_benchmark(run_once):
-    legacy, legacy_sets = run_once(_run_engine, EngineConfig(use_prefix_oracle=False))
+    legacy, legacy_sets = run_once(_run_engine, _explore_reference)
     oracle = None
     identical = True
     for _ in range(ORACLE_ROUNDS):
-        candidate, oracle_sets = _run_engine(EngineConfig())
+        candidate, oracle_sets = _run_engine(_explore_oracle)
         identical = identical and legacy_sets == oracle_sets
         if oracle is None or candidate["paths_per_sec"] > oracle["paths_per_sec"]:
             oracle = candidate
-    assert identical, "prefix-oracle engine diverged from the legacy path sets"
+    assert identical, "prefix-oracle engine diverged from the reference path sets"
     assert oracle["solver_queries"] < legacy["solver_queries"]
     assert oracle["queries_per_path"] < legacy["queries_per_path"]
 
     print_table(
-        "Phase-1 exploration: legacy full-query engine vs prefix oracle "
+        "Phase-1 exploration: reference full-query engine vs prefix oracle "
         "(%s, %d agents)" % (TEST, len(AGENTS)),
         ("Engine", "Paths", "Solver queries", "Queries/path", "Paths/sec",
          "Wall-clock"),

@@ -88,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--strategy", choices=strategy_names(), default=None,
                          help="frontier discipline for Phase 1 (default: dfs); "
                               "all strategies explore the same path set")
-    explore.add_argument("--workers", type=int, default=1,
-                         help="split this exploration's frontier across N thread "
-                              "engines (GIL-bound: bounds per-engine state, not a "
-                              "CPU speedup; see campaign --executor process)")
     explore.add_argument("--profile", nargs="?", const=25, type=int, default=None,
                          metavar="N",
                          help="profile the exploration with cProfile and print "
@@ -329,8 +325,7 @@ def _print_exploration_summary(report, grouped) -> None:
     print("  cpu time:              %.2fs" % report.cpu_time)
     engine_stats = report.engine_stats or {}
     if engine_stats.get("strategy"):
-        print("  strategy:              %s (workers=%d)"
-              % (engine_stats["strategy"], int(engine_stats.get("workers") or 1)))
+        print("  strategy:              %s" % engine_stats["strategy"])
     if engine_stats.get("solver_queries") is not None:
         print("  solver queries:        %d" % engine_stats["solver_queries"])
     print("  avg constraint size:   %.1f" % report.average_constraint_size())
@@ -355,7 +350,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         def run_exploration():
             return explore_agent(args.agent, args.test,
                                  with_coverage=args.coverage,
-                                 strategy=args.strategy, workers=args.workers)
+                                 strategy=args.strategy)
 
         if args.profile:
             report = _run_profiled(args.profile, run_exploration)

@@ -220,14 +220,13 @@ def _explore_spec_unit(agent: str, spec: TestSpec,
                        engine_config: Optional[EngineConfig],
                        solver_config: Optional[SolverConfig],
                        with_coverage: bool,
-                       strategy: Optional[str] = None,
-                       workers: int = 1) -> Tuple[AgentExplorationReport, float]:
+                       strategy: Optional[str] = None) -> Tuple[AgentExplorationReport, float]:
     """Phase 1 for one unit; module-level so process pools can run it."""
 
     started = time.perf_counter()
     report = explore_agent(agent, spec, engine_config=engine_config,
                            solver_config=solver_config, with_coverage=with_coverage,
-                           strategy=strategy, workers=workers)
+                           strategy=strategy)
     return report, time.perf_counter() - started
 
 
@@ -268,7 +267,7 @@ class CampaignReport:
     #: assumption solves, backend rebuilds, ...).
     solver_stats: Dict[str, object] = dataclass_field(default_factory=dict)
     #: One row per (agent, test) Phase-1 exploration this campaign consumed:
-    #: strategy, workers, paths, solver queries, truncation.
+    #: strategy, paths, solver queries, truncation.
     exploration_stats: List[Dict[str, object]] = dataclass_field(default_factory=list)
     #: Hash-consing activity during this run (hit/miss deltas) plus the
     #: absolute size of the shared intern table and simplify memo.
@@ -439,12 +438,10 @@ class CampaignReport:
             strategies = sorted({str(row.get("strategy")) for row in explored
                                  if row.get("strategy")})
             lines.append(
-                "  phase 1 engine: strategy=%s, %d path(s), %d solver query(ies), "
-                "max %d worker(s) per exploration"
+                "  phase 1 engine: strategy=%s, %d path(s), %d solver query(ies)"
                 % ("/".join(strategies) or "dfs",
                    sum(int(row.get("paths") or 0) for row in explored),
-                   sum(int(row.get("solver_queries") or 0) for row in explored),
-                   max(int(row.get("workers") or 1) for row in explored)))
+                   sum(int(row.get("solver_queries") or 0) for row in explored)))
         stats = self.solver_stats or {}
         if stats.get("mode") == "incremental":
             lines.append(
@@ -884,14 +881,6 @@ class Campaign:
                     "the thread executor" % ", ".join(unpicklable),
                     kind="unpicklable-spec", tests=unpicklable)
 
-        # When the pool is wider than the thread-run unit list, leftover
-        # width goes into each unit: the engine splits that test's
-        # exploration frontier across split_workers thread engines.
-        thread_count = len(units) - len(process_ids)
-        split_workers = 1
-        if self.workers > 1 and 0 < thread_count < self.workers:
-            split_workers = max(1, self.workers // thread_count)
-
         unit_by_cell: Dict[Tuple[str, ...], Tuple[str, TestSpec]] = {}
         jobs: List[CampaignJob] = []
         for unit in units:
@@ -907,7 +896,7 @@ class Campaign:
                     agent, spec, engine_config=self.engine_config,
                     solver_config=self.solver_config,
                     with_coverage=self.with_coverage,
-                    strategy=self.strategy, workers=split_workers)
+                    strategy=self.strategy)
                 return report, time.perf_counter() - started
 
             process_task = None
@@ -1218,7 +1207,6 @@ class Campaign:
                     "loaded": entry.loaded,
                     "paths": entry.report.path_count,
                     "strategy": engine_stats.get("strategy"),
-                    "workers": engine_stats.get("workers", 1),
                     "solver_queries": engine_stats.get("solver_queries"),
                     "discarded_replays": engine_stats.get("discarded_replays", 0),
                     "truncated": entry.report.truncated,

@@ -19,12 +19,7 @@ from repro.core.tests_catalog import TestSpec, get_test
 from repro.core.trace import OutputTrace, normalize_events
 from repro.coverage.tracker import CoverageReport, CoverageTracker
 from repro.harness.driver import TestDriver
-from repro.symbex.engine import (
-    EngineConfig,
-    ExplorationResult,
-    PathRecord,
-    explore_parallel,
-)
+from repro.symbex.engine import Engine, EngineConfig, PathRecord
 from repro.symbex.expr import BoolExpr
 from repro.symbex.solver import Solver, SolverConfig
 from repro.symbex.strategies import make_strategy
@@ -230,15 +225,11 @@ def explore_agent(agent: AgentSpec,
                   solver_config: Optional[SolverConfig] = None,
                   with_coverage: bool = False,
                   coverage_packages: Optional[Sequence[str]] = None,
-                  strategy: Optional[str] = None,
-                  workers: int = 1) -> AgentExplorationReport:
+                  strategy: Optional[str] = None) -> AgentExplorationReport:
     """Run Phase 1 for one agent and one test specification.
 
     *strategy* selects the frontier discipline (overriding
-    ``engine_config.strategy``); *workers* > 1 splits the exploration
-    frontier across that many engines running in a thread pool, each with
-    its own driver, solver, oracle and coverage tracker (per-worker
-    coverage is unioned into one report).
+    ``engine_config.strategy``).
     """
 
     agent_name, factory = _resolve_agent_factory(agent)
@@ -248,12 +239,11 @@ def explore_agent(agent: AgentSpec,
     config = engine_config if engine_config is not None else EngineConfig()
     if strategy is not None and strategy != config.strategy:
         config = replace(config, strategy=strategy)
-    workers = max(1, int(workers))
 
     packages = list(coverage_packages) if coverage_packages else [
         "repro.agents.common", "repro.agents.%s" % agent_name,
     ]
-    trackers: List[Optional[CoverageTracker]] = []
+    tracker = CoverageTracker(packages=packages) if with_coverage else None
 
     # Static decision-map sites become explicit targets for the
     # coverage-guided strategy: reaching one for the first time outscores
@@ -264,29 +254,18 @@ def explore_agent(agent: AgentSpec,
 
         targets = build_decision_map(packages).site_keys()
 
-    def setup(index: int):
-        worker_tracker = CoverageTracker(packages=packages) if with_coverage else None
-        trackers.append(worker_tracker)
-        driver = TestDriver(agent_factory=factory, inputs=spec.inputs,
-                            coverage_tracker=worker_tracker)
-        frontier = make_strategy(config.strategy, seed=config.strategy_seed + index,
-                                 tracker=worker_tracker, targets=targets)
-        return driver.program, frontier
-
+    driver = TestDriver(agent_factory=factory, inputs=spec.inputs,
+                        coverage_tracker=tracker)
+    frontier = make_strategy(config.strategy, seed=config.strategy_seed,
+                             tracker=tracker, targets=targets)
     started = time.process_time()
     wall_started = time.perf_counter()
-    result: ExplorationResult = explore_parallel(
-        setup, workers, config=config,
-        solver_factory=lambda: Solver(solver_config or SolverConfig()))
+    # A temporary engine: its prefix trie and SAT instance are freed before
+    # the report is built, which keeps them out of the peak.
+    result = Engine(solver=Solver(solver_config or SolverConfig()), config=config,
+                    strategy=frontier).explore(driver.program)
     cpu_time = time.process_time() - started
     wall_time = time.perf_counter() - wall_started
-
-    tracker: Optional[CoverageTracker] = None
-    if with_coverage:
-        tracker = trackers[0]
-        for other in trackers[1:]:
-            if other is not None:
-                tracker.merge_from(other)
 
     outcomes = [_outcome_from_record(record) for record in result.paths]
     engine_stats = result.stats.as_dict()

@@ -51,10 +51,8 @@ from repro.symbex.engine import (
     EngineConfig,
     ExplorationResult,
     ExplorationStats,
-    PathBudget,
     PathRecord,
     active_engine,
-    explore_parallel,
 )
 from repro.symbex.simplify import (
     clear_simplify_cache,
@@ -93,10 +91,8 @@ __all__ = [
     "EngineConfig",
     "ExplorationResult",
     "ExplorationStats",
-    "PathBudget",
     "PathRecord",
     "active_engine",
-    "explore_parallel",
     "simplify",
     "simplify_bool",
     "simplify_cache_stats",

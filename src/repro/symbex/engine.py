@@ -17,23 +17,20 @@ SOFT consumes: a path condition and an output event log.
 The engine is layered:
 
 * the **scheduler** (:meth:`Engine.explore`) pops prefixes, re-executes the
-  program, enforces budgets, and can hand a partially-explored frontier to
-  other engines (``frontier_target`` / ``initial_frontier`` — the basis of
-  :func:`explore_parallel`);
+  program and enforces budgets; a truncated exploration hands its leftover
+  frontier back, and :meth:`ExplorationResult.resume` continues from it;
 * the **strategy** (:mod:`repro.symbex.strategies`) owns the pending-prefix
   frontier and decides exploration order (DFS/BFS/random/coverage-guided);
 * the **feasibility oracle** (:mod:`repro.symbex.solver.oracle`) answers
   "is this branch side feasible?" by assumption-based re-solving of one
-  shared incremental SAT instance, instead of the legacy fresh
-  :class:`Solver` query per branch side (``EngineConfig.use_prefix_oracle=
-  False`` restores the legacy behaviour; both yield the same path set).
+  shared incremental SAT instance; :meth:`Engine._decide` is the one place
+  a fresh branch asks it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +51,7 @@ from repro.symbex.expr import (
 )
 from repro.symbex.compile import compiled_cache_stats, evaluate_compiled
 from repro.symbex.simplify import simplify_bool, simplify_cache_stats
-from repro.symbex.solver import SatResult, Solver, SolverConfig, merge_stat_dicts
+from repro.symbex.solver import Solver, SolverConfig, merge_stat_dicts
 from repro.symbex.solver.oracle import PrefixNode, PrefixOracle
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.state import PathCondition, PathState
@@ -64,11 +61,9 @@ __all__ = [
     "EngineConfig",
     "Engine",
     "PathRecord",
-    "PathBudget",
     "ExplorationStats",
     "ExplorationResult",
     "active_engine",
-    "explore_parallel",
 ]
 
 _thread_local = threading.local()
@@ -106,28 +101,6 @@ class EngineConfig:
     strategy: str = "dfs"
     #: Seed for the "random" strategy (deterministic exploration order).
     strategy_seed: int = 0
-    #: Decide branch feasibility with the incremental :class:`PrefixOracle`
-    #: instead of a fresh full :class:`Solver` query per branch side.
-    use_prefix_oracle: bool = True
-
-
-class PathBudget:
-    """Thread-safe path-attempt budget shared by engines splitting a frontier."""
-
-    def __init__(self, max_paths: Optional[int]) -> None:
-        self._lock = threading.Lock()
-        self._remaining = max_paths
-
-    def claim(self) -> bool:
-        """Take one attempt from the budget; False when it is exhausted."""
-
-        with self._lock:
-            if self._remaining is None:
-                return True
-            if self._remaining <= 0:
-                return False
-            self._remaining -= 1
-            return True
 
 
 @dataclass
@@ -173,8 +146,6 @@ class ExplorationStats:
     truncation_reason: Optional[str] = None
     #: Frontier discipline this exploration ran with.
     strategy: str = "dfs"
-    #: Engines the frontier was split across (1 = sequential).
-    workers: int = 1
     #: Global simplify-memo activity during this exploration (per-run deltas;
     #: the cache is process-wide, so concurrent explorations overlap).
     simplify_cache_hits: int = 0
@@ -202,7 +173,6 @@ class ExplorationStats:
             "truncated": self.truncated,
             "truncation_reason": self.truncation_reason,
             "strategy": self.strategy,
-            "workers": self.workers,
             "simplify_cache_hits": self.simplify_cache_hits,
             "simplify_cache_misses": self.simplify_cache_misses,
             "simplify_cache_size": self.simplify_cache_size,
@@ -220,8 +190,8 @@ class ExplorationResult:
     paths: List[PathRecord]
     stats: ExplorationStats
     solver_stats: Dict[str, float]
-    #: Prefixes left unexplored when the scheduler stopped early (budget
-    #: truncation or a ``frontier_target`` handoff); empty when exhaustive.
+    #: Prefixes left unexplored when a budget truncated the exploration;
+    #: empty when exhaustive.
     frontier: List[Prefix] = field(default_factory=list)
     #: Frontier-discipline counters from the strategy that ran.
     strategy_metrics: Dict[str, object] = field(default_factory=dict)
@@ -236,7 +206,6 @@ class ExplorationResult:
         return not self.frontier
 
     def resume(self, engine: "Engine", program: Callable[[PathState], Any], *,
-               budget: Optional["PathBudget"] = None,
                deadline: Optional[float] = None) -> "ExplorationResult":
         """Continue a truncated exploration from its handed-back frontier.
 
@@ -260,12 +229,8 @@ class ExplorationResult:
         if not self.frontier:
             return self
         continuation = engine.explore(program, initial_frontier=self.frontier,
-                                      budget=budget, deadline=deadline)
-        return _merge_results(
-            [self, continuation], leftover=[],
-            wall_time=self.stats.wall_time + continuation.stats.wall_time,
-            workers=max(self.stats.workers, continuation.stats.workers),
-            strategy_name=self.stats.strategy)
+                                      deadline=deadline)
+        return _merge_results(self, continuation)
 
     @property
     def path_count(self) -> int:
@@ -291,27 +256,21 @@ class Engine:
         #: Optional pre-built strategy instance; overrides config.strategy
         #: (used to hand a coverage tracker to the coverage-guided strategy).
         self.strategy = strategy
-        self._oracle: Optional[PrefixOracle] = None
+        #: The prefix-feasibility oracle; it outlives explorations, so a
+        #: reused engine answers repeated prefixes from its cache.
+        self.oracle = PrefixOracle(self.solver.config)
         self._current_state: Optional[PathState] = None
         self._current_prefix: Prefix = ()
         self._frontier: Optional[SearchStrategy] = None
         self._stats = ExplorationStats()
         self._deadline: Optional[float] = None
-        # Prefix-trie node mirroring the current path condition (oracle
-        # mode): each decision extends the node by one literal delta.
+        # Prefix-trie node mirroring the current path condition: each
+        # decision extends the node by one literal delta.
         self._path_node: Optional[PrefixNode] = None
         # The deepest node of the current path that holds a witness: the
         # base every feasibility check on this path starts from.
         self._base_node: Optional[PrefixNode] = None
         self._synced_constraints = 0
-
-    @property
-    def oracle(self) -> Optional[PrefixOracle]:
-        """The prefix-feasibility oracle (lazily built; None in legacy mode)."""
-
-        if self._oracle is None and self.config.use_prefix_oracle:
-            self._oracle = PrefixOracle(self.solver.config)
-        return self._oracle
 
     # ------------------------------------------------------------------
     # Public API
@@ -319,8 +278,6 @@ class Engine:
 
     def explore(self, program: Callable[[PathState], Any], *,
                 initial_frontier: Optional[Sequence[Prefix]] = None,
-                frontier_target: Optional[int] = None,
-                budget: Optional[PathBudget] = None,
                 deadline: Optional[float] = None) -> ExplorationResult:
         """Run *program* once per feasible path and collect all path records.
 
@@ -328,13 +285,10 @@ class Engine:
         deterministic: for the same sequence of branch outcomes it must make
         the same branch queries in the same order.
 
-        Scheduler extensions (all optional, used by :func:`explore_parallel`):
         *initial_frontier* seeds the frontier with recorded prefixes instead
-        of the root; *frontier_target* stops (without marking truncation)
-        once the frontier holds that many prefixes, returning them in
-        :attr:`ExplorationResult.frontier`; *budget* shares a path-attempt
-        budget across engines; *deadline* is an absolute
-        ``time.perf_counter()`` cutoff overriding ``config.time_budget``.
+        of the root (:meth:`ExplorationResult.resume`); *deadline* is an
+        absolute ``time.perf_counter()`` cutoff overriding
+        ``config.time_budget``.
         """
 
         started = time.perf_counter()
@@ -352,12 +306,10 @@ class Engine:
             self._deadline = None
 
         solver_queries_before = self.solver.stats.queries
-        solver_stats_before = self.solver.stats_dict()
         simplify_before = simplify_cache_stats()
         compiled_before = compiled_cache_stats()
         oracle = self.oracle
-        oracle_solves_before = oracle.stats.assumption_solves if oracle else 0
-        oracle_stats_before = oracle.stats_dict() if oracle else {}
+        oracle_stats_before = oracle.stats_dict()
 
         records: List[PathRecord] = []
         path_id = 0
@@ -370,14 +322,8 @@ class Engine:
                 if self._deadline is not None and time.perf_counter() > self._deadline:
                     self._note_truncation("time_budget")
                     break
-                if frontier_target is not None and len(strategy) >= frontier_target:
-                    break  # frontier handoff to other engines, not a truncation
-                if budget is not None:
-                    if not budget.claim():
-                        self._note_truncation("max_paths")
-                        break
-                elif (self.config.max_paths is not None
-                      and path_id + self._stats.discarded_replays >= self.config.max_paths):
+                if (self.config.max_paths is not None
+                        and path_id + self._stats.discarded_replays >= self.config.max_paths):
                     self._note_truncation("max_paths")
                     break
                 prefix = strategy.pop()
@@ -416,13 +362,12 @@ class Engine:
         self._stats.compiled_cache_size = int(compiled_after["size"])
         concretize_queries = self.solver.stats.queries - solver_queries_before
         self._stats.solver_queries = concretize_queries + (
-            oracle.stats.assumption_solves - oracle_solves_before if oracle else 0)
+            oracle.stats.assumption_solves - oracle_stats_before["assumption_solves"])
         return ExplorationResult(
             paths=records,
             stats=self._stats,
-            solver_stats=self._solver_stats_snapshot(
-                concretize_queries,
-                oracle_stats_before if oracle else solver_stats_before),
+            solver_stats=self._solver_stats_snapshot(concretize_queries,
+                                                     oracle_stats_before),
             frontier=strategy.drain(),
             strategy_metrics=strategy.metrics(),
         )
@@ -439,27 +384,18 @@ class Engine:
 
     #: solver_stats entries that describe instance *state*, not per-run work;
     #: they stay absolute when the snapshot is converted to per-run deltas.
-    _STATS_GAUGES = ("sat_variables", "sat_clauses", "max_query_time",
-                     "model_pool_size")
+    _STATS_GAUGES = ("sat_variables", "sat_clauses")
 
     def _solver_stats_snapshot(self, concretize_queries: int,
                                before: Dict[str, float]) -> Dict[str, float]:
-        """Per-run solver counters (a reused engine must not accumulate)."""
+        """Per-run oracle counters (a reused engine must not accumulate)."""
 
-        if self._oracle is not None:
-            stats = self._oracle.stats_dict()
-            mode = "prefix-oracle"
-        else:
-            stats = self.solver.stats_dict()
-            mode = "legacy"
+        stats = self.oracle.stats_dict()
         for name, value in before.items():
-            if name in self._STATS_GAUGES or name not in stats:
-                continue
-            stats[name] = stats[name] - value
-        stats["mode"] = mode
-        if self._oracle is not None:
-            stats["queries"] = self._stats.solver_queries
-            stats["concretize_queries"] = concretize_queries
+            if name not in self._STATS_GAUGES:
+                stats[name] = stats[name] - value
+        stats["queries"] = self._stats.solver_queries
+        stats["concretize_queries"] = concretize_queries
         return stats
 
     # ------------------------------------------------------------------
@@ -472,8 +408,7 @@ class Engine:
         state._engine = self
         self._current_state = state
         self._current_prefix = prefix
-        self._path_node = self._oracle.root() if self._oracle is not None else None
-        self._base_node = self._path_node
+        self._path_node = self._base_node = self.oracle.root()
         self._synced_constraints = 0
         error: Optional[str] = None
         result: Any = None
@@ -492,10 +427,9 @@ class Engine:
         except Exception as exc:  # noqa: BLE001 - program bugs become path errors
             error = "%s: %s" % (type(exc).__name__, exc)
         finally:
-            if self._base_node is not None:
-                # The path ends here: its base witness has no later use.
-                self._oracle.release(self._base_node)
-                self._base_node = self._path_node = None
+            # The path ends here: its base witness has no later use.
+            self.oracle.release(self._base_node)
+            self._base_node = self._path_node = None
         return PathRecord(
             path_id=path_id,
             condition=state.condition,
@@ -528,36 +462,31 @@ class Engine:
             # Replaying a previously scheduled prefix: follow it blindly (its
             # feasibility was established when it was scheduled).
             outcome = self._current_prefix[index]
-        elif self._oracle is not None:
-            outcome = self._decide_with_oracle(state, condition)
         else:
-            outcome = self._decide_with_solver(state, condition)
+            outcome = self._decide(state, condition)
         self._commit_decision(state, condition, outcome)
         return outcome
 
     def _commit_decision(self, state: PathState, condition: BoolExpr,
                          outcome: bool) -> None:
-        if self._oracle is not None:
-            # Mirror the branch in the prefix trie.  The branch literal is
-            # a full equivalence, so the False side is its negation — no
-            # second encoding of the negated constraint; extending the node
-            # is a one-literal delta on the parent prefix.
-            self._sync_path_node(state)
-            lit = self._oracle.literal(condition)
-            self._advance(self._oracle.extend(
-                self._path_node, lit if outcome else -lit))
+        # Mirror the branch in the prefix trie.  The branch literal is a
+        # full equivalence, so the False side is its negation — no second
+        # encoding of the negated constraint; extending the node is a
+        # one-literal delta on the parent prefix.
+        self._sync_path_node(state)
+        lit = self.oracle.literal(condition)
+        self._advance(self.oracle.extend(self._path_node, lit if outcome else -lit))
         state.decisions.append(outcome)
         state.condition.add(condition if outcome else bool_not(condition))
-        if self._oracle is not None:
-            self._synced_constraints = len(state.condition)
+        self._synced_constraints = len(state.condition)
         self._stats.decisions += 1
 
     def _sync_path_node(self, state: PathState) -> None:
         """Encode constraints added outside branching (assume/concretize)."""
 
         for constraint in state.condition.since(self._synced_constraints):
-            self._advance(self._oracle.extend(
-                self._path_node, self._oracle.literal(constraint)))
+            self._advance(self.oracle.extend(
+                self._path_node, self.oracle.literal(constraint)))
         self._synced_constraints = len(state.condition)
 
     def _advance(self, node: PrefixNode) -> None:
@@ -572,57 +501,38 @@ class Engine:
 
         self._path_node = node
         if node.witness is not None and node is not self._base_node:
-            self._oracle.release(self._base_node)
+            self.oracle.release(self._base_node)
             self._base_node = node
 
-    def _decide_with_oracle(self, state: PathState, condition: BoolExpr) -> bool:
+    def _decide(self, state: PathState, condition: BoolExpr) -> bool:
+        """The outcome of a fresh branch on *condition*; schedules a fork.
+
+        A side the oracle proves infeasible forces the other one; when both
+        are feasible the path takes True now and the False side is pushed
+        onto the frontier for a later run.
+        """
+
         self._sync_path_node(state)
-        oracle = self._oracle
-        lit = oracle.literal(condition)
+        lit = self.oracle.literal(condition)
         node = self._path_node
-        if self._oracle_check(oracle.extend(node, lit)) == SATStatus.UNSAT:
+        if self._check(self.oracle.extend(node, lit)) == SATStatus.UNSAT:
             self._stats.forced_decisions += 1
             return False
-        if self._oracle_check(oracle.extend(node, -lit)) == SATStatus.UNSAT:
+        if self._check(self.oracle.extend(node, -lit)) == SATStatus.UNSAT:
             self._stats.forced_decisions += 1
             return True
-        # Both sides feasible: take True now, schedule False for later.
         self._stats.forks += 1
         self._frontier.push(tuple(state.decisions) + (False,))
         return True
 
-    def _oracle_check(self, node: PrefixNode) -> str:
-        status = self._oracle.check_node(node, base=self._base_node)
+    def _check(self, node: PrefixNode) -> str:
+        status = self.oracle.check_node(node, base=self._base_node)
         if status == SATStatus.UNKNOWN:
             raise SolverError(
                 "solver gave up while checking branch feasibility; raise the "
                 "conflict budget in SolverConfig"
             )
         return status
-
-    def _decide_with_solver(self, state: PathState, condition: BoolExpr) -> bool:
-        base = state.condition.constraints()
-        true_result = self._query(base + [condition])
-        if true_result.is_unsat:
-            self._stats.forced_decisions += 1
-            return False
-        false_result = self._query(base + [bool_not(condition)])
-        if false_result.is_unsat:
-            self._stats.forced_decisions += 1
-            return True
-        # Both sides feasible: take True now, schedule False for later.
-        self._stats.forks += 1
-        self._frontier.push(tuple(state.decisions) + (False,))
-        return True
-
-    def _query(self, constraints: Sequence[BoolExpr]) -> SatResult:
-        result = self.solver.check(constraints)
-        if result.is_unknown:
-            raise SolverError(
-                "solver gave up while checking branch feasibility; raise the "
-                "conflict budget in SolverConfig"
-            )
-        return result
 
     # ------------------------------------------------------------------
     # Concretization support
@@ -632,9 +542,10 @@ class Engine:
                             hint: Optional[int] = None) -> int:
         """Pin *value* to one concrete integer consistent with the path.
 
-        Concretization always runs on the legacy :class:`Solver` — the model
-        it picks (and therefore the pinned value) must be identical across
-        oracle and legacy engines for path-set equivalence to hold exactly.
+        Concretization runs on the engine's :class:`Solver`, never on the
+        oracle: the model it picks (and therefore the pinned value) depends
+        only on the path condition, not on which oracle layer decided the
+        branches or on what earlier paths left in the oracle's caches.
         """
 
         if isinstance(value, BVConst):
@@ -671,120 +582,30 @@ class Engine:
         raise _PathAbort(reason)
 
 
-# ---------------------------------------------------------------------------
-# Parallel exploration: one frontier, many engines
-# ---------------------------------------------------------------------------
+def _merge_results(first: ExplorationResult,
+                   continuation: ExplorationResult) -> ExplorationResult:
+    """*first* followed by its resumed *continuation*, as one result.
 
-
-WorkerSetup = Callable[[int], Tuple[Callable[[PathState], Any],
-                                    Optional[SearchStrategy]]]
-
-
-def explore_parallel(setup: WorkerSetup, workers: int,
-                     config: Optional[EngineConfig] = None,
-                     solver_factory: Optional[Callable[[], Solver]] = None,
-                     ) -> ExplorationResult:
-    """Split one exploration's frontier across *workers* engines.
-
-    ``setup(i)`` returns ``(program, strategy_or_None)`` for worker *i*.
-    Worker 0 runs a short **breadth-first** seeding pass — regardless of the
-    configured strategy, because a depth-first frontier stays ≈ path-depth
-    deep and would never reach the handoff threshold — until the frontier
-    holds one prefix per worker (or the program is exhausted); the remaining
-    frontier is then sharded round-robin across fresh engines running in a
-    thread pool.  Each engine owns its own solver, oracle and strategy — the
-    only shared state is the path budget and the deadline — and the branch
-    hook is thread-local, so workers never observe each other.
-
-    Determinism: re-execution makes every prefix self-contained, so the
-    merged path set equals the sequential one; records are merged in worker
-    order and renumbered.  ``max_paths``/``time_budget`` are enforced
-    globally via a shared :class:`PathBudget` and an absolute deadline.
-
-    Caveat: workers are *threads*; on GIL-bound CPython the split bounds
-    per-engine state growth but does not multiply throughput — true CPU
-    parallelism comes from ``Campaign(executor="process")`` across (agent,
-    test) units.  The sharding seam exists so a process-based shard executor
-    (and free-threaded Python) can slot in without touching the scheduler.
+    Path ids are renumbered in order, counters summed (cache sizes are
+    gauges: the larger one wins), and the continuation's leftover frontier
+    is the merged one.
     """
 
-    config = config if config is not None else EngineConfig()
-    workers = max(1, int(workers))
-    if solver_factory is None:
-        solver_factory = lambda: Solver(SolverConfig())  # noqa: E731
-    started = time.perf_counter()
-    deadline = started + config.time_budget if config.time_budget else None
-    budget = PathBudget(config.max_paths)
-
-    program0, strategy0 = setup(0)
-    if workers == 1:
-        seed_engine = Engine(solver=solver_factory(), config=config,
-                             strategy=strategy0)
-        result = seed_engine.explore(program0, budget=budget, deadline=deadline)
-        result.stats.workers = 1
-        return result
-
-    # Seed breadth-first no matter the configured strategy: a depth-first
-    # frontier stays ≈ path-depth deep and would rarely reach the handoff
-    # threshold, silently degrading the split to a sequential run.  Order
-    # does not change the explored set, so the shards (which run the real
-    # strategy) are unaffected.
-    from repro.symbex.strategies import BFSStrategy
-
-    strategy_name = strategy0.name if strategy0 is not None else config.strategy
-    seed_engine = Engine(solver=solver_factory(), config=config,
-                         strategy=BFSStrategy())
-    seed = seed_engine.explore(program0, frontier_target=workers,
-                               budget=budget, deadline=deadline)
-    results = [seed]
-    leftover: List[Prefix] = list(seed.frontier)
-    shard_count = 0
-    # Only *global* stops make sharding pointless: an exhausted path budget
-    # or an expired deadline.  Per-path truncation (max_decisions_per_path)
-    # just marks individual paths failed — the rest of the frontier is still
-    # owed to the caller, exactly as the sequential scheduler delivers it.
-    global_stop = seed.stats.truncation_reason in ("max_paths", "time_budget")
-    if leftover and not global_stop:
-        shard_count = min(workers, len(leftover))
-        shards = [leftover[i::shard_count] for i in range(shard_count)]
-        leftover = []
-        jobs = []
-        for index, shard in enumerate(shards):
-            program, strategy = setup(index + 1)
-            engine = Engine(solver=solver_factory(), config=config, strategy=strategy)
-            jobs.append((engine, program, shard))
-        with ThreadPoolExecutor(max_workers=shard_count) as pool:
-            futures = [
-                pool.submit(engine.explore, program, initial_frontier=shard,
-                            budget=budget, deadline=deadline)
-                for engine, program, shard in jobs
-            ]
-            results.extend(future.result() for future in futures)
-    return _merge_results(results, leftover=leftover,
-                          wall_time=time.perf_counter() - started,
-                          workers=1 + shard_count, strategy_name=strategy_name)
-
-
-def _merge_results(results: Sequence[ExplorationResult], leftover: List[Prefix],
-                   wall_time: float, workers: int,
-                   strategy_name: str) -> ExplorationResult:
     records: List[PathRecord] = []
-    stats = ExplorationStats(strategy=strategy_name, workers=workers)
-    merged_frontier: List[Prefix] = list(leftover)
+    stats = ExplorationStats(strategy=first.stats.strategy)
     solver_stats: Dict[str, float] = {}
     strategy_metrics: Dict[str, object] = {}
-    for index, result in enumerate(results):
+    for result in (first, continuation):
         for record in result.paths:
             record.path_id = len(records)
             records.append(record)
-        if index > 0:
-            merged_frontier.extend(result.frontier)
         part = result.stats
         stats.decisions += part.decisions
         stats.forced_decisions += part.forced_decisions
         stats.forks += part.forks
         stats.discarded_replays += part.discarded_replays
         stats.solver_queries += part.solver_queries
+        stats.wall_time += part.wall_time
         stats.simplify_cache_hits += part.simplify_cache_hits
         stats.simplify_cache_misses += part.simplify_cache_misses
         stats.simplify_cache_size = max(stats.simplify_cache_size,
@@ -803,12 +624,11 @@ def _merge_results(results: Sequence[ExplorationResult], leftover: List[Prefix],
                          max_keys=("max_frontier",))
     stats.paths = len(records)
     stats.failed_paths = sum(1 for record in records if not record.ok)
-    stats.wall_time = wall_time
-    strategy_metrics["strategy"] = strategy_name
+    strategy_metrics["strategy"] = stats.strategy
     return ExplorationResult(
         paths=records,
         stats=stats,
         solver_stats=solver_stats,
-        frontier=merged_frontier,
+        frontier=list(continuation.frontier),
         strategy_metrics=strategy_metrics,
     )

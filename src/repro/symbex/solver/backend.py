@@ -54,8 +54,8 @@ class CancellationToken:
 class CDCLBackend:
     """Bit-blasting CDCL engine (complete, incremental)."""
 
-    def __init__(self, **sat_knobs) -> None:
-        self._sat = SATSolver(**sat_knobs)
+    def __init__(self) -> None:
+        self._sat = SATSolver()
         self._cnf = CNFBuilder(self._sat)
         self._blaster = BitBlaster(self._cnf)
 

@@ -195,7 +195,7 @@ class GroupEncoding:
         self.config = config if config is not None else SolverConfig()
         self.stats = IncrementalStats(backend_rebuilds=1)
         self._lock = threading.RLock()
-        self._backend = CDCLBackend(**self.config.sat_knobs())
+        self._backend = CDCLBackend()
         # id-keyed: group conditions are hash-consed, so identity is
         # structural identity (each _EncodedGroup pins its condition alive).
         self._groups: Dict[int, _EncodedGroup] = {}
@@ -448,10 +448,7 @@ class GroupEncoding:
 
     def _checked_model(self, model: Dict[str, int], group_a: _EncodedGroup,
                        group_b: _EncodedGroup) -> Dict[str, int]:
-        atoms = group_a.atoms + group_b.atoms
-        if self.config.verify_models:
-            return require_verified(model, atoms)
-        return complete_model(model, atoms)
+        return require_verified(model, group_a.atoms + group_b.atoms)
 
     def _decided(self, group_a: _EncodedGroup, group_b: _EncodedGroup,
                  status: str, via: str, model: Optional[Dict[str, int]] = None,

@@ -1,22 +1,19 @@
 """Prefix-feasibility oracle: branch decisions as assumption-based SAT.
 
-The legacy engine answers every "is this branch side feasible?" question with
-a full :class:`~repro.symbex.solver.solver.Solver` query: re-simplify,
-re-bit-blast and re-solve the *entire* path condition in a fresh SAT
-instance, twice per two-sided branch.  Along a path of depth ``d`` that is
-``O(d)`` rebuilds of mostly identical formulas, and sibling paths rebuild
-their shared ancestry again.
+Phase 1 asks "is this branch side feasible?" once or twice per fresh
+branch.  Asking a fresh :class:`~repro.symbex.solver.solver.Solver` would
+re-simplify, re-bit-blast and re-solve the *entire* path condition every
+time: along a path of depth ``d`` that is ``O(d)`` rebuilds of mostly
+identical formulas, and sibling paths rebuild their shared ancestry again.
 
-:class:`PrefixOracle` applies the incremental machinery that PR 2 introduced
-for crosschecking (:mod:`repro.symbex.solver.incremental`) to Phase 1.  One
-SAT instance is shared by the whole exploration.  Every distinct branch
-condition (and every ``assume()`` constraint) is simplified and bit-blasted
-**once**, yielding a literal that is equivalent to the condition — Tseitin
-gates encode both directions, so the *same* literal serves the True side
-(assume ``lit``) and the False side (assume ``-lit``).  A path prefix is
-then just a set of literals, and its feasibility one
-``solve(assumptions=prefix)`` call that reuses the shared bit-blasting
-structure and all learned clauses.
+:class:`PrefixOracle` instead keeps one SAT instance for the whole
+exploration.  Every distinct branch condition (and every ``assume()``
+constraint) is simplified and bit-blasted **once**, yielding a literal that
+is equivalent to the condition — Tseitin gates encode both directions, so
+the *same* literal serves the True side (assume ``lit``) and the False side
+(assume ``-lit``).  A path prefix is then just a set of literals, and its
+feasibility one ``solve(assumptions=prefix)`` call that reuses the shared
+bit-blasting structure and all learned clauses.
 
 Every check runs through these layers, cheapest first:
 
@@ -40,40 +37,27 @@ Every check runs through these layers, cheapest first:
   the failing inputs are patched on a copy of the witness and every literal
   of the node is re-verified (``witness_repairs``).  Per-path work thus
   scales with the path's fresh decisions, not with its depth.
-* a **model-witness pool** — every model the backend produces is extracted
-  once and kept in a bounded MRU pool.  A prefix is proven SAT without the
-  backend when some pooled model satisfies every assumption literal, which
-  is checked by *compiled concrete evaluation* of each literal's source
-  condition (:mod:`repro.symbex.compile`), memoized per (model, literal).
-  Any extension of a pooled model is a genuine witness, so a hit answers
-  exactly what the backend would answer.
 * a **word-level interval pre-filter** — the unsigned-interval domain of
   :mod:`repro.symbex.interval` runs over the prefix's source conditions;
   only its two sound outcomes short-circuit (a proven-empty domain is
-  UNSAT, a concretely *verified* candidate model is SAT and joins the
-  pool), so verdicts — and the explored path set — stay bit-identical to
-  the pool-free oracle (the exploration benchmark asserts this equivalence
-  against the legacy engine).
-* a **pool repair** — the freshest pooled model is repaired like a base
-  witness before the backend is asked.
+  UNSAT, a concretely *verified* candidate model is SAT), so verdicts — and
+  the explored path set — stay exactly the backend's.
 
 Only then does the backend solve.  Every SAT verdict hands the node its
-witness: the base's, a repaired copy, a pooled model, a verified interval
-candidate or the backend's model.  A witness lives while the node can still
-be a base: the engine releases it (:meth:`PrefixOracle.release`) when the
-path's base moves past the node — once both sides of the node's branch are
-decided — and when a path ends on it.  A scheduled-but-unexplored sibling
-keeps its witness until its replay reaches it, so after an exhaustive
-exploration only the root holds one.  Nodes hold no parent pointer (the
-base is passed in), so a finished trie is freed by reference counting.
+witness: the base's, a repaired copy, a verified interval candidate or the
+backend's model.  A witness lives while the node can still be a base: the
+engine releases it (:meth:`PrefixOracle.release`) when the path's base
+moves past the node — once both sides of the node's branch are decided —
+and when a path ends on it.  A scheduled-but-unexplored sibling keeps its
+witness until its replay reaches it, so after an exhaustive exploration
+only the root holds one.  Nodes hold no parent pointer (the base is passed
+in), so a finished trie is freed by reference counting.
 
 The oracle decides feasibility only; it never *returns* models.
-Concretization keeps using the engine's legacy :class:`Solver` so that the
-model (and therefore the concrete value pinned into the path condition) is
-bit-for-bit identical to the legacy engine's — that is what makes the
-strategy-vs-legacy equivalence of the path-condition sets exact.
+Concretization uses the engine's :class:`Solver`, so the value pinned into
+a path condition does not depend on which layer decided a branch.
 
-Instances are not thread-safe; each worker engine owns its own oracle.
+Instances are not thread-safe; each engine owns its own oracle.
 """
 
 from __future__ import annotations
@@ -122,19 +106,12 @@ class PrefixOracleStats:
     #: Checks proven SAT by the base witness alone: the node's fresh
     #: literals (usually one) hold under it (no solve, no prefix walk).
     witness_inherits: int = 0
-    #: Checks proven SAT by a pooled backend model (no solve).
-    model_pool_hits: int = 0
-    #: Checks proven SAT by locally repairing the base witness or a pooled
-    #: model (no solve).
+    #: Checks proven SAT by locally repairing the base witness (no solve).
     witness_repairs: int = 0
-    #: Checks that consulted the pool and still needed the backend.
-    model_pool_misses: int = 0
     #: Checks proven UNSAT by the word-level interval domain (no solve).
     interval_unsat: int = 0
     #: Checks proven SAT by a verified interval candidate model (no solve).
     interval_sat: int = 0
-    #: Models extracted from backend SAT answers into the pool.
-    models_pooled: int = 0
     #: Prefix-trie nodes created (one per distinct path prefix).
     prefix_nodes: int = 0
     #: ``extend`` calls answered by an existing node (per-path delta reuse).
@@ -155,12 +132,9 @@ class PrefixOracleStats:
             "trivial_decides": self.trivial_decides,
             "prefix_cache_hits": self.prefix_cache_hits,
             "witness_inherits": self.witness_inherits,
-            "model_pool_hits": self.model_pool_hits,
             "witness_repairs": self.witness_repairs,
-            "model_pool_misses": self.model_pool_misses,
             "interval_unsat": self.interval_unsat,
             "interval_sat": self.interval_sat,
-            "models_pooled": self.models_pooled,
             "prefix_nodes": self.prefix_nodes,
             "delta_hits": self.delta_hits,
             "assumption_solves": self.assumption_solves,
@@ -197,32 +171,19 @@ class PrefixNode:
         self.witness: Optional[Dict[str, int]] = None
 
 
-class _PooledModel:
-    """One extracted backend model plus its memoized literal truth values."""
-
-    __slots__ = ("assignment", "truths")
-
-    def __init__(self, assignment: Dict[str, int]) -> None:
-        self.assignment = assignment
-        #: base SAT var -> whether this model satisfies the *positive* lit.
-        self.truths: Dict[int, bool] = {}
-
-
 class PrefixOracle:
     """Shared incremental encoding of one exploration's branch conditions."""
-
-    #: Bounded MRU pool of extracted backend models.
-    MODEL_POOL_LIMIT = 24
 
     def __init__(self, config: Optional[SolverConfig] = None) -> None:
         self.config = config if config is not None else SolverConfig()
         self.stats = PrefixOracleStats()
-        self._backend = CDCLBackend(**self.config.sat_knobs())
+        self._backend = CDCLBackend()
         # id-keyed (the expression layer hash-conses terms): entry values
         # carry the condition so its id stays pinned while the entry lives.
         self._literals: Dict[int, Tuple[BoolExpr, int]] = {}
         # base SAT var -> (simplified condition, its encoded literal); the
-        # reverse map the model pool evaluates assumptions through.
+        # reverse map witnesses and the interval domain read assumptions
+        # through.
         self._lit_conditions: Dict[int, Tuple[BoolExpr, int]] = {}
         self._root = PrefixNode(frozenset(), (), False)
         # The empty prefix is satisfied by every model: the empty one, with
@@ -232,7 +193,6 @@ class PrefixOracle:
         # same literal set are the same query (node.status is the per-node
         # fast path in front of this map).
         self._prefix_cache: Dict[FrozenSet[int], str] = {}
-        self._models: List[_PooledModel] = []
 
     # ------------------------------------------------------------------
     # Encoding
@@ -349,10 +309,6 @@ class PrefixOracle:
             if repaired is not None:
                 self.stats.witness_repairs += 1
                 return self._proven_sat(node, repaired)
-        pooled = self._witness_in_pool(node)
-        if pooled is not None:
-            self.stats.model_pool_hits += 1
-            return self._proven_sat(node, pooled)
         outcome = self._interval_prefilter(node)
         if outcome is not None and outcome.is_unsat:
             self.stats.interval_unsat += 1
@@ -361,15 +317,7 @@ class PrefixOracle:
             return SATStatus.UNSAT
         if outcome is not None and outcome.verified:
             self.stats.interval_sat += 1
-            candidate = dict(outcome.candidate)
-            self._pool(candidate)
-            return self._proven_sat(node, candidate)
-        if self._models:
-            repaired = self._repair_witness(node, self._models[0].assignment)
-            if repaired is not None:
-                self.stats.witness_repairs += 1
-                return self._proven_sat(node, repaired)
-            self.stats.model_pool_misses += 1
+            return self._proven_sat(node, dict(outcome.candidate))
 
         started = time.perf_counter()
         self.stats.assumption_solves += 1
@@ -381,10 +329,7 @@ class PrefixOracle:
             self.stats.unknown += 1
             return status
         if status == SATStatus.SAT:
-            model = self._backend.get_value()
-            self._pool(model)
-            self.stats.models_pooled += 1
-            return self._proven_sat(node, model)
+            return self._proven_sat(node, self._backend.get_value())
         self.stats.unsat += 1
         self._cache(node, status)
         return status
@@ -434,8 +379,7 @@ class PrefixOracle:
         outcomes may short-circuit: a proven-empty variable domain is UNSAT,
         and a candidate model verified by compiled concrete evaluation is
         SAT.  Everything else falls through to the backend, so verdicts —
-        and hence the explored path set — stay bit-identical to the
-        oracle-free engine.
+        and hence the explored path set — stay exactly the backend's.
         """
 
         atoms: List[BoolExpr] = []
@@ -450,45 +394,8 @@ class PrefixOracle:
         return analyze_conjunction(atoms)
 
     # ------------------------------------------------------------------
-    # Model-witness pool
+    # Witness repair
     # ------------------------------------------------------------------
-
-    def _pool(self, model: Dict[str, int]) -> None:
-        """Put *model* at the front of the MRU pool."""
-
-        self._models.insert(0, _PooledModel(model))
-        del self._models[self.MODEL_POOL_LIMIT:]
-
-    def _witness_in_pool(self, node: PrefixNode) -> Optional[Dict[str, int]]:
-        """A pooled model satisfying every assumption of *node*, if any."""
-
-        for index, pooled in enumerate(self._models):
-            truths = pooled.truths
-            for lit in reversed(node.ordered):
-                base = lit if lit > 0 else -lit
-                value = truths.get(base)
-                if value is None:
-                    entry = self._lit_conditions.get(base)
-                    if entry is None:
-                        break  # not evaluable: fall through to the backend
-                    condition, encoded = entry
-                    # Compiled concrete evaluation; default=0 extends the
-                    # model over variables blasted after it was extracted
-                    # (any extension of a witness is a witness).
-                    truth = bool(compile_term(condition).run(
-                        pooled.assignment, default=0))
-                    # Truth of the *positive* base var: the encoded literal
-                    # may itself be negative.
-                    value = truth if encoded > 0 else not truth
-                    truths[base] = value
-                if value != (lit > 0):
-                    break
-            else:
-                if index:
-                    # MRU: children of this prefix will ask again soon.
-                    self._models.insert(0, self._models.pop(index))
-                return pooled.assignment
-        return None
 
     def _repair_witness(self, node: PrefixNode,
                         base: Dict[str, int]) -> Optional[Dict[str, int]]:
@@ -497,12 +404,11 @@ class PrefixOracle:
         The dominant check in practice is a known-SAT prefix extended by one
         *new* condition (a fresh ``field == const`` match the known model
         does not satisfy).  Instead of solving, copy *base* — the check's
-        base witness or the freshest pooled model — and patch the inputs of
-        failing *atomic* literals (variable/extract against a constant);
-        accept only if a full compiled re-evaluation of **every** literal
-        then passes.  The repaired model is a genuine witness, so this can
-        never flip an answer; anything unrepairable falls through.  A
-        repaired model joins the pool.
+        base witness — and patch the inputs of failing *atomic* literals
+        (variable/extract against a constant); accept only if a full
+        compiled re-evaluation of **every** literal then passes.  The
+        repaired model is a genuine witness, so this can never flip an
+        answer; anything unrepairable falls through.
         """
 
         conditions: List[Tuple[BoolExpr, bool]] = []
@@ -529,7 +435,6 @@ class PrefixOracle:
                     stale = stale or checked
                 checked = True
             if not stale:
-                self._pool(candidate)
                 return candidate
         return None
 
@@ -548,7 +453,6 @@ class PrefixOracle:
         snapshot["sat_variables"] = self._backend.num_vars
         snapshot["sat_clauses"] = self._backend.num_clauses
         snapshot["backend_solves"] = self._backend.solves
-        snapshot["model_pool_size"] = len(self._models)
         return snapshot
 
 

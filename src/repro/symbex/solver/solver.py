@@ -70,26 +70,6 @@ class SolverConfig:
     use_interval_precheck: bool = True
     #: Whether to cache query results keyed on constraint structure.
     use_cache: bool = True
-    #: Verify every SAT model by concrete evaluation (cheap; keep on).
-    verify_models: bool = True
-    #: SAT-core: decisions re-use each variable's last assigned polarity.
-    phase_saving: bool = True
-    #: SAT-core: learned-clause count triggering the first DB reduction.
-    learned_db_base: int = 4000
-    #: SAT-core: growth factor of the reduction threshold after each pass.
-    learned_db_growth: float = 1.2
-    #: SAT-core: conflicts before the first restart (geometric growth after).
-    restart_first: int = 100
-
-    def sat_knobs(self) -> Dict[str, object]:
-        """The SAT-core knobs as :class:`CDCLBackend` constructor kwargs."""
-
-        return {
-            "phase_saving": self.phase_saving,
-            "restart_first": self.restart_first,
-            "learned_db_base": self.learned_db_base,
-            "learned_db_growth": self.learned_db_growth,
-        }
 
 
 @dataclass
@@ -278,7 +258,7 @@ class Solver:
 
         started = time.perf_counter()
         self.stats.sat_backend_runs += 1
-        backend = CDCLBackend(**self.config.sat_knobs())
+        backend = CDCLBackend()
         for constraint in constraints:
             backend.assert_formula(constraint)
         status = backend.check_sat(max_conflicts=self.config.max_conflicts)
@@ -287,6 +267,4 @@ class Solver:
         if status != SATStatus.SAT:
             return SatResult(status)
         model = backend.get_value()
-        if self.config.verify_models:
-            return SatResult(SATStatus.SAT, model=require_verified(model, constraints))
-        return SatResult(SATStatus.SAT, model=complete_model(model, constraints))
+        return SatResult(SATStatus.SAT, model=require_verified(model, constraints))

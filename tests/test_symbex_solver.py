@@ -272,8 +272,16 @@ def test_solver_unknown_results_are_not_cached():
     assert solver.stats.cache_hits == 0
 
 
-def test_solver_model_verification_is_on_by_default():
-    assert SolverConfig().verify_models is True
+def test_solver_model_verification_is_on_by_default(monkeypatch):
+    # Verification has no off switch: a backend model that violates a
+    # constraint is a decision-procedure bug, never a SAT answer.
+    from repro.symbex.solver.backend import CDCLBackend
+
+    monkeypatch.setattr(CDCLBackend, "get_value", lambda backend: {"x": 0})
+    x = bvvar("x", 8)
+    solver = Solver(SolverConfig(use_interval_precheck=False))
+    with pytest.raises(SolverError, match="does not satisfy"):
+        solver.check([x * 3 == 21])
 
 
 def test_solver_symbolic_shift():
