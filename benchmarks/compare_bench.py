@@ -52,7 +52,6 @@ METRICS = [
     ("BENCH_hybrid.json", "advantage.clusters_vs_fuzz", "Hybrid vs fuzz clusters"),
     ("BENCH_eval.json", "eval.compiled_evals_per_sec", "Compiled evals/sec"),
     ("BENCH_eval.json", "eval.compiled_speedup", "Compiled vs interpreted"),
-    ("BENCH_eval.json", "eval.batch_speedup", "Batch vs single-run"),
 ]
 
 

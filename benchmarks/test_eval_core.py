@@ -1,19 +1,18 @@
-"""Core concrete-evaluation benchmark: interpreted vs compiled vs batched.
+"""Core concrete-evaluation benchmark: interpreted vs compiled.
 
 Every hot loop of the stack — branch decisions, witness-pool checks, model
 verification, test-case materialization, corpus replay — bottoms out in
 "evaluate this term under that assignment".  This bench measures that kernel
 on the real workload: the path conditions the seed catalog produces, swept
-under a pile of random assignments three ways (recursive interpreter,
-compiled register tape, one batched tape pass), asserting bit-identical
-results, and emits ``BENCH_eval.json``:
+under a pile of random assignments two ways (the recursive interpreter kept
+in ``tests/oracles.py`` and the compiled register tape), asserting
+bit-identical results, and emits ``BENCH_eval.json``:
 
 * ``interpreted_evals_per_sec`` / ``compiled_evals_per_sec`` — single-model
   throughput of each engine (``compiled_speedup`` is their ratio);
-* ``batch_speedup`` — ``run_batch`` over N independent ``run`` calls;
 * ``compile_amortization_evals`` — how many compiled evaluations pay back
-  one cold compile (compile cost / per-eval saving); below ~10 the cache
-  could be dropped entirely, in practice hash-consing makes it ~free.
+  one cold compile (compile cost / per-eval saving); below ~10 the per-node
+  memo could be dropped entirely, in practice hash-consing makes it ~free.
 
 Timings use the best of ``ROUNDS`` sweeps (machine noise dominates any real
 effect at these microsecond scales); results are asserted identical on
@@ -27,8 +26,8 @@ import time
 
 from benchmarks.conftest import print_table, write_bench
 from repro.core.explorer import explore_agent
-from repro.symbex.compile import clear_compiled_cache, compile_term
-from repro.symbex.simplify import evaluate_bool
+from repro.symbex.compile import _compile, compile_term
+from tests.oracles import evaluate_bool
 
 AGENTS = ("reference", "ovs", "modified")
 TEST = "packet_out"
@@ -64,7 +63,7 @@ def test_eval_core_benchmark():
     evals = sum(len(models) for _, _, models in workload)
     assert evals > 0
 
-    interpreted_time = compiled_time = batch_time = None
+    interpreted_time = compiled_time = None
     reference = None
     for _ in range(ROUNDS):
         started = time.perf_counter()
@@ -79,23 +78,18 @@ def test_eval_core_benchmark():
         elapsed = time.perf_counter() - started
         compiled_time = min(elapsed, compiled_time or elapsed)
 
-        started = time.perf_counter()
-        batched = [program.run_batch(models) for _, program, models in workload]
-        elapsed = time.perf_counter() - started
-        batch_time = min(elapsed, batch_time or elapsed)
-
-        assert interpreted == compiled == batched, \
+        assert interpreted == compiled, \
             "compiled evaluation diverged from the interpreter"
         if reference is None:
             reference = interpreted
         assert interpreted == reference
 
     # Cold-compile cost over the same distinct terms (per-term, amortized
-    # against the per-eval saving of the compiled engine).
-    clear_compiled_cache()
+    # against the per-eval saving of the compiled engine), bypassing the
+    # per-node memo the workload has already filled.
     started = time.perf_counter()
     for term, _, _ in workload:
-        compile_term(term)
+        _compile(term)
     compile_time = time.perf_counter() - started
 
     per_interpreted = interpreted_time / evals
@@ -113,9 +107,7 @@ def test_eval_core_benchmark():
         "eval": {
             "interpreted_evals_per_sec": evals / interpreted_time,
             "compiled_evals_per_sec": evals / compiled_time,
-            "batched_evals_per_sec": evals / batch_time,
             "compiled_speedup": interpreted_time / compiled_time,
-            "batch_speedup": compiled_time / batch_time,
             "compile_amortization_evals": amortization,
             "compile_time": compile_time,
         },
@@ -130,8 +122,6 @@ def test_eval_core_benchmark():
             ("interpreted", "%.0f" % (evals / interpreted_time), "1.00x"),
             ("compiled", "%.0f" % (evals / compiled_time),
              "%.2fx" % (interpreted_time / compiled_time)),
-            ("compiled+batch", "%.0f" % (evals / batch_time),
-             "%.2fx" % (interpreted_time / batch_time)),
         ])
     print("compile amortizes after %.1f evaluations/term" % amortization)
 

@@ -95,7 +95,6 @@ def _bench_interning():
         "memory_bytes": after["memory_bytes"],
         "simplify_cache_hit_rate": (simplify_hits / simplify_total
                                     if simplify_total else None),
-        "simplify_cache_size": simplify_after["size"],
     }
 
 

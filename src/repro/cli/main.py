@@ -37,7 +37,7 @@ from repro.core.corpus import WitnessCorpus
 from repro.core.explorer import explore_agent
 from repro.core.grouping import group_paths
 from repro.core.soft import SOFT
-from repro.core.tests_catalog import TABLE1_TESTS, VALID_SCALES, catalog, get_test
+from repro.core.tests_catalog import TABLE1_TESTS, VALID_SCALES, catalog
 from repro.errors import (
     ArtifactError,
     CampaignError,

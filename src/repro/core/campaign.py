@@ -67,7 +67,6 @@ from repro.core.witness import (
 from repro.errors import CampaignError
 from repro.symbex.engine import EngineConfig
 from repro.symbex.expr import intern_table
-from repro.symbex.simplify import clear_simplify_cache, simplify_cache_stats
 from repro.symbex.solver import GroupEncoding, SolverConfig
 
 __all__ = ["Campaign", "CampaignReport", "EncodingCache", "ExplorationCache"]
@@ -270,7 +269,7 @@ class CampaignReport:
     #: strategy, paths, solver queries, truncation.
     exploration_stats: List[Dict[str, object]] = dataclass_field(default_factory=list)
     #: Hash-consing activity during this run (hit/miss deltas) plus the
-    #: absolute size of the shared intern table and simplify memo.
+    #: absolute size of the shared intern table.
     intern_stats: Dict[str, object] = dataclass_field(default_factory=dict)
     #: Witness triage result: replay-confirmed, minimized, clustered
     #: inconsistencies (None when ``triage=False`` or replay was disabled).
@@ -465,11 +464,9 @@ class CampaignReport:
                    float(self.coverage.get("coverage_fraction", 0.0))))
         if self.intern_stats:
             lines.append(
-                "  terms: %d distinct interned (%.0f%% construction hit rate), "
-                "%d simplify-memo entries"
+                "  terms: %d distinct interned (%.0f%% construction hit rate)"
                 % (self.intern_stats.get("distinct_terms", 0),
-                   100.0 * float(self.intern_stats.get("hit_rate") or 0.0),
-                   self.intern_stats.get("simplify_cache_size", 0)))
+                   100.0 * float(self.intern_stats.get("hit_rate") or 0.0)))
         if self.unused_loaded_agents:
             lines.append(
                 "  warning: loaded artifact(s) for %s matched no pair and were unused"
@@ -553,8 +550,8 @@ class Campaign:
         self.with_coverage = with_coverage
         self.build_testcases = build_testcases
         self.replay_testcases = replay_testcases
-        #: Reset the process-wide expression intern table (and the simplify
-        #: memo built on top of it) at the start of each run.  Off by
+        #: Reset the process-wide expression intern table (and with it the
+        #: per-term memos on its nodes) at the start of each run.  Off by
         #: default: sharing terms across runs is what makes repeated
         #: same-scale campaigns cheap; opt in when switching scales to
         #: release the previous scale's accumulated terms.  NOTE: the table
@@ -1040,13 +1037,13 @@ class Campaign:
         if self.reset_intern:
             # New intern generation: release the previous scale's terms.
             # Everything that pins old-generation terms must go with it — the
-            # simplify memo, the per-test incremental engines (id-keyed group
-            # maps would never hit against new-generation terms and would
-            # keep re-encoding into the same growing SAT instances), and
-            # locally explored Phase-1 entries.  Artifact-seeded entries are
-            # kept: they cannot be rebuilt, and cross-generation use stays
-            # correct via the structural-key fallback.
-            clear_simplify_cache()
+            # per-test incremental engines (id-keyed group maps would never
+            # hit against new-generation terms and would keep re-encoding
+            # into the same growing SAT instances) and locally explored
+            # Phase-1 entries.  Per-term memos (simplified form, compiled
+            # program) live on the nodes and go with them.  Artifact-seeded
+            # entries are kept: they cannot be rebuilt, and cross-generation
+            # use stays correct via the structural-key fallback.
             intern_table().reset()
             self.encodings = EncodingCache(self.solver_config)
             self.cache.drop_explored()
@@ -1239,7 +1236,6 @@ class Campaign:
         run_total = intern_stats["hits"] + intern_stats["misses"]
         intern_stats["hit_rate"] = (intern_stats["hits"] / run_total
                                     if run_total else None)
-        intern_stats["simplify_cache_size"] = int(simplify_cache_stats()["size"])
 
         return CampaignReport(
             tests=[spec.key for spec in specs],

@@ -54,12 +54,7 @@ from repro.symbex.engine import (
     PathRecord,
     active_engine,
 )
-from repro.symbex.simplify import (
-    clear_simplify_cache,
-    simplify,
-    simplify_bool,
-    simplify_cache_stats,
-)
+from repro.symbex.simplify import simplify, simplify_bool, simplify_cache_stats
 from repro.symbex.solver import PrefixOracle, SatResult, Solver, SolverConfig
 from repro.symbex.state import PathCondition, PathState
 from repro.symbex.strategies import SearchStrategy, make_strategy, strategy_names
@@ -96,7 +91,6 @@ __all__ = [
     "simplify",
     "simplify_bool",
     "simplify_cache_stats",
-    "clear_simplify_cache",
     "PrefixOracle",
     "SatResult",
     "Solver",

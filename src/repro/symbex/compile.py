@@ -1,12 +1,10 @@
 """Compiled concrete evaluation: flat register tapes for interned terms.
 
-The tree-walking interpreters in :mod:`repro.symbex.simplify`
-(:func:`~repro.symbex.simplify.evaluate_bv` /
-:func:`~repro.symbex.simplify.evaluate_bool`) pay per *evaluation*: a
-recursive call, a type dispatch and a memo-dict probe per node, every time a
-term is evaluated.  The Phase-1 inner loop and the replay pipeline evaluate
-the *same* terms under thousands of different assignments, so this module
-moves the per-node work to compile time instead:
+A tree-walking interpreter pays per *evaluation*: a recursive call, a type
+dispatch and a memo-dict probe per node, every time a term is evaluated.
+The Phase-1 inner loop and the replay pipeline evaluate the *same* terms
+under thousands of different assignments, so this module moves the
+per-node work to compile time instead:
 
 * :func:`compile_term` lowers an expression DAG once into a
   :class:`CompiledProgram` — a topologically ordered register tape of op
@@ -17,34 +15,30 @@ moves the per-node work to compile time instead:
 * ``CompiledProgram.run(assignment)`` evaluates one model: fill the input
   slots, sweep the tape, read the root register.  No recursion, no
   isinstance ladder, no per-call cache dict.
-* ``CompiledProgram.run_batch(assignments)`` evaluates many models in one
-  pass without re-touching the tape structure between models — the backbone
-  of batched replay in minimization/corpus runs.
 
-Because terms are hash-consed (:mod:`repro.symbex.expr`), compiling once per
-*distinct* term is free in the steady state: :class:`CompiledCache` mirrors
-:class:`~repro.symbex.simplify.SimplifyCache` — process-wide, ``id``-keyed
-with the term pinned by the entry, bounded with oldest-half eviction between
-top-level calls, and observable through :func:`compiled_cache_stats` (the
-engine surfaces per-run deltas in ``ExplorationStats`` and merges them
-across parallel workers).
+Because terms are hash-consed (:mod:`repro.symbex.expr`), a program is a
+pure function of its interned node, so :func:`compile_term` keeps it on the
+node (the ``_compiled`` slot): one compile per distinct term, and the
+program lives and dies with its term.  :func:`compiled_cache_stats` counts
+the hits and misses; the engine reports per-run deltas in
+``ExplorationStats``.
 
-Semantics are bit-identical to the interpreters with one documented
-exception: the tape is *eager*, so every variable in the term — including
-those only reachable through the untaken arm of a ``BVIte`` — needs a
-binding (or ``default``).  Every production call site passes complete
-models or a default, and the differential tests sweep the seed catalog's
-path conditions to pin the equivalence down.
+Semantics are bit-identical to the reference interpreter the tests keep
+(``tests/oracles.py``) with one documented exception: the tape is *eager*,
+so every variable in the term — including those only reachable through the
+untaken arm of a ``BVIte`` — needs a binding (or ``default``).  Every
+production call site passes complete models or a default, and the
+differential tests sweep the seed catalog's path conditions to pin the
+equivalence down.
 
 Pickling a :class:`CompiledProgram` ships only the underlying expression
 (itself pickled structurally by the intern layer) and recompiles on
-unpickle, so programs cross ``ProcessPoolExecutor`` boundaries cheaply and
-land in the worker's own cache.
+unpickle, so programs cross ``ProcessPoolExecutor`` boundaries cheaply.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ExpressionError
 from repro.symbex.expr import (
@@ -65,17 +59,15 @@ from repro.symbex.expr import (
     BVVar,
     BVZeroExt,
     Expr,
+    MemoStats,
 )
 
 __all__ = [
     "CompiledProgram",
-    "CompiledCache",
     "compile_term",
     "evaluate_compiled",
     "evaluate_compiled_bool",
     "compiled_cache_stats",
-    "clear_compiled_cache",
-    "set_compiled_cache_limit",
 ]
 
 Assignment = Mapping[str, int]
@@ -141,146 +133,130 @@ class CompiledProgram:
         return (compile_term, (self.expr,))
 
     def run(self, assignment: Assignment, default: Optional[int] = None) -> int:
-        """Evaluate under one ``name -> int`` assignment."""
+        """Evaluate under one ``name -> int`` assignment.
 
-        return self.run_batch((assignment,), default=default)[0]
+        Unbound variables take *default* when given, otherwise evaluation
+        fails.  The opcode dispatch is inlined (no call per instruction).
+        """
+
+        regs = list(self._template)
+        for name, slot, mask in self._inputs:
+            value = assignment.get(name)
+            if value is None:
+                if default is None:
+                    raise ExpressionError(
+                        "no binding for variable %r during compiled "
+                        "evaluation" % (name,))
+                value = default
+            regs[slot] = value & mask
+        # Dispatch ordered by op frequency in the seed catalog's path
+        # conditions: comparisons and boolean connectives dominate.
+        for ins in self._tape:
+            op = ins[0]
+            if op == _EQ:
+                regs[ins[1]] = 1 if regs[ins[2]] == regs[ins[3]] else 0
+            elif op == _NE:
+                regs[ins[1]] = 1 if regs[ins[2]] != regs[ins[3]] else 0
+            elif op == _ULT:
+                regs[ins[1]] = 1 if regs[ins[2]] < regs[ins[3]] else 0
+            elif op == _ULE:
+                regs[ins[1]] = 1 if regs[ins[2]] <= regs[ins[3]] else 0
+            elif op == _BAND:
+                value = 1
+                for reg in ins[2]:
+                    if not regs[reg]:
+                        value = 0
+                        break
+                regs[ins[1]] = value
+            elif op == _BOR:
+                value = 0
+                for reg in ins[2]:
+                    if regs[reg]:
+                        value = 1
+                        break
+                regs[ins[1]] = value
+            elif op == _BNOT:
+                regs[ins[1]] = 0 if regs[ins[2]] else 1
+            elif op == _EXTRACT:
+                # (op, dest, a, low, mask)
+                regs[ins[1]] = (regs[ins[2]] >> ins[3]) & ins[4]
+            elif op == _ADD:
+                regs[ins[1]] = (regs[ins[2]] + regs[ins[3]]) & ins[4]
+            elif op == _SUB:
+                regs[ins[1]] = (regs[ins[2]] - regs[ins[3]]) & ins[4]
+            elif op == _AND:
+                regs[ins[1]] = regs[ins[2]] & regs[ins[3]]
+            elif op == _OR:
+                regs[ins[1]] = regs[ins[2]] | regs[ins[3]]
+            elif op == _XOR:
+                regs[ins[1]] = regs[ins[2]] ^ regs[ins[3]]
+            elif op == _SHL:
+                # (op, dest, a, b, mask, width)
+                rhs = regs[ins[3]]
+                regs[ins[1]] = ((regs[ins[2]] << rhs) & ins[4]
+                                if rhs < ins[5] else 0)
+            elif op == _LSHR:
+                # (op, dest, a, b, width)
+                rhs = regs[ins[3]]
+                regs[ins[1]] = regs[ins[2]] >> rhs if rhs < ins[4] else 0
+            elif op == _MUL:
+                regs[ins[1]] = (regs[ins[2]] * regs[ins[3]]) & ins[4]
+            elif op == _ITE:
+                regs[ins[1]] = regs[ins[3]] if regs[ins[2]] else regs[ins[4]]
+            elif op == _CONCAT:
+                # (op, dest, ((reg, width), ...)) — MSB-first.
+                value = 0
+                for reg, width in ins[2]:
+                    value = (value << width) | regs[reg]
+                regs[ins[1]] = value
+            elif op == _SLT:
+                # (op, dest, a, b, signbit, power)
+                lhs, rhs = regs[ins[2]], regs[ins[3]]
+                if lhs & ins[4]:
+                    lhs -= ins[5]
+                if rhs & ins[4]:
+                    rhs -= ins[5]
+                regs[ins[1]] = 1 if lhs < rhs else 0
+            elif op == _SLE:
+                lhs, rhs = regs[ins[2]], regs[ins[3]]
+                if lhs & ins[4]:
+                    lhs -= ins[5]
+                if rhs & ins[4]:
+                    rhs -= ins[5]
+                regs[ins[1]] = 1 if lhs <= rhs else 0
+            elif op == _SEXT:
+                # (op, dest, a, op_signbit, op_power, mask)
+                value = regs[ins[2]]
+                if value & ins[3]:
+                    value -= ins[4]
+                regs[ins[1]] = value & ins[5]
+            elif op == _ASHR:
+                # (op, dest, a, b, signbit, power, maxshift, mask)
+                value = regs[ins[2]]
+                if value & ins[4]:
+                    value -= ins[5]
+                shift = regs[ins[3]]
+                if shift > ins[6]:
+                    shift = ins[6]
+                regs[ins[1]] = (value >> shift) & ins[7]
+            elif op == _UDIV:
+                rhs = regs[ins[3]]
+                regs[ins[1]] = ((regs[ins[2]] // rhs) & ins[4]
+                                if rhs else ins[4])
+            elif op == _UREM:
+                rhs = regs[ins[3]]
+                regs[ins[1]] = regs[ins[2]] % rhs if rhs else regs[ins[2]]
+            elif op == _NOT:
+                regs[ins[1]] = ~regs[ins[2]] & ins[3]
+            elif op == _NEG:
+                regs[ins[1]] = -regs[ins[2]] & ins[3]
+            else:
+                raise ExpressionError("unknown compiled opcode %r" % (op,))
+        return regs[self._root]
 
     def run_bool(self, assignment: Assignment,
                  default: Optional[int] = None) -> bool:
-        return bool(self.run_batch((assignment,), default=default)[0])
-
-    def run_batch(self, assignments: Iterable[Assignment],
-                  default: Optional[int] = None) -> List[int]:
-        """Evaluate many models in one pass over the tape structure.
-
-        Equivalent to ``[self.run(a, default) for a in assignments]`` but
-        with the tape/template/input lookups hoisted out of the per-model
-        loop and the opcode dispatch inlined (no call per instruction) —
-        the batch entry is the implementation; :meth:`run` is a
-        one-element batch.
-        """
-
-        template = self._template
-        inputs = self._inputs
-        tape = self._tape
-        root = self._root
-        out: List[int] = []
-        for assignment in assignments:
-            regs = list(template)
-            for name, slot, mask in inputs:
-                value = assignment.get(name)
-                if value is None:
-                    if default is None:
-                        raise ExpressionError(
-                            "no binding for variable %r during compiled "
-                            "evaluation" % (name,))
-                    value = default
-                regs[slot] = value & mask
-            # Dispatch ordered by op frequency in the seed catalog's path
-            # conditions: comparisons and boolean connectives dominate.
-            for ins in tape:
-                op = ins[0]
-                if op == _EQ:
-                    regs[ins[1]] = 1 if regs[ins[2]] == regs[ins[3]] else 0
-                elif op == _NE:
-                    regs[ins[1]] = 1 if regs[ins[2]] != regs[ins[3]] else 0
-                elif op == _ULT:
-                    regs[ins[1]] = 1 if regs[ins[2]] < regs[ins[3]] else 0
-                elif op == _ULE:
-                    regs[ins[1]] = 1 if regs[ins[2]] <= regs[ins[3]] else 0
-                elif op == _BAND:
-                    value = 1
-                    for reg in ins[2]:
-                        if not regs[reg]:
-                            value = 0
-                            break
-                    regs[ins[1]] = value
-                elif op == _BOR:
-                    value = 0
-                    for reg in ins[2]:
-                        if regs[reg]:
-                            value = 1
-                            break
-                    regs[ins[1]] = value
-                elif op == _BNOT:
-                    regs[ins[1]] = 0 if regs[ins[2]] else 1
-                elif op == _EXTRACT:
-                    # (op, dest, a, low, mask)
-                    regs[ins[1]] = (regs[ins[2]] >> ins[3]) & ins[4]
-                elif op == _ADD:
-                    regs[ins[1]] = (regs[ins[2]] + regs[ins[3]]) & ins[4]
-                elif op == _SUB:
-                    regs[ins[1]] = (regs[ins[2]] - regs[ins[3]]) & ins[4]
-                elif op == _AND:
-                    regs[ins[1]] = regs[ins[2]] & regs[ins[3]]
-                elif op == _OR:
-                    regs[ins[1]] = regs[ins[2]] | regs[ins[3]]
-                elif op == _XOR:
-                    regs[ins[1]] = regs[ins[2]] ^ regs[ins[3]]
-                elif op == _SHL:
-                    # (op, dest, a, b, mask, width)
-                    rhs = regs[ins[3]]
-                    regs[ins[1]] = ((regs[ins[2]] << rhs) & ins[4]
-                                    if rhs < ins[5] else 0)
-                elif op == _LSHR:
-                    # (op, dest, a, b, width)
-                    rhs = regs[ins[3]]
-                    regs[ins[1]] = regs[ins[2]] >> rhs if rhs < ins[4] else 0
-                elif op == _MUL:
-                    regs[ins[1]] = (regs[ins[2]] * regs[ins[3]]) & ins[4]
-                elif op == _ITE:
-                    regs[ins[1]] = regs[ins[3]] if regs[ins[2]] else regs[ins[4]]
-                elif op == _CONCAT:
-                    # (op, dest, ((reg, width), ...)) — MSB-first.
-                    value = 0
-                    for reg, width in ins[2]:
-                        value = (value << width) | regs[reg]
-                    regs[ins[1]] = value
-                elif op == _SLT:
-                    # (op, dest, a, b, signbit, power)
-                    lhs, rhs = regs[ins[2]], regs[ins[3]]
-                    if lhs & ins[4]:
-                        lhs -= ins[5]
-                    if rhs & ins[4]:
-                        rhs -= ins[5]
-                    regs[ins[1]] = 1 if lhs < rhs else 0
-                elif op == _SLE:
-                    lhs, rhs = regs[ins[2]], regs[ins[3]]
-                    if lhs & ins[4]:
-                        lhs -= ins[5]
-                    if rhs & ins[4]:
-                        rhs -= ins[5]
-                    regs[ins[1]] = 1 if lhs <= rhs else 0
-                elif op == _SEXT:
-                    # (op, dest, a, op_signbit, op_power, mask)
-                    value = regs[ins[2]]
-                    if value & ins[3]:
-                        value -= ins[4]
-                    regs[ins[1]] = value & ins[5]
-                elif op == _ASHR:
-                    # (op, dest, a, b, signbit, power, maxshift, mask)
-                    value = regs[ins[2]]
-                    if value & ins[4]:
-                        value -= ins[5]
-                    shift = regs[ins[3]]
-                    if shift > ins[6]:
-                        shift = ins[6]
-                    regs[ins[1]] = (value >> shift) & ins[7]
-                elif op == _UDIV:
-                    rhs = regs[ins[3]]
-                    regs[ins[1]] = ((regs[ins[2]] // rhs) & ins[4]
-                                    if rhs else ins[4])
-                elif op == _UREM:
-                    rhs = regs[ins[3]]
-                    regs[ins[1]] = regs[ins[2]] % rhs if rhs else regs[ins[2]]
-                elif op == _NOT:
-                    regs[ins[1]] = ~regs[ins[2]] & ins[3]
-                elif op == _NEG:
-                    regs[ins[1]] = -regs[ins[2]] & ins[3]
-                else:
-                    raise ExpressionError("unknown compiled opcode %r" % (op,))
-            out.append(regs[root])
-        return out
+        return bool(self.run(assignment, default=default))
 
     @property
     def tape_length(self) -> int:
@@ -434,101 +410,46 @@ class _Compiler:
         raise ExpressionError("cannot compile unknown expression node %r" % (node,))
 
 
-class CompiledCache:
-    """Bounded process-wide memo ``id(expr) -> (expr, CompiledProgram)``.
-
-    Mirrors :class:`~repro.symbex.simplify.SimplifyCache`: storing the
-    expression pins it alive so its id cannot be recycled while the entry
-    exists; hits re-insert their entry (cheap LRU); eviction drops the first
-    half in insertion order and runs only between top-level
-    :func:`compile_term` calls.
-    """
-
-    __slots__ = ("entries", "max_entries", "hits", "misses", "evictions")
-
-    def __init__(self, max_entries: int = 100_000) -> None:
-        self.entries: Dict[int, Tuple[Expr, CompiledProgram]] = {}
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def maybe_evict(self) -> None:
-        if len(self.entries) < self.max_entries:
-            return
-        drop = len(self.entries) // 2
-        for key in list(self.entries.keys())[:drop]:
-            self.entries.pop(key, None)
-        self.evictions += drop
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def stats_dict(self) -> Dict[str, float]:
-        total = self.hits + self.misses
-        return {
-            "size": len(self.entries),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
-
-_COMPILED_CACHE = CompiledCache()
+_COMPILE_STATS = MemoStats()
 
 
 def compiled_cache_stats() -> Dict[str, float]:
-    """Snapshot of the global compile memo (size, hits, evictions)."""
+    """Hits, misses and hit rate of the per-node compile memo."""
 
-    return _COMPILED_CACHE.stats_dict()
-
-
-def clear_compiled_cache() -> None:
-    """Drop every compiled program (e.g. after an intern-table reset)."""
-
-    _COMPILED_CACHE.clear()
-
-
-def set_compiled_cache_limit(max_entries: int) -> None:
-    """Re-bound the global compile memo; applies at the next compile_term."""
-
-    _COMPILED_CACHE.max_entries = max(1, int(max_entries))
+    return _COMPILE_STATS.stats_dict()
 
 
 def compile_term(expr: Expr) -> CompiledProgram:
     """The compiled program for *expr* (one compile per distinct term)."""
 
-    cache = _COMPILED_CACHE
-    key = id(expr)
-    entry = cache.entries.get(key)
-    if entry is not None:
-        cache.hits += 1
-        cache.entries[key] = cache.entries.pop(key, entry)
-        return entry[1]
-    cache.misses += 1
-    cache.maybe_evict()
+    program = getattr(expr, "_compiled", None)
+    if program is not None:
+        _COMPILE_STATS.hits += 1
+        return program
+    _COMPILE_STATS.misses += 1
+    program = _compile(expr)
+    expr._compiled = program
+    return program
+
+
+def _compile(expr: Expr) -> CompiledProgram:
+    """Lower *expr* into a fresh program (no memo)."""
+
     compiler = _Compiler()
     root = compiler.emit(expr)
-    program = CompiledProgram(expr, compiler.template, compiler.inputs,
-                              compiler.tape, root, compiler.variables)
-    cache.entries[key] = (expr, program)
-    return program
+    return CompiledProgram(expr, compiler.template, compiler.inputs,
+                           compiler.tape, root, compiler.variables)
 
 
 def evaluate_compiled(expr: BVExpr, assignment: Assignment,
                       default: Optional[int] = None) -> int:
-    """Compiled counterpart of :func:`repro.symbex.simplify.evaluate_bv`."""
+    """*expr*'s value under *assignment* (one-shot :func:`compile_term` + run)."""
 
     return compile_term(expr).run(assignment, default=default)
 
 
 def evaluate_compiled_bool(expr: BoolExpr, assignment: Assignment,
                            default: Optional[int] = None) -> bool:
-    """Compiled counterpart of :func:`repro.symbex.simplify.evaluate_bool`."""
+    """Boolean counterpart of :func:`evaluate_compiled`."""
 
     return bool(compile_term(expr).run(assignment, default=default))

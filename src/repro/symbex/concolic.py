@@ -30,7 +30,7 @@ growing seed pool converge instead of thrash.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.symbex.expr import (

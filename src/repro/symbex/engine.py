@@ -146,19 +146,14 @@ class ExplorationStats:
     truncation_reason: Optional[str] = None
     #: Frontier discipline this exploration ran with.
     strategy: str = "dfs"
-    #: Global simplify-memo activity during this exploration (per-run deltas;
-    #: the cache is process-wide, so concurrent explorations overlap).
+    #: Per-node simplify-memo activity during this exploration (per-run
+    #: deltas of process-wide counters, so concurrent explorations overlap).
     simplify_cache_hits: int = 0
     simplify_cache_misses: int = 0
-    #: Size of the global simplify memo when the exploration finished (gauge).
-    simplify_cache_size: int = 0
-    #: Global compiled-evaluation memo activity (per-run deltas, same
-    #: process-wide caveat as the simplify counters; see symbex/compile.py).
+    #: Per-node compile-memo activity (per-run deltas, same caveat; see
+    #: symbex/compile.py).
     compiled_cache_hits: int = 0
     compiled_cache_misses: int = 0
-    compiled_cache_evictions: int = 0
-    #: Size of the global compile memo when the exploration finished (gauge).
-    compiled_cache_size: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -175,11 +170,8 @@ class ExplorationStats:
             "strategy": self.strategy,
             "simplify_cache_hits": self.simplify_cache_hits,
             "simplify_cache_misses": self.simplify_cache_misses,
-            "simplify_cache_size": self.simplify_cache_size,
             "compiled_cache_hits": self.compiled_cache_hits,
             "compiled_cache_misses": self.compiled_cache_misses,
-            "compiled_cache_evictions": self.compiled_cache_evictions,
-            "compiled_cache_size": self.compiled_cache_size,
         }
 
 
@@ -213,7 +205,8 @@ class ExplorationResult:
         prefixes in :attr:`frontier`; ``resume`` seeds a new exploration with
         exactly those prefixes (``initial_frontier=self.frontier``) and merges
         the continuation into this result — path ids renumbered, stats and
-        solver counters summed, the *new* leftover frontier handed back again.
+        solver counters summed (the oracle's instance-size gauges excepted),
+        the *new* leftover frontier handed back again.
         Because every prefix is self-contained (re-execution replays it from
         scratch), slicing one exploration into N resumed slices reaches the
         same path set as a single uninterrupted run; the regression test in
@@ -351,15 +344,11 @@ class Engine:
             simplify_after["hits"] - simplify_before["hits"])
         self._stats.simplify_cache_misses = int(
             simplify_after["misses"] - simplify_before["misses"])
-        self._stats.simplify_cache_size = int(simplify_after["size"])
         compiled_after = compiled_cache_stats()
         self._stats.compiled_cache_hits = int(
             compiled_after["hits"] - compiled_before["hits"])
         self._stats.compiled_cache_misses = int(
             compiled_after["misses"] - compiled_before["misses"])
-        self._stats.compiled_cache_evictions = int(
-            compiled_after["evictions"] - compiled_before["evictions"])
-        self._stats.compiled_cache_size = int(compiled_after["size"])
         concretize_queries = self.solver.stats.queries - solver_queries_before
         self._stats.solver_queries = concretize_queries + (
             oracle.stats.assumption_solves - oracle_stats_before["assumption_solves"])
@@ -586,9 +575,10 @@ def _merge_results(first: ExplorationResult,
                    continuation: ExplorationResult) -> ExplorationResult:
     """*first* followed by its resumed *continuation*, as one result.
 
-    Path ids are renumbered in order, counters summed (cache sizes are
-    gauges: the larger one wins), and the continuation's leftover frontier
-    is the merged one.
+    Path ids are renumbered in order, counters summed (the oracle's
+    instance-size gauges keep the larger value: a continuation on the same
+    engine reports the grown instance, not a delta), and the
+    continuation's leftover frontier is the merged one.
     """
 
     records: List[PathRecord] = []
@@ -608,18 +598,14 @@ def _merge_results(first: ExplorationResult,
         stats.wall_time += part.wall_time
         stats.simplify_cache_hits += part.simplify_cache_hits
         stats.simplify_cache_misses += part.simplify_cache_misses
-        stats.simplify_cache_size = max(stats.simplify_cache_size,
-                                        part.simplify_cache_size)
         stats.compiled_cache_hits += part.compiled_cache_hits
         stats.compiled_cache_misses += part.compiled_cache_misses
-        stats.compiled_cache_evictions += part.compiled_cache_evictions
-        stats.compiled_cache_size = max(stats.compiled_cache_size,
-                                        part.compiled_cache_size)
         if part.truncated:
             stats.truncated = True
             if stats.truncation_reason is None:
                 stats.truncation_reason = part.truncation_reason
-        merge_stat_dicts(solver_stats, result.solver_stats)
+        merge_stat_dicts(solver_stats, result.solver_stats,
+                         max_keys=Engine._STATS_GAUGES)
         merge_stat_dicts(strategy_metrics, result.strategy_metrics,
                          max_keys=("max_frontier",))
     stats.paths = len(records)

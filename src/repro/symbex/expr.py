@@ -31,7 +31,7 @@ Design notes
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     ConcretizationError,
@@ -230,9 +230,17 @@ def intern_table() -> InternTable:
 
 
 class Expr:
-    """Common base class of bit-vector and boolean expressions."""
+    """Common base class of bit-vector and boolean expressions.
 
-    __slots__ = ("_key", "_hash", "_size")
+    Besides its operands a node carries memos of pure functions of the
+    term, each filled on first use: ``_size`` (:func:`expr_size`),
+    ``_simplified`` (:func:`repro.symbex.simplify.simplify`) and
+    ``_compiled`` (:func:`repro.symbex.compile.compile_term`).  A memo lives
+    and dies with its node, so an intern-table reset releases it too, and
+    ``__reduce__`` rebuilds nodes structurally, so memos never pickle.
+    """
+
+    __slots__ = ("_key", "_hash", "_size", "_simplified", "_compiled")
 
     def key(self) -> tuple:
         """Return a hashable nested tuple uniquely describing this term."""
@@ -306,6 +314,28 @@ def expr_size(expr: Expr) -> int:
         stack.extend(node.children())
     object.__setattr__(expr, "_size", count)
     return count
+
+
+class MemoStats:
+    """Hit/miss counters of one per-node memo (``_simplified``, ``_compiled``).
+
+    Best-effort under concurrent threads, like the intern table's counters:
+    a memo write is idempotent, so a race can at most compute a term twice.
+    """
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+    def stats_dict(self) -> Dict[str, float]:
+        total = self.hits + self.misses
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hits / total if total else 0.0,
+        }
 
 
 def collect_variables(expr: Expr) -> dict:

@@ -1,4 +1,4 @@
-"""Expression simplification, substitution and concrete evaluation.
+"""Expression simplification and substitution.
 
 The smart constructors in :mod:`repro.symbex.expr` already perform constant
 folding at construction time.  This module adds:
@@ -9,24 +9,19 @@ folding at construction time.  This module adds:
   deeper algebraic identities.
 * :func:`substitute` — replace free variables by expressions (typically
   constants from a solver model).
-* :func:`evaluate_bv` / :func:`evaluate_bool` — fully concrete big-int
-  evaluation under a complete assignment.  Used to validate solver models and
-  to replay generated test cases.
 
 Because expressions are hash-consed (see :mod:`repro.symbex.expr`),
-simplification is a pure function of the node's *identity*: the
-substitution-free :func:`simplify` / :func:`simplify_bool` entry points are
-memoized process-wide in a bounded ``id``-keyed cache
-(:class:`SimplifyCache`), so the engine's per-branch re-simplification of
-recurring conditions is a dictionary hit after the first path that builds
-them.  The cache is bounded (oldest-half eviction between top-level calls)
-and observable through :func:`simplify_cache_stats` so long campaigns cannot
-grow it silently.
+simplification is a pure function of the interned node, so its result is
+kept on the node itself (the ``_simplified`` slot, filled on first use for
+the term and each of its subterms): the engine's per-branch
+re-simplification of recurring conditions is an attribute read after the
+first path that builds them.  :func:`simplify_cache_stats` counts the hits
+and misses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple, Union
+from typing import Callable, Dict, Mapping, Union
 
 from repro.errors import ExpressionError
 from repro.symbex.expr import (
@@ -47,8 +42,7 @@ from repro.symbex.expr import (
     BVVar,
     BVZeroExt,
     Expr,
-    FALSE,
-    TRUE,
+    MemoStats,
     bool_and,
     bool_not,
     bool_or,
@@ -66,107 +60,36 @@ __all__ = [
     "simplify",
     "simplify_bool",
     "substitute",
-    "evaluate_bv",
-    "evaluate_bool",
-    "SimplifyCache",
     "simplify_cache_stats",
-    "clear_simplify_cache",
-    "set_simplify_cache_limit",
 ]
 
-Assignment = Mapping[str, int]
-
-
-class SimplifyCache:
-    """Bounded process-wide memo for substitution-free simplification.
-
-    Entries map ``id(expr) -> (expr, simplified)``; storing the input
-    expression pins it alive so its id can never be recycled while the entry
-    exists.  Hits re-insert their entry (cheap LRU), so eviction — dropping
-    the first half in insertion order, run only between top-level
-    ``simplify*`` calls, never mid-recursion — sheds the coldest entries
-    rather than the hottest shared subterms.
-    """
-
-    __slots__ = ("entries", "max_entries", "hits", "misses", "evictions")
-
-    def __init__(self, max_entries: int = 200_000) -> None:
-        self.entries: Dict[int, Tuple[Expr, Expr]] = {}
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def maybe_evict(self) -> None:
-        if len(self.entries) < self.max_entries:
-            return
-        drop = len(self.entries) // 2
-        for key in list(self.entries.keys())[:drop]:
-            # pop() tolerates a concurrent evictor racing over the same keys.
-            self.entries.pop(key, None)
-        self.evictions += drop
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def stats_dict(self) -> Dict[str, float]:
-        total = self.hits + self.misses
-        return {
-            "size": len(self.entries),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
-
-_SIMPLIFY_CACHE = SimplifyCache()
+_SIMPLIFY_STATS = MemoStats()
+_EMPTY_SUBSTITUTION: Dict[str, BVExpr] = {}
 
 
 def simplify_cache_stats() -> Dict[str, float]:
-    """Snapshot of the global simplification memo (size, hits, evictions)."""
+    """Hits, misses and hit rate of the per-node simplification memo."""
 
-    return _SIMPLIFY_CACHE.stats_dict()
-
-
-def clear_simplify_cache() -> None:
-    """Drop every memoized simplification (e.g. after an intern-table reset)."""
-
-    _SIMPLIFY_CACHE.clear()
+    return _SIMPLIFY_STATS.stats_dict()
 
 
-def set_simplify_cache_limit(max_entries: int) -> None:
-    """Re-bound the global memo; takes effect at the next top-level call."""
+def _simplified(expr: Expr) -> Expr:
+    """*expr* simplified, memoized on the node (and on every subterm)."""
 
-    _SIMPLIFY_CACHE.max_entries = max(1, int(max_entries))
-
-
-def _rebuild(expr: Expr, cache: Dict[int, Tuple[Expr, Expr]],
-             substitution: Mapping[str, BVExpr],
-             stats: SimplifyCache = None) -> Expr:
-    key = id(expr)
-    entry = cache.get(key)
-    if entry is not None:
-        if stats is not None:
-            stats.hits += 1
-            # Cheap LRU: re-insert so half-eviction (insertion order) drops
-            # the coldest entries, not the hottest shared subterms.
-            cache[key] = cache.pop(key, entry)
-        return entry[1]
-    if stats is not None:
-        stats.misses += 1
-    result = _rebuild_uncached(expr, cache, substitution, stats)
-    cache[key] = (expr, result)
+    result = getattr(expr, "_simplified", None)
+    if result is not None:
+        _SIMPLIFY_STATS.hits += 1
+        return result
+    _SIMPLIFY_STATS.misses += 1
+    result = _rebuild_node(expr, _simplified, _EMPTY_SUBSTITUTION)
+    expr._simplified = result
     return result
 
 
-def _rebuild_uncached(expr: Expr, cache: Dict[int, Tuple[Expr, Expr]],
-                      substitution: Mapping[str, BVExpr],
-                      stats: SimplifyCache = None) -> Expr:
+def _rebuild_node(expr: Expr, rebuild: Callable[[Expr], Expr],
+                  substitution: Mapping[str, BVExpr]) -> Expr:
+    """One node re-applied through its smart constructor over *rebuild* children."""
+
     if isinstance(expr, BVConst) or isinstance(expr, BoolConst):
         return expr
     if isinstance(expr, BVVar):
@@ -180,46 +103,41 @@ def _rebuild_uncached(expr: Expr, cache: Dict[int, Tuple[Expr, Expr]],
             )
         return replacement
     if isinstance(expr, BVBinOp):
-        lhs = _rebuild(expr.lhs, cache, substitution, stats)
-        rhs = _rebuild(expr.rhs, cache, substitution, stats)
+        lhs = rebuild(expr.lhs)
+        rhs = rebuild(expr.rhs)
         return _make_binop(expr.op, lhs, rhs)  # type: ignore[arg-type]
     if isinstance(expr, BVUnOp):
-        return _make_unop(expr.op, _rebuild(expr.operand, cache, substitution, stats))  # type: ignore[arg-type]
+        return _make_unop(expr.op, rebuild(expr.operand))  # type: ignore[arg-type]
     if isinstance(expr, BVExtract):
-        return extract(_rebuild(expr.operand, cache, substitution, stats), expr.high, expr.low)  # type: ignore[arg-type]
+        return extract(rebuild(expr.operand), expr.high, expr.low)  # type: ignore[arg-type]
     if isinstance(expr, BVConcat):
-        return concat(*[_rebuild(p, cache, substitution, stats) for p in expr.parts])  # type: ignore[misc]
+        return concat(*[rebuild(p) for p in expr.parts])  # type: ignore[misc]
     if isinstance(expr, BVZeroExt):
-        return zero_extend(_rebuild(expr.operand, cache, substitution, stats), expr.width)  # type: ignore[arg-type]
+        return zero_extend(rebuild(expr.operand), expr.width)  # type: ignore[arg-type]
     if isinstance(expr, BVSignExt):
-        return sign_extend(_rebuild(expr.operand, cache, substitution, stats), expr.width)  # type: ignore[arg-type]
+        return sign_extend(rebuild(expr.operand), expr.width)  # type: ignore[arg-type]
     if isinstance(expr, BVIte):
-        cond = _rebuild(expr.cond, cache, substitution, stats)
-        then = _rebuild(expr.then, cache, substitution, stats)
-        otherwise = _rebuild(expr.otherwise, cache, substitution, stats)
+        cond = rebuild(expr.cond)
+        then = rebuild(expr.then)
+        otherwise = rebuild(expr.otherwise)
         return ite(cond, then, otherwise)  # type: ignore[arg-type]
     if isinstance(expr, BVCmp):
-        lhs = _rebuild(expr.lhs, cache, substitution, stats)
-        rhs = _rebuild(expr.rhs, cache, substitution, stats)
+        lhs = rebuild(expr.lhs)
+        rhs = rebuild(expr.rhs)
         return _make_cmp(expr.op, lhs, rhs)  # type: ignore[arg-type]
     if isinstance(expr, BoolNot):
-        return bool_not(_rebuild(expr.operand, cache, substitution, stats))  # type: ignore[arg-type]
+        return bool_not(rebuild(expr.operand))  # type: ignore[arg-type]
     if isinstance(expr, BoolAnd):
-        return bool_and(*[_rebuild(o, cache, substitution, stats) for o in expr.operands])  # type: ignore[misc]
+        return bool_and(*[rebuild(o) for o in expr.operands])  # type: ignore[misc]
     if isinstance(expr, BoolOr):
-        return bool_or(*[_rebuild(o, cache, substitution, stats) for o in expr.operands])  # type: ignore[misc]
+        return bool_or(*[rebuild(o) for o in expr.operands])  # type: ignore[misc]
     raise ExpressionError("cannot simplify unknown expression node %r" % (expr,))
-
-
-_EMPTY_SUBSTITUTION: Dict[str, BVExpr] = {}
 
 
 def simplify(expr: BVExpr) -> BVExpr:
     """Return an equivalent, usually smaller bit-vector expression."""
 
-    cache = _SIMPLIFY_CACHE
-    cache.maybe_evict()
-    result = _rebuild(expr, cache.entries, _EMPTY_SUBSTITUTION, cache)
+    result = _simplified(expr)
     assert isinstance(result, BVExpr)
     return result
 
@@ -227,9 +145,7 @@ def simplify(expr: BVExpr) -> BVExpr:
 def simplify_bool(expr: BoolExpr) -> BoolExpr:
     """Return an equivalent, usually smaller boolean expression."""
 
-    cache = _SIMPLIFY_CACHE
-    cache.maybe_evict()
-    result = _rebuild(expr, cache.entries, _EMPTY_SUBSTITUTION, cache)
+    result = _simplified(expr)
     assert isinstance(result, BoolExpr)
     return result
 
@@ -266,198 +182,14 @@ def substitute(expr: Expr, bindings: Mapping[str, Union[int, BVExpr]],
                 substitution[name] = BVConst(value, found[name])
             # Variables not present in the expression are silently ignored;
             # models routinely bind more variables than any single constraint uses.
-    return _rebuild(expr, {}, substitution)
+    # Per-call memo: the result depends on *substitution*, not on the node
+    # alone.  id() keys are safe while *expr* pins the whole tree.
+    memo: Dict[int, Expr] = {}
 
+    def rebuild(node: Expr) -> Expr:
+        result = memo.get(id(node))
+        if result is None:
+            result = memo[id(node)] = _rebuild_node(node, rebuild, substitution)
+        return result
 
-# ---------------------------------------------------------------------------
-# Concrete evaluation
-# ---------------------------------------------------------------------------
-
-
-def _mask(value: int, width: int) -> int:
-    return value & ((1 << width) - 1)
-
-
-def _signed(value: int, width: int) -> int:
-    value = _mask(value, width)
-    if value & (1 << (width - 1)):
-        return value - (1 << width)
-    return value
-
-
-def evaluate_bv(expr: BVExpr, assignment: Assignment,
-                default: int = None) -> int:
-    """Evaluate *expr* to a Python int under *assignment* (name -> int).
-
-    Unbound variables take *default* when given, otherwise evaluation fails.
-
-    This is the interpreted fallback; hot loops should prefer
-    :func:`repro.symbex.compile.evaluate_compiled` (same semantics, one
-    compile per distinct term).  The interpreter itself dispatches through a
-    module-level handler table — no closures are allocated per call; the
-    only per-call state is the ``id``-keyed memo dict threaded through the
-    recursion (interned nodes are canonical and the tree under *expr* stays
-    alive for the duration of the evaluation).
-    """
-
-    return _eval(expr, assignment, default, {})
-
-
-def _eval(node: Expr, assignment: Assignment, default, cache: Dict[int, int]) -> int:
-    key = id(node)
-    value = cache.get(key)
-    if value is None:
-        handler = _EVAL_HANDLERS.get(type(node))
-        if handler is None:
-            raise ExpressionError("cannot evaluate unknown node %r" % (node,))
-        value = handler(node, assignment, default, cache)
-        cache[key] = value
-    return value
-
-
-def _eval_const(node, assignment, default, cache):
-    return node.value
-
-
-def _eval_bool_const(node, assignment, default, cache):
-    return int(node.value)
-
-
-def _eval_var(node, assignment, default, cache):
-    if node.name in assignment:
-        return _mask(assignment[node.name], node.width)
-    if default is not None:
-        return _mask(default, node.width)
-    raise ExpressionError("no binding for variable %r during evaluation" % (node.name,))
-
-
-def _eval_binop_node(node, assignment, default, cache):
-    return _eval_binop(node.op, _eval(node.lhs, assignment, default, cache),
-                       _eval(node.rhs, assignment, default, cache), node.width)
-
-
-def _eval_unop_node(node, assignment, default, cache):
-    operand = _eval(node.operand, assignment, default, cache)
-    return _mask(~operand if node.op == "not" else -operand, node.width)
-
-
-def _eval_extract(node, assignment, default, cache):
-    return _mask(_eval(node.operand, assignment, default, cache) >> node.low,
-                 node.width)
-
-
-def _eval_concat(node, assignment, default, cache):
-    value = 0
-    for part in node.parts:
-        value = (value << part.width) | _eval(part, assignment, default, cache)
-    return value
-
-
-def _eval_zero_ext(node, assignment, default, cache):
-    return _eval(node.operand, assignment, default, cache)
-
-
-def _eval_sign_ext(node, assignment, default, cache):
-    return _mask(_signed(_eval(node.operand, assignment, default, cache),
-                         node.operand.width), node.width)
-
-
-def _eval_ite(node, assignment, default, cache):
-    if _eval(node.cond, assignment, default, cache):
-        return _eval(node.then, assignment, default, cache)
-    return _eval(node.otherwise, assignment, default, cache)
-
-
-def _eval_cmp_node(node, assignment, default, cache):
-    return int(_eval_cmp(node.op, _eval(node.lhs, assignment, default, cache),
-                         _eval(node.rhs, assignment, default, cache),
-                         node.lhs.width))
-
-
-def _eval_bool_not(node, assignment, default, cache):
-    return 0 if _eval(node.operand, assignment, default, cache) else 1
-
-
-def _eval_bool_and(node, assignment, default, cache):
-    for operand in node.operands:
-        if not _eval(operand, assignment, default, cache):
-            return 0
-    return 1
-
-
-def _eval_bool_or(node, assignment, default, cache):
-    for operand in node.operands:
-        if _eval(operand, assignment, default, cache):
-            return 1
-    return 0
-
-
-#: Per-type handlers, resolved once at import: replaces the former per-call
-#: nested closures + isinstance ladder with one dict lookup per node.
-_EVAL_HANDLERS = {
-    BVConst: _eval_const,
-    BVVar: _eval_var,
-    BVBinOp: _eval_binop_node,
-    BVUnOp: _eval_unop_node,
-    BVExtract: _eval_extract,
-    BVConcat: _eval_concat,
-    BVZeroExt: _eval_zero_ext,
-    BVSignExt: _eval_sign_ext,
-    BVIte: _eval_ite,
-    BVCmp: _eval_cmp_node,
-    BoolConst: _eval_bool_const,
-    BoolNot: _eval_bool_not,
-    BoolAnd: _eval_bool_and,
-    BoolOr: _eval_bool_or,
-}
-
-
-def _eval_binop(op: str, lhs: int, rhs: int, width: int) -> int:
-    if op == "add":
-        return _mask(lhs + rhs, width)
-    if op == "sub":
-        return _mask(lhs - rhs, width)
-    if op == "mul":
-        return _mask(lhs * rhs, width)
-    if op == "udiv":
-        return _mask(lhs // rhs, width) if rhs else _mask(-1, width)
-    if op == "urem":
-        return _mask(lhs % rhs, width) if rhs else lhs
-    if op == "and":
-        return lhs & rhs
-    if op == "or":
-        return lhs | rhs
-    if op == "xor":
-        return lhs ^ rhs
-    if op == "shl":
-        return _mask(lhs << rhs, width) if rhs < width else 0
-    if op == "lshr":
-        return lhs >> rhs if rhs < width else 0
-    if op == "ashr":
-        return _mask(_signed(lhs, width) >> min(rhs, width - 1), width)
-    raise ExpressionError("unknown operator %r" % (op,))
-
-
-def _eval_cmp(op: str, lhs: int, rhs: int, width: int) -> bool:
-    if op == "eq":
-        return lhs == rhs
-    if op == "ne":
-        return lhs != rhs
-    if op == "ult":
-        return lhs < rhs
-    if op == "ule":
-        return lhs <= rhs
-    if op == "slt":
-        return _signed(lhs, width) < _signed(rhs, width)
-    if op == "sle":
-        return _signed(lhs, width) <= _signed(rhs, width)
-    raise ExpressionError("unknown comparison %r" % (op,))
-
-
-def evaluate_bool(expr: BoolExpr, assignment: Assignment,
-                  default: int = None) -> bool:
-    """Evaluate a boolean expression to a Python bool under *assignment*."""
-
-    if isinstance(expr, BoolConst):
-        return expr.value
-    return bool(evaluate_bv(expr, assignment, default=default))  # type: ignore[arg-type]
+    return rebuild(expr)

@@ -9,7 +9,7 @@ bit-blaster.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 from repro.symbex.solver.sat import SATSolver
 

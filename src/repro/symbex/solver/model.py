@@ -10,7 +10,7 @@ solver bugs into loud errors.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, Mapping
 
 from repro.errors import SolverError
 from repro.symbex.compile import compile_term

@@ -189,10 +189,6 @@ class PrefixOracle:
         # The empty prefix is satisfied by every model: the empty one, with
         # every variable read as 0, is the base every path starts from.
         self._root.witness = {}
-        # Set-keyed verdicts shared across trie nodes: two orderings of the
-        # same literal set are the same query (node.status is the per-node
-        # fast path in front of this map).
-        self._prefix_cache: Dict[FrozenSet[int], str] = {}
 
     # ------------------------------------------------------------------
     # Encoding
@@ -288,9 +284,6 @@ class PrefixOracle:
             return SATStatus.SAT
         if self.config.use_cache:
             cached = node.status
-            if cached is None:
-                cached = self._prefix_cache.get(node.lits)
-                node.status = cached
             if cached is not None:
                 self.stats.prefix_cache_hits += 1
                 if cached == SATStatus.SAT:
@@ -357,7 +350,6 @@ class PrefixOracle:
     def _cache(self, node: PrefixNode, status: str) -> None:
         if self.config.use_cache:
             node.status = status
-            self._prefix_cache[node.lits] = status
 
     def _holds(self, lit: int, model: Dict[str, int]) -> bool:
         """Whether assumption *lit* is true under *model* (unbound reads 0)."""

@@ -27,7 +27,6 @@ from repro.symbex.expr import (
     BoolExpr,
     FALSE,
     TRUE,
-    collect_variables,
 )
 from repro.symbex.interval import analyze_conjunction
 from repro.symbex.simplify import simplify_bool
@@ -42,12 +41,13 @@ __all__ = ["Solver", "SolverConfig", "SolverStats", "SatResult", "merge_stat_dic
 def merge_stat_dicts(target: Dict[str, object], source: Dict[str, object],
                      max_keys: Sequence[str] = ("max_query_time",)
                      ) -> Dict[str, object]:
-    """Fold one stats dict into *target* (shared by every stats aggregator).
+    """Fold one stats dict into *target*.
 
     Non-numeric values keep the first one seen, *max_keys* merge as
-    high-water marks, and every other number sums.  Used by the parallel
-    exploration merge for both solver counters and strategy metrics, so
-    gauge semantics live in exactly one place.
+    high-water marks (gauges), and every other number sums.  Used by
+    :meth:`~repro.symbex.engine.ExplorationResult.resume` to merge a
+    continuation's solver counters and strategy metrics, so gauge semantics
+    live in exactly one place.
     """
 
     for name, value in source.items():
@@ -133,8 +133,8 @@ class SatResult:
 class Solver:
     """The one-shot decision procedure.
 
-    Phase-1 concretization (and branch feasibility with the prefix oracle
-    off) and the concolic executor's branch flips query through it.
+    Phase-1 concretization and the concolic executor's branch flips query
+    through it; Phase-1 branch feasibility goes through the prefix oracle.
     """
 
     def __init__(self, config: SolverConfig = None) -> None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import EngineError
 

@@ -12,21 +12,46 @@ by :class:`~repro.symbex.solver.Solver` from scratch (simplify, interval
 pre-check, bit-blast into a fresh CDCL instance, solve).  It shares no encoding
 state with :class:`~repro.symbex.solver.GroupEncoding`, so the row scan in
 :func:`repro.core.crosscheck.find_inconsistencies` is tested against it.
+
+:func:`evaluate_bv` / :func:`evaluate_bool` are the tree-walking big-int
+interpreter: the denominator of the compiled evaluator's differential tests
+and of ``BENCH_eval.json``'s ``compiled_speedup``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 from repro.agents import make_agent
 from repro.core.crosscheck import CrosscheckReport, Inconsistency
 from repro.core.grouping import GroupedResults
 from repro.core.tests_catalog import get_test
-from repro.errors import SolverError
+from repro.errors import ExpressionError, SolverError
 from repro.harness.driver import TestDriver
 from repro.symbex.engine import Engine
-from repro.symbex.expr import BoolExpr, bool_and, bool_not, bool_or
+from repro.symbex.expr import (
+    BoolAnd,
+    BoolConst,
+    BoolExpr,
+    BoolNot,
+    BoolOr,
+    BVBinOp,
+    BVCmp,
+    BVConcat,
+    BVConst,
+    BVExpr,
+    BVExtract,
+    BVIte,
+    BVSignExt,
+    BVUnOp,
+    BVVar,
+    BVZeroExt,
+    Expr,
+    bool_and,
+    bool_not,
+    bool_or,
+)
 from repro.symbex.solver import Solver, SolverConfig
 from repro.symbex.state import PathState
 
@@ -131,3 +156,194 @@ def pairwise_crosscheck(grouped_a: GroupedResults, grouped_b: GroupedResults,
         identical_output_pairs=identical,
         solver_stats=solver.stats_dict(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Tree-walking concrete evaluation
+# ---------------------------------------------------------------------------
+
+Assignment = Mapping[str, int]
+
+
+def _mask(value: int, width: int) -> int:
+    return value & ((1 << width) - 1)
+
+
+def _signed(value: int, width: int) -> int:
+    value = _mask(value, width)
+    if value & (1 << (width - 1)):
+        return value - (1 << width)
+    return value
+
+
+def evaluate_bv(expr: BVExpr, assignment: Assignment,
+                default: int = None) -> int:
+    """Evaluate *expr* to a Python int under *assignment* (name -> int).
+
+    Unbound variables take *default* when given, otherwise evaluation fails.
+    Lazy where the compiled tape is eager: an ``ite`` evaluates only the
+    taken arm.  The only per-call state is the ``id``-keyed memo dict
+    threaded through the recursion (the tree under *expr* stays alive for
+    the duration of the evaluation).
+    """
+
+    return _eval(expr, assignment, default, {})
+
+
+def _eval(node: Expr, assignment: Assignment, default, cache: Dict[int, int]) -> int:
+    key = id(node)
+    value = cache.get(key)
+    if value is None:
+        handler = _EVAL_HANDLERS.get(type(node))
+        if handler is None:
+            raise ExpressionError("cannot evaluate unknown node %r" % (node,))
+        value = handler(node, assignment, default, cache)
+        cache[key] = value
+    return value
+
+
+def _eval_const(node, assignment, default, cache):
+    return node.value
+
+
+def _eval_bool_const(node, assignment, default, cache):
+    return int(node.value)
+
+
+def _eval_var(node, assignment, default, cache):
+    if node.name in assignment:
+        return _mask(assignment[node.name], node.width)
+    if default is not None:
+        return _mask(default, node.width)
+    raise ExpressionError("no binding for variable %r during evaluation" % (node.name,))
+
+
+def _eval_binop_node(node, assignment, default, cache):
+    return _eval_binop(node.op, _eval(node.lhs, assignment, default, cache),
+                       _eval(node.rhs, assignment, default, cache), node.width)
+
+
+def _eval_unop_node(node, assignment, default, cache):
+    operand = _eval(node.operand, assignment, default, cache)
+    return _mask(~operand if node.op == "not" else -operand, node.width)
+
+
+def _eval_extract(node, assignment, default, cache):
+    return _mask(_eval(node.operand, assignment, default, cache) >> node.low,
+                 node.width)
+
+
+def _eval_concat(node, assignment, default, cache):
+    value = 0
+    for part in node.parts:
+        value = (value << part.width) | _eval(part, assignment, default, cache)
+    return value
+
+
+def _eval_zero_ext(node, assignment, default, cache):
+    return _eval(node.operand, assignment, default, cache)
+
+
+def _eval_sign_ext(node, assignment, default, cache):
+    return _mask(_signed(_eval(node.operand, assignment, default, cache),
+                         node.operand.width), node.width)
+
+
+def _eval_ite(node, assignment, default, cache):
+    if _eval(node.cond, assignment, default, cache):
+        return _eval(node.then, assignment, default, cache)
+    return _eval(node.otherwise, assignment, default, cache)
+
+
+def _eval_cmp_node(node, assignment, default, cache):
+    return int(_eval_cmp(node.op, _eval(node.lhs, assignment, default, cache),
+                         _eval(node.rhs, assignment, default, cache),
+                         node.lhs.width))
+
+
+def _eval_bool_not(node, assignment, default, cache):
+    return 0 if _eval(node.operand, assignment, default, cache) else 1
+
+
+def _eval_bool_and(node, assignment, default, cache):
+    for operand in node.operands:
+        if not _eval(operand, assignment, default, cache):
+            return 0
+    return 1
+
+
+def _eval_bool_or(node, assignment, default, cache):
+    for operand in node.operands:
+        if _eval(operand, assignment, default, cache):
+            return 1
+    return 0
+
+
+#: Per-type handlers, resolved once at import: one dict lookup per node.
+_EVAL_HANDLERS = {
+    BVConst: _eval_const,
+    BVVar: _eval_var,
+    BVBinOp: _eval_binop_node,
+    BVUnOp: _eval_unop_node,
+    BVExtract: _eval_extract,
+    BVConcat: _eval_concat,
+    BVZeroExt: _eval_zero_ext,
+    BVSignExt: _eval_sign_ext,
+    BVIte: _eval_ite,
+    BVCmp: _eval_cmp_node,
+    BoolConst: _eval_bool_const,
+    BoolNot: _eval_bool_not,
+    BoolAnd: _eval_bool_and,
+    BoolOr: _eval_bool_or,
+}
+
+
+def _eval_binop(op: str, lhs: int, rhs: int, width: int) -> int:
+    if op == "add":
+        return _mask(lhs + rhs, width)
+    if op == "sub":
+        return _mask(lhs - rhs, width)
+    if op == "mul":
+        return _mask(lhs * rhs, width)
+    if op == "udiv":
+        return _mask(lhs // rhs, width) if rhs else _mask(-1, width)
+    if op == "urem":
+        return _mask(lhs % rhs, width) if rhs else lhs
+    if op == "and":
+        return lhs & rhs
+    if op == "or":
+        return lhs | rhs
+    if op == "xor":
+        return lhs ^ rhs
+    if op == "shl":
+        return _mask(lhs << rhs, width) if rhs < width else 0
+    if op == "lshr":
+        return lhs >> rhs if rhs < width else 0
+    if op == "ashr":
+        return _mask(_signed(lhs, width) >> min(rhs, width - 1), width)
+    raise ExpressionError("unknown operator %r" % (op,))
+
+
+def _eval_cmp(op: str, lhs: int, rhs: int, width: int) -> bool:
+    if op == "eq":
+        return lhs == rhs
+    if op == "ne":
+        return lhs != rhs
+    if op == "ult":
+        return lhs < rhs
+    if op == "ule":
+        return lhs <= rhs
+    if op == "slt":
+        return _signed(lhs, width) < _signed(rhs, width)
+    if op == "sle":
+        return _signed(lhs, width) <= _signed(rhs, width)
+    raise ExpressionError("unknown comparison %r" % (op,))
+
+
+def evaluate_bool(expr: BoolExpr, assignment: Assignment,
+                  default: int = None) -> bool:
+    """Evaluate a boolean expression to a Python bool under *assignment*."""
+
+    if isinstance(expr, BoolConst):
+        return expr.value
+    return bool(evaluate_bv(expr, assignment, default=default))  # type: ignore[arg-type]

@@ -519,7 +519,6 @@ def test_fuzzer_pool_draws_mined_constants():
 def test_compare_bench_tolerates_metric_absent_from_current_run(tmp_path, capsys):
     import importlib.util
     import os
-    import sys
 
     spec = importlib.util.spec_from_file_location(
         "compare_bench",

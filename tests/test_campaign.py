@@ -1,15 +1,19 @@
 """Tests of the Campaign API: cache, pair matrix, workers, reporting, CLI."""
 
+import gc
 import json
 
 import pytest
 
 import repro.core.campaign as campaign_module
 from repro.cli.main import build_parser, main as cli_main
-from repro.core.campaign import Campaign, CampaignReport, ExplorationCache
+from repro.core.campaign import Campaign, ExplorationCache
 from repro.core.soft import SOFT, SoftReport
 from repro.core.tests_catalog import TABLE1_TESTS, get_test
 from repro.errors import CampaignError
+from repro.symbex.compile import compile_term
+from repro.symbex.expr import BVVar, bvvar
+from repro.symbex.simplify import simplify_bool
 
 
 @pytest.fixture
@@ -210,6 +214,24 @@ def test_campaign_reset_intern_starts_fresh_generation():
     assert second.cache_hits == 0
     assert second.total_inconsistencies == first.total_inconsistencies
     assert campaign.encodings.engine_count == engines_after_first
+
+
+def _previous_generation_probe():
+    """Fill both per-term memos for a term no later code will rebuild."""
+
+    condition = bvvar("reset_generation_probe", 8) + 3 == 4
+    simplify_bool(condition)
+    compile_term(condition).run({"reset_generation_probe": 1})
+
+
+def test_campaign_reset_intern_releases_the_previous_generation():
+    _previous_generation_probe()
+    Campaign(tests=["concrete"], agents=["reference", "ovs"],
+             reset_intern=True).run()
+    gc.collect()
+    survivors = [obj for obj in gc.get_objects()
+                 if isinstance(obj, BVVar) and obj.name == "reset_generation_probe"]
+    assert survivors == []
 
 
 def test_campaign_default_run_reports_intern_stats():

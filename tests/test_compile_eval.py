@@ -1,13 +1,13 @@
-"""Compiled evaluation engine: differential sweep + cache/pickle unit tests.
+"""Compiled evaluation engine: differential sweep + memo/pickle unit tests.
 
-The compiled register-tape evaluator (:mod:`repro.symbex.compile`) replaced
-the recursive tree-walk interpreter as the one concrete-evaluation engine of
-the stack, so its contract is bit-identical results.  The heart of this file
-is a differential sweep: every path-condition constraint the seed catalog
-produces is evaluated compiled vs interpreted under several assignments, and
-``run_batch`` must equal N independent ``run`` calls.  The rest unit-tests
-the process-wide :class:`CompiledCache` (bounds, eviction, stats merging)
-and the pickle / process-pool behavior workers rely on.
+The compiled register-tape evaluator (:mod:`repro.symbex.compile`) is the
+one concrete-evaluation engine of the stack; the recursive tree-walking
+interpreter in ``tests/oracles.py`` is its reference, so the contract is
+bit-identical results.  The heart of this file is a differential sweep:
+every path-condition constraint the seed catalog produces is evaluated
+compiled vs interpreted under several assignments.  The rest unit-tests the
+per-node compile memo (hit/miss counters, stats merging) and the pickle /
+process-pool behavior workers rely on.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from repro.core.explorer import explore_agent
 from repro.errors import ExpressionError
 from repro.symbex.compile import (
     CompiledProgram,
-    clear_compiled_cache,
     compile_term,
     compiled_cache_stats,
     evaluate_compiled,
     evaluate_compiled_bool,
-    set_compiled_cache_limit,
 )
 from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import (
@@ -35,7 +33,6 @@ from repro.symbex.expr import (
     bool_and,
     bool_not,
     bool_or,
-    bv,
     bvvar,
     concat,
     extract,
@@ -43,7 +40,7 @@ from repro.symbex.expr import (
     sign_extend,
     zero_extend,
 )
-from repro.symbex.simplify import evaluate_bool, evaluate_bv
+from tests.oracles import evaluate_bool, evaluate_bv
 
 SWEEP_AGENTS = ("reference", "ovs", "modified")
 SWEEP_TEST = "packet_out"
@@ -73,16 +70,14 @@ def test_seed_catalog_path_conditions_differential():
     checked = 0
     for constraint in constraints:
         program = compile_term(constraint)
-        assignments = list(_assignments_for(program, rng))
-        batch = program.run_batch(assignments)
-        for assignment, batched in zip(assignments, batch):
+        for assignment in _assignments_for(program, rng):
             interpreted = int(evaluate_bool(constraint, assignment))
-            assert program.run(assignment) == batched == interpreted
+            assert program.run(assignment) == interpreted
             checked += 1
     assert checked >= 4 * len(constraints)
 
 
-def test_run_batch_equals_n_runs_on_bv_terms():
+def test_bv_terms_match_interpreter():
     rng = random.Random(7)
     x, y, s = bvvar("x", 16), bvvar("y", 16), bvvar("s", 4)
     terms = [
@@ -100,14 +95,9 @@ def test_run_batch_equals_n_runs_on_bv_terms():
     ]
     for term in terms:
         program = compile_term(term)
-        assignments = [
-            {name: rng.getrandbits(width)
-             for name, width in program.variables.items()}
-            for _ in range(8)
-        ]
-        assert program.run_batch(assignments) == \
-            [program.run(a) for a in assignments]
-        for assignment in assignments:
+        for _ in range(8):
+            assignment = {name: rng.getrandbits(width)
+                          for name, width in program.variables.items()}
             assert program.run(assignment) == evaluate_bv(term, assignment)
 
 
@@ -175,36 +165,22 @@ def test_boolean_connectives_match_interpreter():
 
 
 # ---------------------------------------------------------------------------
-# CompiledCache: bounds, eviction, stats
+# Per-node compile memo: hits, misses, stats
 # ---------------------------------------------------------------------------
 
 
-def test_cache_bounds_and_eviction():
-    previous = compiled_cache_stats()["max_entries"]
-    clear_compiled_cache()
-    set_compiled_cache_limit(8)
-    try:
-        x = bvvar("ev", 32)
-        for index in range(32):
-            compile_term(x + index)
-        stats = compiled_cache_stats()
-        assert stats["size"] <= 8
-        assert stats["evictions"] > 0
-        assert stats["misses"] >= 32
-    finally:
-        set_compiled_cache_limit(previous)
-        clear_compiled_cache()
-
-
-def test_cache_hits_are_per_term_and_lru():
-    clear_compiled_cache()
-    x = bvvar("lru", 8)
-    term = x * 3 + 1
-    first = compile_term(term)
-    before = compiled_cache_stats()["hits"]
-    assert compile_term(term) is first
-    assert compile_term(x * 3 + 1) is first  # hash-consing: same term object
-    assert compiled_cache_stats()["hits"] == before + 2
+def test_compile_memo_counts_hits_and_misses():
+    x = bvvar("memo_probe", 32)
+    before = compiled_cache_stats()
+    programs = [compile_term(x + index) for index in range(32)]
+    after = compiled_cache_stats()
+    assert after["misses"] == before["misses"] + 32  # one compile per term
+    assert after["hits"] == before["hits"]
+    assert compile_term(x + 5) is programs[5]
+    assert compile_term(programs[5].expr) is programs[5]  # hash-consing
+    stats = compiled_cache_stats()
+    assert stats["hits"] == after["hits"] + 2
+    assert 0.0 < stats["hit_rate"] <= 1.0
 
 
 def test_engine_surfaces_compiled_cache_stats():
@@ -215,10 +191,9 @@ def test_engine_surfaces_compiled_cache_stats():
 
     result = Engine().explore(program)
     as_dict = result.stats.as_dict()
-    for key in ("compiled_cache_hits", "compiled_cache_misses",
-                "compiled_cache_evictions", "compiled_cache_size"):
+    for key in ("compiled_cache_hits", "compiled_cache_misses"):
         assert key in as_dict
-    assert result.stats.compiled_cache_size > 0
+    assert result.stats.compiled_cache_hits + result.stats.compiled_cache_misses > 0
 
 
 def test_resumed_exploration_merges_compiled_cache_stats():
@@ -230,17 +205,18 @@ def test_resumed_exploration_merges_compiled_cache_stats():
         if b == 2:
             state.record_event("b")
 
+    before = compiled_cache_stats()
     engine = Engine(config=EngineConfig(max_paths=2))
     first = engine.explore(wide_program)
     assert first.frontier
     result = first.resume(engine, wide_program)
+    after = compiled_cache_stats()
     assert result.path_count == 4
-    merged = result.stats.as_dict()
-    for key in ("compiled_cache_hits", "compiled_cache_misses",
-                "compiled_cache_evictions", "compiled_cache_size"):
-        assert key in merged
-        assert merged[key] >= 0
-    assert result.stats.compiled_cache_size > 0
+    # The merged counters are the sum of both slices' per-run deltas.
+    assert result.stats.compiled_cache_hits == after["hits"] - before["hits"]
+    assert result.stats.compiled_cache_misses == \
+        after["misses"] - before["misses"]
+    assert result.stats.compiled_cache_hits > 0
 
 
 # ---------------------------------------------------------------------------

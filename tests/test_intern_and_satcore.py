@@ -2,7 +2,7 @@
 
 Covers the interning invariants (construction, serialization and pickling all
 yield pointer-identical terms; generations survive a table reset), the
-bounded simplify memo, and the SAT solver's incremental edge cases: budget
+per-node simplify memo, and the SAT solver's incremental edge cases: budget
 exhaustion followed by a successful re-solve, conflicting assumptions leaving
 the trail clean, clause addition after restarts, determinism across restart
 schedules, and learned-clause DB reduction.
@@ -31,12 +31,7 @@ from repro.symbex.expr import (
     zero_extend,
 )
 from repro.symbex.serialize import expr_from_obj, expr_to_obj
-from repro.symbex.simplify import (
-    clear_simplify_cache,
-    set_simplify_cache_limit,
-    simplify_bool,
-    simplify_cache_stats,
-)
+from repro.symbex.simplify import simplify_bool, simplify_cache_stats
 from repro.symbex.solver import SATSolver, SATStatus
 
 
@@ -106,18 +101,14 @@ def test_intern_reset_keeps_constant_singletons():
     x = bvvar("reset_probe", 8)
     old_term = x + 5
     intern_table().reset()
-    clear_simplify_cache()  # memo entries pin the old generation; drop them
-    try:
-        assert BoolConst(True) is TRUE
-        assert BoolConst(False) is FALSE
-        assert (bv(3, 8) < 5) is TRUE
-        new_term = bvvar("reset_probe", 8) + 5
-        # Across generations identity is lost but structural equality holds.
-        assert new_term is not old_term
-        assert structurally_equal(new_term, old_term)
-        assert collect_variables(old_term) == {"reset_probe": 8}
-    finally:
-        clear_simplify_cache()
+    assert BoolConst(True) is TRUE
+    assert BoolConst(False) is FALSE
+    assert (bv(3, 8) < 5) is TRUE
+    new_term = bvvar("reset_probe", 8) + 5
+    # Across generations identity is lost but structural equality holds.
+    assert new_term is not old_term
+    assert structurally_equal(new_term, old_term)
+    assert collect_variables(old_term) == {"reset_probe": 8}
 
 
 def _uncached_size(expr):
@@ -151,15 +142,11 @@ def test_memoized_expr_size_matches_a_fresh_walk_on_the_catalog():
     # A new intern generation neither drops nor confuses the memo: old
     # terms keep their sizes, and re-interned copies compute equal ones.
     intern_table().reset()
-    clear_simplify_cache()
-    try:
-        assert [expr_size(c) for c in constraints] == before
-        fresh = [pickle.loads(pickle.dumps(c)) for c in constraints[:200]]
-        assert all(new is not old for new, old in zip(fresh, constraints))
-        assert [expr_size(c) for c in fresh] == before[:200]
-        assert [_uncached_size(c) for c in fresh] == before[:200]
-    finally:
-        clear_simplify_cache()
+    assert [expr_size(c) for c in constraints] == before
+    fresh = [pickle.loads(pickle.dumps(c)) for c in constraints[:200]]
+    assert all(new is not old for new, old in zip(fresh, constraints))
+    assert [expr_size(c) for c in fresh] == before[:200]
+    assert [_uncached_size(c) for c in fresh] == before[:200]
 
 
 def test_invalid_construction_is_not_interned():
@@ -191,24 +178,23 @@ def test_invalid_scalars_do_not_false_hit_the_intern_table():
 
 
 # ---------------------------------------------------------------------------
-# Bounded simplify memo
+# Per-node simplify memo
 # ---------------------------------------------------------------------------
 
-def test_simplify_cache_is_bounded_and_observable():
-    clear_simplify_cache()
-    set_simplify_cache_limit(64)
-    try:
-        x = bvvar("bound_probe", 32)
-        for value in range(200):
-            simplify_bool(bool_or(x == value, x + value != 3))
-        stats = simplify_cache_stats()
-        # Eviction keeps the memo at/below the bound (+ one batch in flight).
-        assert stats["size"] <= 64 + 16
-        assert stats["evictions"] > 0
-        assert stats["hits"] > 0  # shared subterms hit within/between calls
-    finally:
-        set_simplify_cache_limit(200_000)
-        clear_simplify_cache()
+def test_simplify_memo_counts_hits_and_misses():
+    x = bvvar("memo_probe", 32)
+    before = simplify_cache_stats()
+    results = [simplify_bool(bool_or(x == value, x + value != 3))
+               for value in range(200)]
+    after = simplify_cache_stats()
+    assert after["misses"] > before["misses"]
+    assert after["hits"] > before["hits"]  # x itself is shared by every term
+    # A repeated call is one hit on the root node, and the same result.
+    assert simplify_bool(bool_or(x == 7, x + 7 != 3)) is results[7]
+    stats = simplify_cache_stats()
+    assert stats["hits"] == after["hits"] + 1
+    assert stats["misses"] == after["misses"]
+    assert 0.0 < stats["hit_rate"] <= 1.0
 
 
 def test_exploration_stats_surface_simplify_cache():
@@ -223,10 +209,9 @@ def test_exploration_stats_surface_simplify_cache():
     result = Engine().explore(program)
     stats = result.stats
     assert stats.paths == 2
-    assert stats.simplify_cache_size > 0
+    assert stats.simplify_cache_hits + stats.simplify_cache_misses > 0
     as_dict = stats.as_dict()
-    for key in ("simplify_cache_hits", "simplify_cache_misses",
-                "simplify_cache_size"):
+    for key in ("simplify_cache_hits", "simplify_cache_misses"):
         assert key in as_dict
 
 

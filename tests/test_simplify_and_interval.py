@@ -20,13 +20,8 @@ from repro.symbex.expr import (
     zero_extend,
 )
 from repro.symbex.interval import IntervalDomain, analyze_conjunction
-from repro.symbex.simplify import (
-    evaluate_bool,
-    evaluate_bv,
-    simplify,
-    simplify_bool,
-    substitute,
-)
+from repro.symbex.simplify import simplify, simplify_bool, substitute
+from tests.oracles import evaluate_bool, evaluate_bv
 
 
 # ---------------------------------------------------------------------------

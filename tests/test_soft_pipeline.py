@@ -25,10 +25,9 @@ from repro.core.tests_catalog import (
 from repro.core.trace import OutputTrace
 from repro.core.variants import TABLE5_VARIANTS, concretization_spec, flow_mod_sequence_spec
 from repro.coverage.tracker import CoverageTracker
-from repro.openflow import constants as c
 from repro.symbex.expr import bvvar
-from repro.symbex.simplify import evaluate_bool
 from repro.symbex.state import PathState
+from tests.oracles import evaluate_bool
 
 
 # ---------------------------------------------------------------------------

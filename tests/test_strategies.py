@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.explorer import explore_agent
 from repro.core.tests_catalog import TABLE1_TESTS
-from repro.errors import EngineError, SolverError
+from repro.errors import EngineError
 from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import bool_not, bvvar
 from repro.symbex.solver import PrefixOracle, SolverConfig
@@ -172,8 +172,9 @@ def test_oracle_prefix_cache_hits():
     lits = [oracle.literal(x < 10), oracle.literal(x < 20)]
     assert oracle.check_prefix(lits) == SATStatus.SAT
     hits_before = oracle.stats.prefix_cache_hits
-    # Same literal *set* (order and duplicates do not matter).
-    assert oracle.check_prefix(list(reversed(lits)) + [lits[0]]) == SATStatus.SAT
+    # A repeated literal leaves the prefix unchanged: the same trie node
+    # answers from its cached verdict.
+    assert oracle.check_prefix(lits + [lits[0]]) == SATStatus.SAT
     assert oracle.stats.prefix_cache_hits == hits_before + 1
 
 

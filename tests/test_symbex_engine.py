@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.errors import DecisionLimitExceeded, SolverError
+from repro.errors import DecisionLimitExceeded
 from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import bvvar
-from repro.symbex.simplify import evaluate_bool
-from repro.symbex.solver import Solver, SolverConfig
+from repro.symbex.solver import Solver
 from repro.symbex.state import PathCondition, PathState
-from tests.oracles import ReferenceEngine
+from tests.oracles import ReferenceEngine, evaluate_bool
 
 
 def explore(program, **config):
@@ -420,6 +419,28 @@ def test_resume_slices_reach_the_same_path_set_as_one_full_run():
     assert (sorted(tuple(p.events) for p in sliced.paths)
             == sorted(tuple(p.events) for p in full.paths))
     assert sliced.path_count == 16
+
+
+def test_resume_merges_the_oracle_instance_size_as_a_gauge():
+    """A sliced exploration reports its oracle's real SAT instance size."""
+
+    def program(state):
+        for index in range(4):
+            bit = state.new_symbol("g%d" % index, 8)
+            if bit == index:
+                state.record_event("eq%d" % index)
+
+    engine = Engine(config=EngineConfig(max_paths=8))
+    first = engine.explore(program)
+    assert first.frontier
+    merged = first.resume(engine, program)
+    assert merged.exhausted and merged.path_count == 16
+    oracle = engine.oracle.stats_dict()
+    assert oracle["sat_variables"] > 0
+    for gauge in ("sat_variables", "sat_clauses"):
+        assert merged.solver_stats[gauge] == oracle[gauge]
+    # Work counters are per-run deltas and still sum across the slices.
+    assert merged.solver_stats["branch_checks"] == oracle["branch_checks"]
 
 
 def test_resume_on_exhausted_result_is_a_no_op():

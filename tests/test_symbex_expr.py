@@ -12,7 +12,6 @@ from repro.errors import (
 from repro.symbex.expr import (
     BVConst,
     BVVar,
-    BoolConst,
     FALSE,
     TRUE,
     bool_and,
@@ -29,7 +28,7 @@ from repro.symbex.expr import (
     structurally_equal,
     zero_extend,
 )
-from repro.symbex.simplify import evaluate_bool, evaluate_bv
+from tests.oracles import evaluate_bool, evaluate_bv
 
 
 def test_const_masks_to_width():

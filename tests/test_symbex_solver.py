@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
-from repro.symbex.expr import FALSE, TRUE, bool_and, bool_not, bool_or, bv, bvvar, ite
+from repro.symbex.expr import FALSE, TRUE, bool_or, bv, bvvar, ite
 from repro.symbex.interval import analyze_conjunction
-from repro.symbex.simplify import evaluate_bool
 from repro.symbex.solver import SATSolver, SATStatus, Solver, SolverConfig
 from repro.symbex.solver.cnf import CNFBuilder
+from tests.oracles import evaluate_bool
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.core.witness import (
     minimize_witness,
 )
 from repro.errors import ReplayMismatchError, WitnessError
-from repro.harness.inputs import ControlMessageInput, ProbeInput
+from repro.harness.inputs import ProbeInput
 from repro.symbex.solver.incremental import GroupEncoding
 from repro.symbex.solver.solver import Solver
 from repro.wire.buffer import SymBuffer
