@@ -21,7 +21,7 @@ from benchmarks.compare_bench import BENCH_OUT
 from repro.core.crosscheck import CrosscheckReport, find_inconsistencies
 from repro.core.explorer import AgentExplorationReport, explore_agent
 from repro.core.grouping import GroupedResults, group_paths
-from repro.core.tests_catalog import TestSpec, get_test
+from repro.core.tests_catalog import get_test
 from repro.symbex.engine import EngineConfig
 
 _EXPLORATIONS: Dict[Tuple, AgentExplorationReport] = {}

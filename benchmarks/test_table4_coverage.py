@@ -11,7 +11,6 @@ the union over all tests exceeds every individual test.
 from benchmarks.conftest import COVERAGE_MAX_PATHS, cached_exploration, print_table
 from repro.core.tests_catalog import TABLE1_TESTS
 from repro.coverage.tracker import CoverageTracker
-from repro.core.explorer import explore_agent
 from repro.core.tests_catalog import get_test
 from repro.symbex.engine import EngineConfig
 

@@ -11,7 +11,7 @@ inconsistency the paper reports, lives in the subclasses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.agents.common.buffers import PacketBufferPool
@@ -35,7 +35,7 @@ from repro.openflow.parser import parse_header
 from repro.packetlib.flowkey import FlowKey, extract_flow_key
 from repro.testing.faults import fault_point
 from repro.wire.buffer import SymBuffer
-from repro.wire.fields import FieldValue, field_int, field_repr, is_symbolic_field
+from repro.wire.fields import FieldValue, field_int
 
 __all__ = ["AgentConfig", "OpenFlowAgent"]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.openflow import constants as c
 from repro.wire.buffer import SymBuffer
 
 __all__ = ["PacketBufferPool"]

@@ -20,7 +20,6 @@ from repro.core.events import (
     ProbeDroppedEvent,
 )
 from repro.openflow.messages import OpenFlowMessage
-from repro.wire.buffer import SymBuffer
 from repro.wire.fields import FieldValue
 
 __all__ = ["AgentContext", "RecordingContext"]

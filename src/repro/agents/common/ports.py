@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import List, Union
 
-from repro.openflow import constants as c
 from repro.openflow.messages import PhyPort
-from repro.symbex.expr import BoolExpr, BVExpr, bool_and, bv
+from repro.symbex.expr import BoolExpr, bool_and, bv
 from repro.wire.fields import FieldValue
 
 __all__ = ["SwitchPortSet", "DEFAULT_PORT_COUNT"]

@@ -13,7 +13,6 @@ from typing import Optional
 from repro.agents.reference.agent import ReferenceSwitch
 from repro.agents.registry import register_agent
 from repro.openflow import constants as c
-from repro.openflow.actions import Action
 from repro.openflow.match import Match
 from repro.packetlib.flowkey import FlowKey
 from repro.wire.buffer import SymBuffer

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.agents.common.base import AgentConfig, OpenFlowAgent
+from repro.agents.common.base import OpenFlowAgent
 from repro.agents.common.flowtable import FlowEntry
 from repro.agents.ovs.stats import OvsStatsMixin
 from repro.agents.registry import register_agent

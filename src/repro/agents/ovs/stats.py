@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.openflow import constants as c
 from repro.openflow.messages import StatsReply
 from repro.wire.buffer import SymBuffer
-from repro.wire.fields import FieldValue, field_repr
+from repro.wire.fields import field_repr
 
 __all__ = ["OvsStatsMixin"]
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.agents.common.base import AgentConfig, OpenFlowAgent
+from repro.agents.common.base import OpenFlowAgent
 from repro.agents.common.flowtable import FlowEntry
 from repro.agents.reference.stats import ReferenceStatsMixin
 from repro.agents.registry import register_agent
@@ -39,8 +39,6 @@ from repro.openflow.actions import (
     Action,
     ActionEnqueue,
     ActionOutput,
-    ActionSetNwTos,
-    ActionSetVlanPcp,
     ActionSetVlanVid,
     RawAction,
 )

@@ -27,7 +27,6 @@ written once (:mod:`repro.symbex.serialize`).
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, List, Sequence, Union
 
 from repro.core.explorer import AgentExplorationReport

@@ -17,7 +17,6 @@ re-adding a known witness is a no-op unless it is strictly smaller.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field

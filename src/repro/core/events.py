@@ -9,8 +9,8 @@ never inspected directly; it is probed with concrete packets instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.openflow.messages import OpenFlowMessage
 from repro.wire.fields import FieldValue, field_repr

@@ -39,7 +39,7 @@ import time
 import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait as futures_wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError, CellTimeoutError, WorkerCrashError

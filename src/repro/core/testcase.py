@@ -25,7 +25,6 @@ from repro.agents import make_agent
 from repro.agents.common.base import OpenFlowAgent
 from repro.core.crosscheck import Inconsistency
 from repro.core.tests_catalog import TestSpec, get_test
-from repro.core.trace import OutputTrace
 from repro.errors import ReplayMismatchError
 from repro.harness.driver import ConcreteRunResult, run_concrete_sequence
 from repro.harness.inputs import ControlMessageInput, ProbeInput

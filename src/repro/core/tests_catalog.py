@@ -24,7 +24,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.harness.inputs import ControlMessageInput, ProbeInput, TestInput
 from repro.openflow import constants as c

@@ -13,11 +13,9 @@ from typing import List, Tuple
 
 from repro.core.tests_catalog import (
     PROBE_IN_PORT,
-    PROBE_TP_DST,
     PROBE_TP_SRC,
     TestSpec,
     _flow_mod_match,
-    _symbolic_wildcards,
     _tcp_probe,
 )
 from repro.harness.inputs import ControlMessageInput, ProbeInput, TestInput

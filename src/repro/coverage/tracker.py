@@ -20,8 +20,8 @@ import contextlib
 import importlib
 import pkgutil
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple, Union
 
 __all__ = ["CoverageTracker", "CoverageReport", "CoverageFingerprint",
            "executable_lines", "branch_lines"]

@@ -42,7 +42,7 @@ import importlib.util
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.crosscheck import find_inconsistencies
 from repro.core.explorer import (
@@ -64,7 +64,6 @@ from repro.core.witness import (
     TriageIndex,
     TriageReport,
     Witness,
-    build_witness,
     minimize_witness,
 )
 from repro.coverage.tracker import CoverageTracker

@@ -22,8 +22,8 @@ neutral score and sorted behind scored ones of equal origin priority.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 __all__ = ["Seed", "SeedPool"]
 

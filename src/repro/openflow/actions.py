@@ -10,7 +10,7 @@ semantics belong to the agents (and differ between them, which is the point).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConcretizationError, MessageParseError
 from repro.openflow import constants as c

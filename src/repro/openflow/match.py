@@ -10,7 +10,7 @@ differences — this class only carries the data and the wire format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.openflow import constants as c

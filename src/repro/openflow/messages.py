@@ -14,14 +14,13 @@ the harness records in the output trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Union
 
-from repro.errors import MessageBuildError
 from repro.openflow import constants as c
-from repro.openflow.actions import Action, pack_actions, unpack_actions
+from repro.openflow.actions import Action, pack_actions
 from repro.openflow.match import Match
 from repro.wire.buffer import SymBuffer
-from repro.wire.fields import FieldValue, as_field, field_repr
+from repro.wire.fields import FieldValue, field_repr
 
 __all__ = [
     "OpenFlowMessage",

@@ -10,7 +10,6 @@ replay tooling to turn concrete test-case bytes back into message objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 from repro.errors import MessageParseError
 from repro.openflow import constants as c

@@ -8,8 +8,6 @@ symbolic probes are expressed with the same code.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.openflow import constants as c
 from repro.packetlib.headers import (
     ArpHeader,

@@ -9,7 +9,6 @@ solvers are worst at, and no agent behaviour under test depends on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import PacketParseError
 from repro.openflow import constants as c

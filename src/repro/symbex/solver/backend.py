@@ -16,7 +16,7 @@ model.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.symbex.expr import BoolExpr
 from repro.symbex.solver.bitblast import BitBlaster
@@ -92,6 +92,12 @@ class CDCLBackend:
         """The raw model of the last SAT answer (``{variable: int}``)."""
 
         return extract_model(self._blaster, self._sat)
+
+    @property
+    def core(self) -> List[int]:
+        """The assumptions the last UNSAT answer rests on (empty otherwise)."""
+
+        return self._sat.core
 
     # -- CNF-level surface ----------------------------------------------------
 

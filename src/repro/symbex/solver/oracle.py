@@ -15,36 +15,44 @@ the *same* literal serves the True side (assume ``lit``) and the False side
 feasibility one ``solve(assumptions=prefix)`` call that reuses the shared
 bit-blasting structure and all learned clauses.
 
-Every check runs through these layers, cheapest first:
+Paths are nodes of a **prefix trie of bitblast deltas**: a child path
+that extends a parent prefix by one decision reuses the parent's encoded
+literal set and ordered assumption list and only adds the suffix literal
+(``extend``), instead of re-walking and re-hashing the shared conditions
+per check; ``delta_hits`` counts reused nodes.  Every check then runs
+through these layers, cheapest first (trivial → cache → learned cores →
+base witness → backend):
 
-* a **prefix trie of bitblast deltas** — paths are nodes; a child path that
-  extends a parent prefix by one decision reuses the parent's encoded
-  literal set and ordered assumption list and only adds the suffix literal
-  (``extend``), instead of re-walking and re-hashing the shared conditions
-  per check.  Each node caches its feasibility verdict, so re-asking about
-  common ancestry (including the very common "program re-branches on an
-  already-decided condition" pattern) is a pointer hop; ``delta_hits``
-  counts reused nodes.
 * a **trivial check** — a prefix containing the false literal or a
   complementary pair is UNSAT without solving (detected in O(1) at node
   creation against the parent's set);
+* the **cache** — each node keeps its feasibility verdict, so re-asking
+  about common ancestry (including the very common "program re-branches
+  on an already-decided condition" pattern) is a pointer hop;
+* **learned cores** — every backend UNSAT leaves the SAT core's
+  final-conflict core (MiniSat's ``analyzeFinal``): the few assumption
+  literals the refutation rests on.  The oracle stores each core, indexed
+  by literal, and a node containing a stored core is UNSAT without a solve
+  (``core_decides``; KLEE's rule that a superset of an UNSAT set is
+  UNSAT).  Only cores on the node's fresh literals (those after ``base``)
+  can apply: the base is SAT, so no core lies inside it.  The shared
+  instance only gains definitional clauses for fresh variables and implied
+  learned clauses, so a stored core stays UNSAT for the oracle's lifetime,
+  across ``resume`` and engine reuse.  A few dozen cores decide thousands
+  of branch sides;
 * the **base witness** — every node proven SAT keeps the model that proved
   it (its *witness*; the root's is the empty model, every variable 0).  The
   engine passes the nearest witnessed ancestor on the current path as
-  ``base``, so a child is first evaluated only on its *fresh* literals (the
-  ones after ``base``), usually one: if they hold under the base's witness,
-  the child is SAT and shares that witness (``witness_inherits``).  If not,
-  the failing inputs are patched on a copy of the witness and every literal
-  of the node is re-verified (``witness_repairs``).  Per-path work thus
-  scales with the path's fresh decisions, not with its depth.
-* a **word-level interval pre-filter** — the unsigned-interval domain of
-  :mod:`repro.symbex.interval` runs over the prefix's source conditions;
-  only its two sound outcomes short-circuit (a proven-empty domain is
-  UNSAT, a concretely *verified* candidate model is SAT), so verdicts — and
-  the explored path set — stay exactly the backend's.
+  ``base``, so a child is first evaluated only on its fresh literals,
+  usually one: if they hold under the base's witness, the child is SAT and
+  shares that witness (``witness_inherits``).  If not, the failing inputs
+  are patched on a copy of the witness and every literal of the node is
+  re-verified (``witness_repairs``).  Per-path work thus scales with the
+  path's fresh decisions, not with its depth.
 
-Only then does the backend solve.  Every SAT verdict hands the node its
-witness: the base's, a repaired copy, a verified interval candidate or the
+Only then does the backend solve.  Every layer before it is sound, so
+verdicts — and the explored path set — are exactly the backend's.  Every
+SAT verdict hands the node its witness: the base's, a repaired copy or the
 backend's model.  A witness lives while the node can still be a base: the
 engine releases it (:meth:`PrefixOracle.release`) when the path's base
 moves past the node — once both sides of the node's branch are decided —
@@ -67,7 +75,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.symbex.compile import compile_term
-from repro.symbex.interval import IntervalOutcome, analyze_conjunction
 from repro.symbex.expr import (
     BoolAnd,
     BoolConst,
@@ -103,15 +110,15 @@ class PrefixOracleStats:
     trivial_decides: int = 0
     #: Checks answered from a node's cached verdict (shared prefix ancestry).
     prefix_cache_hits: int = 0
+    #: Checks proven UNSAT by a stored core inside the prefix (no solve).
+    core_decides: int = 0
+    #: Final-conflict cores stored from backend UNSAT answers.
+    cores_learned: int = 0
     #: Checks proven SAT by the base witness alone: the node's fresh
     #: literals (usually one) hold under it (no solve, no prefix walk).
     witness_inherits: int = 0
     #: Checks proven SAT by locally repairing the base witness (no solve).
     witness_repairs: int = 0
-    #: Checks proven UNSAT by the word-level interval domain (no solve).
-    interval_unsat: int = 0
-    #: Checks proven SAT by a verified interval candidate model (no solve).
-    interval_sat: int = 0
     #: Prefix-trie nodes created (one per distinct path prefix).
     prefix_nodes: int = 0
     #: ``extend`` calls answered by an existing node (per-path delta reuse).
@@ -131,10 +138,10 @@ class PrefixOracleStats:
             "branch_checks": self.branch_checks,
             "trivial_decides": self.trivial_decides,
             "prefix_cache_hits": self.prefix_cache_hits,
+            "core_decides": self.core_decides,
+            "cores_learned": self.cores_learned,
             "witness_inherits": self.witness_inherits,
             "witness_repairs": self.witness_repairs,
-            "interval_unsat": self.interval_unsat,
-            "interval_sat": self.interval_sat,
             "prefix_nodes": self.prefix_nodes,
             "delta_hits": self.delta_hits,
             "assumption_solves": self.assumption_solves,
@@ -182,9 +189,10 @@ class PrefixOracle:
         # carry the condition so its id stays pinned while the entry lives.
         self._literals: Dict[int, Tuple[BoolExpr, int]] = {}
         # base SAT var -> (simplified condition, its encoded literal); the
-        # reverse map witnesses and the interval domain read assumptions
-        # through.
+        # reverse map witnesses read assumptions through.
         self._lit_conditions: Dict[int, Tuple[BoolExpr, int]] = {}
+        # assumption literal -> the stored cores containing it.
+        self._cores: Dict[int, List[FrozenSet[int]]] = {}
         self._root = PrefixNode(frozenset(), (), False)
         # The empty prefix is satisfied by every model: the empty one, with
         # every variable read as 0, is the base every path starts from.
@@ -268,9 +276,10 @@ class PrefixOracle:
                    base: Optional[PrefixNode] = None) -> str:
         """Satisfiability of one prefix node (cached per node).
 
-        *base* is a witnessed ancestor of *node* on the same trie path
-        (normally its parent).  Its witness is tried before any layer that
-        walks the whole prefix; see the module docstring for the order.
+        *base* is a SAT ancestor of *node* on the same trie path (normally
+        its parent).  Only the literals after it are matched against stored
+        cores, and its witness is tried before the backend walks the whole
+        prefix; see the module docstring for the order.
         """
 
         self.stats.branch_checks += 1
@@ -292,25 +301,21 @@ class PrefixOracle:
                     self.stats.unsat += 1
                 return cached
 
+        fresh = node.ordered[len(base.ordered):] if base is not None else node.ordered
+        if any(core <= node.lits for lit in fresh for core in self._cores.get(lit, ())):
+            self.stats.core_decides += 1
+            self.stats.unsat += 1
+            self._cache(node, SATStatus.UNSAT)
+            return SATStatus.UNSAT
         if base is not None and base.witness is not None:
             witness = base.witness
-            if all(self._holds(lit, witness)
-                   for lit in node.ordered[len(base.ordered):]):
+            if all(self._holds(lit, witness) for lit in fresh):
                 self.stats.witness_inherits += 1
                 return self._proven_sat(node, witness)
             repaired = self._repair_witness(node, witness)
             if repaired is not None:
                 self.stats.witness_repairs += 1
                 return self._proven_sat(node, repaired)
-        outcome = self._interval_prefilter(node)
-        if outcome is not None and outcome.is_unsat:
-            self.stats.interval_unsat += 1
-            self.stats.unsat += 1
-            self._cache(node, SATStatus.UNSAT)
-            return SATStatus.UNSAT
-        if outcome is not None and outcome.verified:
-            self.stats.interval_sat += 1
-            return self._proven_sat(node, dict(outcome.candidate))
 
         started = time.perf_counter()
         self.stats.assumption_solves += 1
@@ -325,6 +330,7 @@ class PrefixOracle:
             return self._proven_sat(node, self._backend.get_value())
         self.stats.unsat += 1
         self._cache(node, status)
+        self._learn_core(frozenset(self._backend.core))
         return status
 
     def release(self, node: PrefixNode) -> None:
@@ -347,6 +353,13 @@ class PrefixOracle:
 
         node.witness = witness
 
+    def _learn_core(self, core: FrozenSet[int]) -> None:
+        """Store a backend UNSAT core under each of its literals."""
+
+        self.stats.cores_learned += 1
+        for lit in core:
+            self._cores.setdefault(lit, []).append(core)
+
     def _cache(self, node: PrefixNode, status: str) -> None:
         if self.config.use_cache:
             node.status = status
@@ -361,29 +374,6 @@ class PrefixOracle:
         truth = bool(compile_term(condition).run(model, default=0))
         # The encoded literal of the condition may itself be negative.
         return truth == ((lit > 0) == (encoded > 0))
-
-    def _interval_prefilter(self, node: PrefixNode) -> Optional[IntervalOutcome]:
-        """The word-level domain's outcome for *node* (``None``: not evaluable).
-
-        Reconstructs the conjunction of source conditions behind the
-        assumption literals (negative assumptions become ``BoolNot``) and
-        runs the unsigned-interval domain over it.  Only the two *sound*
-        outcomes may short-circuit: a proven-empty variable domain is UNSAT,
-        and a candidate model verified by compiled concrete evaluation is
-        SAT.  Everything else falls through to the backend, so verdicts —
-        and hence the explored path set — stay exactly the backend's.
-        """
-
-        atoms: List[BoolExpr] = []
-        for lit in node.ordered:
-            entry = self._lit_conditions.get(lit if lit > 0 else -lit)
-            if entry is None:
-                return None
-            condition, encoded = entry
-            if (lit > 0) != (encoded > 0):
-                condition = BoolNot(condition)
-            atoms.append(condition)
-        return analyze_conjunction(atoms)
 
     # ------------------------------------------------------------------
     # Witness repair

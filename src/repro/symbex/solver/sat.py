@@ -20,7 +20,10 @@ classic conflict-driven clause-learning solver with:
 * an optional conflict budget so callers can bound worst-case work,
 * **non-decision variables** (MiniSat's ``setDecisionVar``): a variable
   allocated with ``new_var(decision=False)`` never enters the decision heap,
-  so the search only ever assigns it by propagation.
+  so the search only ever assigns it by propagation,
+* **final-conflict cores** (MiniSat's ``analyzeFinal``): every UNSAT answer
+  leaves in :attr:`SATSolver.core` the assumptions the refutation rests on,
+  so a caller can reject any later assumption set that contains it.
 
 :meth:`SATSolver.solve` answers SAT once every *decision* variable is
 assigned and propagation is conflict-free; non-decision variables may still
@@ -131,6 +134,10 @@ class SATSolver:
         self._cla_decay = 0.999
         self._learned_limit = self.learned_db_base
         self._root_conflict = False
+        #: After an UNSAT answer: assumption literals whose conjunction the
+        #: formula refutes (empty: the formula alone is UNSAT).  Empty after
+        #: SAT and UNKNOWN answers.
+        self.core: List[int] = []
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -414,6 +421,42 @@ class SATSolver:
         lbd = len({self._level[abs(l)] for l in learned})
         return learned, backjump, lbd
 
+    def _fail(self, assumptions: Sequence[int], literals: Iterable[int],
+              failed: Optional[int] = None) -> str:
+        """Record the final-conflict core, unwind to the root, answer UNSAT.
+
+        *literals* are the false literals the refutation ends in: a conflict
+        clause, a clashing learned unit, or an assumption *failed* that was
+        already false.  As in MiniSat's ``analyzeFinal``, their reasons are
+        walked back to the reason-less literals behind them.  Level-0
+        literals are formula facts.  A reason-less literal above level 0 is
+        an assumption, or a learned unit the formula implies; only the
+        assumptions enter :attr:`core`.  An empty core means the formula
+        alone is UNSAT, so every later call answers at once.
+        """
+
+        assumed = set(assumptions)
+        assignment, level, reason = self._assignment, self._level, self._reason
+        core = [] if failed is None else [failed]
+        seen = set()
+        stack = [abs(lit) for lit in literals]
+        while stack:
+            var = stack.pop()
+            if var in seen or level[var] == 0:
+                continue
+            seen.add(var)
+            clause = reason[var]
+            if clause is not None:
+                stack.extend(abs(lit) for lit in clause.literals)
+            elif (var if assignment[var] else -var) in assumed:
+                core.append(var if assignment[var] else -var)
+        self.core = core
+        if not core:
+            self._root_conflict = True
+        self._reset_assumption_trail()
+        self._backtrack(0)
+        return SATStatus.UNSAT
+
     def _reset_assumption_trail(self) -> None:
         del self._assumption_seq[:]
         del self._assumption_marks[:]
@@ -556,6 +599,7 @@ class SATSolver:
         """
 
         self.solves += 1
+        self.core = []
         if self._root_conflict:
             return SATStatus.UNSAT
 
@@ -580,12 +624,7 @@ class SATSolver:
         # processing — no O(trail) re-scan per incremental call.
         conflict = self._propagate()
         if conflict is not None:
-            if self._decision_level() == 0:
-                self._root_conflict = True
-                return SATStatus.UNSAT
-            self._reset_assumption_trail()
-            self._backtrack(0)
-            return SATStatus.UNSAT
+            return self._fail(assumptions, conflict.literals)
 
         # Apply the remaining assumptions as decisions at successive levels.
         for lit in assumptions[matched:]:
@@ -594,16 +633,12 @@ class SATSolver:
                 self._assumption_marks.append(self._decision_level())
                 continue
             if self._value(lit) is False:
-                self._reset_assumption_trail()
-                self._backtrack(0)
-                return SATStatus.UNSAT
+                return self._fail(assumptions, (lit,), failed=lit)
             self._trail_lim.append(len(self._trail))
             self._enqueue(lit, None)
             conflict = self._propagate()
             if conflict is not None:
-                self._reset_assumption_trail()
-                self._backtrack(0)
-                return SATStatus.UNSAT
+                return self._fail(assumptions, conflict.literals)
             self._assumption_seq.append(lit)
             self._assumption_marks.append(self._decision_level())
         assumption_level = self._decision_level()
@@ -628,16 +663,12 @@ class SATSolver:
                     self._backtrack(0)
                     return SATStatus.UNKNOWN
                 if self._decision_level() <= assumption_level:
-                    self._reset_assumption_trail()
-                    self._backtrack(0)
-                    return SATStatus.UNSAT
+                    return self._fail(assumptions, conflict.literals)
                 learned, backjump, lbd = self._analyze(conflict)
                 self._backtrack(max(backjump, assumption_level))
                 if len(learned) == 1:
                     if not self._enqueue(learned[0], None):
-                        self._reset_assumption_trail()
-                        self._backtrack(0)
-                        return SATStatus.UNSAT
+                        return self._fail(assumptions, learned)
                 else:
                     clause = _Clause(learned, learned=True, lbd=lbd)
                     if len(learned) == 2:

@@ -5,7 +5,8 @@ yield pointer-identical terms; generations survive a table reset), the
 per-node simplify memo, and the SAT solver's incremental edge cases: budget
 exhaustion followed by a successful re-solve, conflicting assumptions leaving
 the trail clean, clause addition after restarts, determinism across restart
-schedules, and learned-clause DB reduction.
+schedules, learned-clause DB reduction, and the final-conflict core every
+UNSAT exit reports.
 """
 
 import pickle
@@ -33,6 +34,7 @@ from repro.symbex.expr import (
 from repro.symbex.serialize import expr_from_obj, expr_to_obj
 from repro.symbex.simplify import simplify_bool, simplify_cache_stats
 from repro.symbex.solver import SATSolver, SATStatus
+from repro.symbex.solver.sat import _Clause
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +497,156 @@ def test_clauses_added_between_solves_keep_the_non_decision_contract():
     assert solver.solve(assumptions=[third, -z]) == SATStatus.UNSAT
     assert solver.solve(assumptions=[third]) == SATStatus.SAT
     assert cnf.satisfied(cnf.completed_model())
+
+
+# ---------------------------------------------------------------------------
+# SAT core: final-conflict cores (one test per UNSAT exit of solve)
+# ---------------------------------------------------------------------------
+
+class _RecordedCNF:
+    """A solver plus the clauses it was given, to re-check a core on a
+    fresh instance."""
+
+    def __init__(self, num_vars):
+        self.solver = SATSolver()
+        self.vars = [self.solver.new_var() for _ in range(num_vars)]
+        self.clauses = []
+
+    def add(self, *clauses):
+        for clause in clauses:
+            self.clauses.append(list(clause))
+            self.solver.add_clause(clause)
+
+    def assert_core(self, assumptions):
+        """The last answer's core is a subset of *assumptions* the formula
+        refutes on its own; returns it."""
+
+        core = list(self.solver.core)
+        assert set(core) <= set(assumptions), (core, assumptions)
+        fresh = SATSolver()
+        for _ in self.vars:
+            fresh.new_var()
+        for clause in self.clauses:
+            fresh.add_clause(clause)
+        assert fresh.solve(assumptions=core) == SATStatus.UNSAT, core
+        return core
+
+
+def test_core_root_conflict_is_empty():
+    cnf = _RecordedCNF(2)
+    a, b = cnf.vars
+    cnf.add([a], [-a])
+    assert cnf.solver.solve(assumptions=[b]) == SATStatus.UNSAT
+    assert cnf.assert_core([b]) == []
+
+
+def test_core_of_a_refutation_without_assumptions_is_empty_and_sticks():
+    # Pigeonhole 3-into-2 needs search; the unrelated assumption h plays no
+    # part in the refutation, so the core is empty and later calls answer
+    # from the recorded root conflict without a single new conflict.
+    cnf = _RecordedCNF(7)
+    h = cnf.vars[6]
+    grid = [cnf.vars[0:2], cnf.vars[2:4], cnf.vars[4:6]]
+    cnf.add(*grid)
+    for hole in range(2):
+        for first in range(3):
+            for second in range(first + 1, 3):
+                cnf.add([-grid[first][hole], -grid[second][hole]])
+    assert cnf.solver.solve(assumptions=[h]) == SATStatus.UNSAT
+    assert cnf.assert_core([h]) == []
+    conflicts = cnf.solver.conflicts
+    assert cnf.solver.solve(assumptions=[-h]) == SATStatus.UNSAT
+    assert cnf.solver.conflicts == conflicts
+
+
+def test_core_of_a_conflict_on_the_kept_assumption_trail():
+    cnf = _RecordedCNF(2)
+    a, x = cnf.vars
+    cnf.add([a, x])
+    assert cnf.solver.solve(assumptions=[a]) == SATStatus.SAT
+    # Slip (-a | x) and (-a | -x) in behind the solver's back and rewind the
+    # propagation queue: the next call keeps [a] on the trail and its
+    # re-propagation is what conflicts.
+    for literals in ([-a, x], [-a, -x]):
+        clause = _Clause(literals)
+        cnf.solver._binary.append(clause)
+        cnf.solver._watch_binary(clause)
+        cnf.clauses.append(literals)
+    cnf.solver._qhead = 0
+    assert cnf.solver.solve(assumptions=[a]) == SATStatus.UNSAT
+    assert cnf.assert_core([a]) == [a]
+
+
+def test_core_of_an_assumption_already_false():
+    cnf = _RecordedCNF(4)
+    a, b, c, d = cnf.vars
+    cnf.add([-a, b], [-b, c])
+    # a implies c through b; d is unrelated.
+    assumptions = [d, a, -c]
+    assert cnf.solver.solve(assumptions=assumptions) == SATStatus.UNSAT
+    assert sorted(cnf.assert_core(assumptions)) == sorted([a, -c])
+    # Falsified at level 0: the assumption alone is the core.
+    cnf.add([-d])
+    assert cnf.solver.solve(assumptions=[a, d]) == SATStatus.UNSAT
+    assert cnf.assert_core([a, d]) == [d]
+
+
+def test_core_of_a_conflict_while_applying_assumptions():
+    cnf = _RecordedCNF(4)
+    a, b, c, d = cnf.vars
+    cnf.add([-a, -b, c], [-a, -b, -c])
+    assumptions = [d, a, b]
+    assert cnf.solver.solve(assumptions=assumptions) == SATStatus.UNSAT
+    assert cnf.solver.conflicts == 0  # refuted by propagation alone
+    assert sorted(cnf.assert_core(assumptions)) == sorted([a, b])
+
+
+def test_core_of_a_conflict_at_the_assumption_level_after_search():
+    # Pigeonhole 4-into-3 guarded by g: only search refutes it, and the
+    # final conflict lands at the assumption level.
+    cnf = _RecordedCNF(14)
+    g, h = cnf.vars[12], cnf.vars[13]
+    grid = [cnf.vars[row * 3:row * 3 + 3] for row in range(4)]
+    cnf.add(*([-g] + row for row in grid))
+    for hole in range(3):
+        for first in range(4):
+            for second in range(first + 1, 4):
+                cnf.add([-grid[first][hole], -grid[second][hole]])
+    assumptions = [g, h]
+    assert cnf.solver.solve(assumptions=assumptions) == SATStatus.UNSAT
+    assert cnf.solver.conflicts > 0
+    assert cnf.assert_core(assumptions) == [g]
+    assert cnf.solver.solve(assumptions=[h]) == SATStatus.SAT
+    assert cnf.solver.core == []
+
+
+def test_core_of_a_learned_unit_that_clashes(monkeypatch):
+    # u is implied by the four ternary clauses, but only search finds it;
+    # the assumption a forces -u.  Analysis is patched to learn the unit u
+    # outright, which the backjump then finds false at the assumption level.
+    cnf = _RecordedCNF(4)
+    a, u, p, q = cnf.vars
+    cnf.add([u, p, q], [u, p, -q], [u, -p, q], [u, -p, -q], [-a, -u])
+    monkeypatch.setattr(cnf.solver, "_analyze", lambda conflict: ([u], 0, 1))
+    assert cnf.solver.solve(assumptions=[a]) == SATStatus.UNSAT
+    assert cnf.solver.conflicts == 1
+    assert cnf.assert_core([a]) == [a]
+
+
+def test_core_is_empty_after_sat_and_unknown_answers():
+    cnf = _RecordedCNF(21)
+    g, x = cnf.vars[20], cnf.vars[19]
+    grid = [cnf.vars[row * 4:row * 4 + 4] for row in range(4)] + [cnf.vars[16:19] + [x]]
+    cnf.add(*([-g] + row for row in grid))
+    for hole in range(4):
+        for first in range(5):
+            for second in range(first + 1, 5):
+                cnf.add([-grid[first][hole], -grid[second][hole]])
+    cnf.add([-x])
+    assert cnf.solver.solve(assumptions=[g, x]) == SATStatus.UNSAT
+    assert cnf.assert_core([g, x]) == [x]
+    assert cnf.solver.solve(assumptions=[-g]) == SATStatus.SAT
+    assert cnf.solver.core == []
+    assert cnf.solver.solve(assumptions=[g, x]) == SATStatus.UNSAT
+    assert cnf.solver.solve(assumptions=[g], max_conflicts=1) == SATStatus.UNKNOWN
+    assert cnf.solver.core == []

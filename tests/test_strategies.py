@@ -14,7 +14,7 @@ from repro.core.tests_catalog import TABLE1_TESTS
 from repro.errors import EngineError
 from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import bool_not, bvvar
-from repro.symbex.solver import PrefixOracle, SolverConfig
+from repro.symbex.solver import PrefixOracle, Solver, SolverConfig
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.strategies import (
     BFSStrategy,
@@ -344,20 +344,18 @@ def test_reused_engine_solver_stats_are_per_run_deltas():
     engine = Engine()
     first = engine.explore(program)
     second = engine.explore(program)
-    # The first run decides the branch without the prefix cache (base
-    # witness, interval pre-filter or backend: ``x == 1`` is decided by
-    # patching the root's empty witness); the second is served entirely by
-    # the persistent prefix cache, so every counter in solver_stats must be
-    # a per-run delta, not a lifetime total.
+    # The first run decides the branch without the prefix cache (learned
+    # core, base witness or backend: ``x == 1`` is decided by patching the
+    # root's empty witness); the second is served entirely by the
+    # persistent prefix cache, so every counter in solver_stats must be a
+    # per-run delta, not a lifetime total.
     first_decides = (first.solver_stats["assumption_solves"]
-                     + first.solver_stats["interval_unsat"]
-                     + first.solver_stats["interval_sat"]
+                     + first.solver_stats["core_decides"]
                      + first.solver_stats["witness_inherits"]
                      + first.solver_stats["witness_repairs"])
     assert first_decides >= 1
     assert second.solver_stats["assumption_solves"] == 0
-    assert second.solver_stats["interval_unsat"] == 0
-    assert second.solver_stats["interval_sat"] == 0
+    assert second.solver_stats["core_decides"] == 0
     assert second.solver_stats["prefix_cache_hits"] >= 1
     assert second.solver_stats["queries"] == second.stats.solver_queries == 0
 
@@ -402,9 +400,25 @@ def _path_view(result):
              path.constraint_size(), path.error) for path in result.paths]
 
 
+@pytest.fixture(scope="module")
+def legacy_path_view():
+    """The reference engine's path view of a small unit, explored once."""
+
+    views = {}
+
+    def view(agent, test):
+        if (agent, test) not in views:
+            _, _, legacy = explore_with_driver(agent, test, ReferenceEngine())
+            views[agent, test] = _path_view(legacy)
+        return views[agent, test]
+
+    return view
+
+
 @pytest.mark.parametrize("test", ["flow_mod", "packet_out"])
 @pytest.mark.parametrize("agent", ["reference", "ovs", "modified"])
-def test_oracle_witnesses_are_models_and_released(monkeypatch, agent, test):
+def test_oracle_witnesses_are_models_and_released(monkeypatch, legacy_path_view,
+                                                  agent, test):
     from repro.symbex.compile import evaluate_compiled_bool
 
     handed = []
@@ -433,5 +447,40 @@ def test_oracle_witnesses_are_models_and_released(monkeypatch, agent, test):
     assert holders == []
 
     # (iii) the explored artifact is the reference engine's, path by path.
-    _, _, legacy = explore_with_driver(agent, test, ReferenceEngine())
-    assert _path_view(result) == _path_view(legacy)
+    assert _path_view(result) == legacy_path_view(agent, test)
+
+
+@pytest.mark.parametrize("test", ["flow_mod", "packet_out"])
+@pytest.mark.parametrize("agent", ["reference", "ovs", "modified"])
+def test_oracle_cores_are_unsat_and_decide_branches(monkeypatch, legacy_path_view,
+                                                   agent, test):
+    learned = []
+    original = PrefixOracle._learn_core
+
+    def recording_learn_core(oracle, core):
+        learned.append((oracle, core))
+        original(oracle, core)
+
+    monkeypatch.setattr(PrefixOracle, "_learn_core", recording_learn_core)
+    _, _, result = explore_with_driver(agent, test)
+    assert learned and not result.stats.truncated
+    assert result.solver_stats["cores_learned"] == len(learned)
+    # A stored core never reaches the backend again.  Every unit but one
+    # reuses its cores; reference x packet_out's 16 backend UNSATs each
+    # rest on a core of their own.
+    assert len({core for _, core in learned}) == len(learned)
+    assert (result.solver_stats["core_decides"] > 0
+            or (agent, test) == ("reference", "packet_out"))
+
+    # (i) every learned core, read back as the branch conditions behind its
+    # literals, is UNSAT on its own in a fresh Solver.
+    for oracle, core in learned:
+        conditions = []
+        for lit in core:
+            condition, encoded = oracle._lit_conditions[abs(lit)]
+            conditions.append(condition if (lit > 0) == (encoded > 0)
+                              else bool_not(condition))
+        assert Solver().check(conditions).is_unsat, sorted(core)
+
+    # (ii) the explored artifact is the reference engine's, path by path.
+    assert _path_view(result) == legacy_path_view(agent, test)

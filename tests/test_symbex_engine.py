@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import DecisionLimitExceeded
 from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import bvvar
 from repro.symbex.solver import Solver
