@@ -447,13 +447,12 @@ class CampaignReport:
                 "  phase 2b: incremental: %d engine(s), %d group(s) encoded "
                 "(%d reused), %d pair(s) decided by %d SAT call(s) "
                 "(%d row solve(s), %d hit round(s), %d pairwise fallback(s)), "
-                "%d interval decide(s), %d backend rebuild(s)"
+                "%d backend rebuild(s)"
                 % (stats.get("engines", 0), stats.get("groups_encoded", 0),
                    stats.get("encoding_reuses", 0), self.total_queries,
                    stats.get("assumption_solves", 0),
                    stats.get("row_solves", 0), stats.get("hit_rounds", 0),
                    stats.get("pairwise_fallbacks", 0),
-                   stats.get("interval_decides", 0),
                    stats.get("backend_rebuilds", 0)))
         if self.coverage is not None:
             lines.append(

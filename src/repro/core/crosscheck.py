@@ -241,7 +241,6 @@ def _scan_rows(grouped_a: GroupedResults, grouped_b: GroupedResults,
     return {
         "mode": "incremental",
         "trivial": via_counts["trivial"],
-        "interval_decides": via_counts["interval"],
         "pair_cache_hits": via_counts["pair-cache"],
         "assumption_solves": calls["sat_calls"],
         "row_solves": calls["row_solves"],

@@ -8,8 +8,6 @@ SOFT prototype.  It provides:
   ordinary Python operators.
 * :mod:`repro.symbex.simplify` — algebraic simplification and constant
   propagation over expressions.
-* :mod:`repro.symbex.interval` — an unsigned-interval abstract domain used as
-  a fast, sound-but-incomplete satisfiability pre-check.
 * :mod:`repro.symbex.solver` — a complete decision procedure for the
   quantifier-free bit-vector fragment used by path conditions: bit-blasting to
   CNF plus a CDCL SAT solver, with model extraction.

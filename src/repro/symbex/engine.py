@@ -264,6 +264,10 @@ class Engine:
         # base every feasibility check on this path starts from.
         self._base_node: Optional[PrefixNode] = None
         self._synced_constraints = 0
+        # A fault of the engine's own machinery (oracle, solver) raised
+        # during the current path; _run_one re-raises it even when the
+        # explored program caught it.
+        self._fault: Optional[Exception] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -399,13 +403,15 @@ class Engine:
         self._current_prefix = prefix
         self._path_node = self._base_node = self.oracle.root()
         self._synced_constraints = 0
+        self._fault = None
+        aborted = False
         error: Optional[str] = None
         result: Any = None
         try:
             result = program(state)
         except _PathAbort:
             # Infeasible replay or deliberate abandonment: not a real path.
-            return None
+            aborted = True
         except (DecisionLimitExceeded, PathDivergedError) as exc:
             if self.config.strict_limits:
                 raise
@@ -419,6 +425,12 @@ class Engine:
             # The path ends here: its base witness has no later use.
             self.oracle.release(self._base_node)
             self._base_node = self._path_node = None
+        if self._fault is not None:
+            # Recording it as a path error would silently drop a branch side.
+            fault, self._fault = self._fault, None
+            raise fault
+        if aborted:
+            return None
         return PathRecord(
             path_id=path_id,
             condition=state.condition,
@@ -447,13 +459,18 @@ class Engine:
             )
 
         index = len(state.decisions)
-        if index < len(self._current_prefix):
-            # Replaying a previously scheduled prefix: follow it blindly (its
-            # feasibility was established when it was scheduled).
-            outcome = self._current_prefix[index]
-        else:
-            outcome = self._decide(state, condition)
-        self._commit_decision(state, condition, outcome)
+        try:
+            if index < len(self._current_prefix):
+                # Replaying a previously scheduled prefix: follow it blindly
+                # (its feasibility was established when it was scheduled).
+                outcome = self._current_prefix[index]
+            else:
+                outcome = self._decide(state, condition)
+            self._commit_decision(state, condition, outcome)
+        # soft-lint: disable=broad-except -- an oracle fault, recorded so _run_one re-raises it even if the program catches it
+        except Exception as exc:  # noqa: BLE001 - re-raised
+            self._fault = exc
+            raise
         return outcome
 
     def _commit_decision(self, state: PathState, condition: BoolExpr,
@@ -542,12 +559,20 @@ class Engine:
         if isinstance(value, int):
             return value
         constraints = state.condition.constraints()
-        if hint is not None:
-            hinted = self.solver.check(constraints + [value == hint])
-            if hinted.is_sat:
-                state.condition.add(value == hint)
+        hinted = None if hint is None else value == hint
+        try:
+            if hinted is not None and self.solver.check(constraints + [hinted]).is_sat:
+                state.condition.add(hinted)
                 return hint
-        result = self.solver.check(constraints)
+            result = self.solver.check(constraints)
+            if result.is_unknown:
+                raise SolverError(
+                    "solver gave up while concretizing; raise the conflict "
+                    "budget in SolverConfig")
+        # soft-lint: disable=broad-except -- a solver fault, recorded so _run_one re-raises it even if the program catches it
+        except Exception as exc:  # noqa: BLE001 - re-raised
+            self._fault = exc
+            raise
         if not result.is_sat:
             raise EngineError("current path condition is unsatisfiable during concretization")
         concrete = evaluate_compiled(value, result.model, default=0)

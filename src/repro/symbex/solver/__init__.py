@@ -3,12 +3,10 @@
 The pipeline mirrors what STP provides to the original SOFT prototype:
 
 1. algebraic simplification (:mod:`repro.symbex.simplify`),
-2. a fast interval pre-check for conjunctions of comparison atoms
-   (:mod:`repro.symbex.interval`),
-3. bit-blasting of the remaining formula to CNF
+2. bit-blasting of the remaining formula to CNF
    (:mod:`repro.symbex.solver.bitblast`),
-4. a CDCL SAT solver (:mod:`repro.symbex.solver.sat`),
-5. model extraction and independent verification
+3. a CDCL SAT solver (:mod:`repro.symbex.solver.sat`),
+4. model extraction and independent verification
    (:mod:`repro.symbex.solver.model`).
 
 Every query runs on that one engine, :class:`CDCLBackend`

@@ -27,9 +27,8 @@ or not.
 :meth:`GroupEncoding.check_row` decides a whole row of the pair matrix (one
 A-group against its candidate B-groups):
 
-1. Cheap per-pair filters first: trivially constant conditions, the
-   ``(condition, condition)`` result cache and the interval pre-check, whose
-   verified models are kept as they are.
+1. Cheap per-pair filters first: trivially constant conditions and the
+   ``(condition, condition)`` result cache.
 2. The still-undecided candidates ``R`` get one *disjunctive* query: a fresh
    selector ``sel`` with the clause ``-sel OR act_j for j in R``, solved
    under ``{act_a, sel}`` and then retired with the unit clause ``-sel``.
@@ -69,10 +68,9 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 from repro.errors import SolverError
 from repro.symbex.compile import compile_term
 from repro.symbex.expr import BoolAnd, BoolConst, BoolExpr, BoolOr
-from repro.symbex.interval import analyze_conjunction
 from repro.symbex.simplify import simplify_bool
 from repro.symbex.solver.backend import CDCLBackend
-from repro.symbex.solver.model import complete_model, require_verified
+from repro.symbex.solver.model import require_verified
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.solver.solver import SatResult, SolverConfig
 
@@ -106,8 +104,6 @@ class IncrementalStats:
     pairwise_fallbacks: int = 0
     #: SAT instances constructed (1 per engine).
     backend_rebuilds: int = 0
-    #: Pair queries decided by the interval pre-check (no SAT backend).
-    interval_decides: int = 0
     #: Pair queries answered from the (condition, condition) result cache.
     pair_cache_hits: int = 0
     sat: int = 0
@@ -125,7 +121,6 @@ class IncrementalStats:
             "hit_rounds": self.hit_rounds,
             "pairwise_fallbacks": self.pairwise_fallbacks,
             "backend_rebuilds": self.backend_rebuilds,
-            "interval_decides": self.interval_decides,
             "pair_cache_hits": self.pair_cache_hits,
             "sat": self.sat,
             "unsat": self.unsat,
@@ -141,8 +136,8 @@ class _EncodedGroup:
 
     #: Assuming this literal activates the condition's clauses.
     activation: int
-    #: The simplified conjuncts (used by the interval pre-check and for
-    #: model verification); empty when the condition simplified to a constant.
+    #: The simplified conjuncts (used for model verification and row hits);
+    #: empty when the condition simplified to a constant.
     atoms: List[BoolExpr] = field(default_factory=list)
     trivially_false: bool = False
     #: The original condition; pins the interned term alive so the engine's
@@ -159,7 +154,7 @@ class PairOutcome:
     """
 
     result: SatResult
-    #: "trivial" | "interval" | "pair-cache" | "row" | "assumption"
+    #: "trivial" | "pair-cache" | "row" | "assumption"
     via: str
 
 
@@ -335,13 +330,12 @@ class GroupEncoding:
 
     def _decide_cheaply(self, group_a: _EncodedGroup,
                         group_b: _EncodedGroup) -> Optional[PairOutcome]:
-        """Trivial, pair-cache and interval verdicts; ``None`` if undecided."""
+        """Trivial and pair-cache verdicts; ``None`` if undecided."""
 
         if group_a.trivially_false or group_b.trivially_false:
             self.stats.unsat += 1
             return PairOutcome(SatResult(SATStatus.UNSAT), via="trivial")
-        atoms = group_a.atoms + group_b.atoms
-        if not atoms:
+        if not group_a.atoms and not group_b.atoms:
             self.stats.sat += 1
             return PairOutcome(SatResult(SATStatus.SAT, model={}), via="trivial")
 
@@ -351,17 +345,6 @@ class GroupEncoding:
                 self.stats.pair_cache_hits += 1
                 return PairOutcome(SatResult(cached.status, dict(cached.model)),
                                    via="pair-cache")
-
-        if self.config.use_interval_precheck:
-            outcome = analyze_conjunction(atoms)
-            if outcome.is_unsat:
-                self.stats.interval_decides += 1
-                return self._decided(group_a, group_b, SATStatus.UNSAT, "interval")
-            if outcome.verified:
-                self.stats.interval_decides += 1
-                model = complete_model(outcome.candidate, atoms)
-                return self._decided(group_a, group_b, SATStatus.SAT, "interval",
-                                     model=model)
         return None
 
     def _solve_pair(self, group_a: _EncodedGroup,

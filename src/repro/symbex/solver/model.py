@@ -2,10 +2,10 @@
 
 After the SAT backend reports SAT, the bit-level assignment is folded back
 into per-variable integers.  Because the whole pipeline (simplification,
-interval analysis, bit-blasting, CDCL) is home-grown, every model is
-re-verified by concrete evaluation of the original constraints before it is
-returned to callers — a cheap, independent soundness check that turns silent
-solver bugs into loud errors.
+bit-blasting, CDCL) is home-grown, every model is re-verified by concrete
+evaluation of the original constraints before it is returned to callers — a
+cheap, independent soundness check that turns silent solver bugs into loud
+errors.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ The :class:`Solver` answers satisfiability queries over lists of boolean
 constraints (implicitly conjoined).  The pipeline is:
 
 1. simplify every constraint (constant folding may already decide the query),
-2. run the interval pre-check; a verified candidate model short-circuits SAT,
-3. bit-blast the remaining constraints and run the CDCL SAT solver,
-4. extract the model, verify it by concrete evaluation and return it.
+2. bit-blast the remaining constraints and run the CDCL SAT solver,
+3. extract the model, verify it by concrete evaluation and return it.
 
 Queries are cached on the identities of the (sorted) simplified constraints
 — hash-consing makes identity structural, so the cache key is a tuple of
@@ -28,10 +27,9 @@ from repro.symbex.expr import (
     FALSE,
     TRUE,
 )
-from repro.symbex.interval import analyze_conjunction
 from repro.symbex.simplify import simplify_bool
 from repro.symbex.solver.backend import CDCLBackend
-from repro.symbex.solver.model import complete_model, require_verified
+from repro.symbex.solver.model import require_verified
 from repro.symbex.solver.sat import SATStatus
 from repro.testing.faults import fault_point
 
@@ -66,8 +64,6 @@ class SolverConfig:
 
     #: Maximum number of CDCL conflicts per query before giving up (None = unlimited).
     max_conflicts: Optional[int] = 200_000
-    #: Whether to run the interval pre-check before bit-blasting.
-    use_interval_precheck: bool = True
     #: Whether to cache query results keyed on constraint structure.
     use_cache: bool = True
 
@@ -84,7 +80,6 @@ class SolverStats:
     #: UNKNOWN results deliberately not installed in the query cache (a retry
     #: with a raised conflict budget must reach the backend again).
     unknown_cache_skips: int = 0
-    interval_decides: int = 0
     sat_backend_runs: int = 0
     total_time: float = 0.0
     sat_backend_time: float = 0.0
@@ -98,7 +93,6 @@ class SolverStats:
             "unknown": self.unknown,
             "cache_hits": self.cache_hits,
             "unknown_cache_skips": self.unknown_cache_skips,
-            "interval_decides": self.interval_decides,
             "sat_backend_runs": self.sat_backend_runs,
             "total_time": self.total_time,
             "sat_backend_time": self.sat_backend_time,
@@ -210,7 +204,7 @@ class Solver:
                 if not reduced.value:
                     return SatResult(SATStatus.UNSAT)
                 continue
-            # Conjunctions can be split so the interval pre-check sees atoms.
+            # Split conjunctions so the cache key is the set of conjuncts.
             if isinstance(reduced, BoolAnd):
                 simplified.extend(reduced.operands)
             else:
@@ -241,19 +235,6 @@ class Solver:
         return result
 
     def _decide(self, constraints: List[BoolExpr]) -> SatResult:
-        if self.config.use_interval_precheck:
-            outcome = analyze_conjunction(constraints)
-            if outcome.is_unsat:
-                self.stats.interval_decides += 1
-                return SatResult(SATStatus.UNSAT)
-            if outcome.verified:
-                self.stats.interval_decides += 1
-                model = complete_model(outcome.candidate, constraints)
-                return SatResult(SATStatus.SAT, model=model)
-
-        return self._decide_with_sat(constraints)
-
-    def _decide_with_sat(self, constraints: List[BoolExpr]) -> SatResult:
         """One-shot query through a fresh CDCL instance."""
 
         started = time.perf_counter()

@@ -2,14 +2,14 @@
 
 :class:`ReferenceEngine` is Phase 1 without the prefix oracle: every fresh
 branch asks :class:`~repro.symbex.solver.Solver` about each side's whole
-path condition from scratch (simplify, interval pre-check, bit-blast into a
-fresh CDCL instance, solve).  The oracle-driven :class:`Engine` must explore
+path condition from scratch (simplify, bit-blast into a fresh CDCL
+instance, solve).  The oracle-driven :class:`Engine` must explore
 exactly its path set, in the same order under DFS.
 
 :func:`pairwise_crosscheck` is Phase 2b as the paper states it (§3.4): one
 satisfiability query per pair of *different* output groups, each answered
-by :class:`~repro.symbex.solver.Solver` from scratch (simplify, interval
-pre-check, bit-blast into a fresh CDCL instance, solve).  It shares no encoding
+by :class:`~repro.symbex.solver.Solver` from scratch (simplify, bit-blast
+into a fresh CDCL instance, solve).  It shares no encoding
 state with :class:`~repro.symbex.solver.GroupEncoding`, so the row scan in
 :func:`repro.core.crosscheck.find_inconsistencies` is tested against it.
 

@@ -78,7 +78,7 @@ def test_group_encoding_pair_queries_and_cache():
 
 
 def test_group_encoding_unknown_is_not_pair_cached():
-    engine = GroupEncoding(SolverConfig(max_conflicts=0, use_interval_precheck=False))
+    engine = GroupEncoding(SolverConfig(max_conflicts=0))
     x = bvvar("x", 8)
     condition = bool_or(x == 5, x == 9)
     first = engine.check_pair(condition, x > 0)
@@ -109,8 +109,7 @@ def test_soft_crosscheck_threads_solver_config():
     grouped_a.groups[0].condition = bool_or(x == 5, x == 9)
     grouped_b = _synthetic_grouped("b", [0], "b-out")
     grouped_b.groups[0].condition = (x > 0)
-    soft = SOFT(solver_config=SolverConfig(max_conflicts=0,
-                                           use_interval_precheck=False))
+    soft = SOFT(solver_config=SolverConfig(max_conflicts=0))
     report = soft.crosscheck(grouped_a, grouped_b)
     assert report.unknown_pairs == 1
     assert SOFT().crosscheck(grouped_a, grouped_b).inconsistency_count == 1
@@ -161,8 +160,10 @@ def test_deadline_truncates_the_pair_scan():
     assert expired.queries == 0
     assert expired.truncated is True
     # Deadline after a few ticks: the scan stops partway, flagged truncated,
-    # instead of solving all 9 candidate pairs.
-    partial = find_inconsistencies(grouped_a, grouped_b, deadline=3.5,
+    # instead of solving all 9 candidate pairs.  Ticks 1-3 pass the first
+    # row's pair filters and tick 4 its first SAT call, so the deadline must
+    # leave room for that call.
+    partial = find_inconsistencies(grouped_a, grouped_b, deadline=5.5,
                                    clock=TickClock())
     assert partial.truncated is True
     assert 0 < partial.queries < 9
@@ -332,14 +333,12 @@ _ROWS = st.lists(st.tuples(st.integers(min_value=0, max_value=3), _conditions())
 
 
 @settings(max_examples=40, deadline=None)
-@given(_ROWS, _ROWS, st.booleans())
-def test_row_scan_matches_pairwise_and_legacy(rows_a, rows_b, interval):
+@given(_ROWS, _ROWS)
+def test_row_scan_matches_pairwise_and_legacy(rows_a, rows_b):
     grouped_a = _grouped("a", rows_a)
     grouped_b = _grouped("b", rows_b)
-    config = SolverConfig(use_interval_precheck=interval)
-    report = find_inconsistencies(grouped_a, grouped_b,
-                                  engine=GroupEncoding(config))
-    expected = _pairwise_sat_pairs(grouped_a, grouped_b, GroupEncoding(config))
+    report = find_inconsistencies(grouped_a, grouped_b, engine=GroupEncoding())
+    expected = _pairwise_sat_pairs(grouped_a, grouped_b, GroupEncoding())
     legacy = pairwise_crosscheck(grouped_a, grouped_b)
     assert _sat_pairs(report) == expected == _sat_pairs(legacy)
     assert report.queries == legacy.queries
@@ -359,7 +358,7 @@ def test_row_scan_falls_back_to_pairwise_when_hits_trickle_in():
     # pair by pair — still within one SAT call per candidate.
     grouped_a = _grouped("a", [(0, _X < 8)])
     grouped_b = _grouped("b", [(value + 1, _X == value) for value in range(8)])
-    engine = GroupEncoding(SolverConfig(use_interval_precheck=False))
+    engine = GroupEncoding()
     report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
     assert report.inconsistency_count == 8
     assert report.queries == 8
@@ -377,7 +376,7 @@ def test_row_scan_falls_back_to_pairwise_when_hits_trickle_in():
 def test_row_scan_decides_an_unsat_row_with_one_sat_call():
     grouped_a = _grouped("a", [(0, _X > 200)])
     grouped_b = _grouped("b", [(value + 1, _X == value) for value in range(6)])
-    engine = GroupEncoding(SolverConfig(use_interval_precheck=False))
+    engine = GroupEncoding()
     report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
     assert report.inconsistency_count == 0
     assert report.unsat_pairs == report.queries == 6
@@ -393,8 +392,7 @@ def test_row_scan_decides_an_unsat_row_with_one_sat_call():
 def test_row_scan_unknown_row_answer_finishes_pairwise():
     grouped_a = _grouped("a", [(0, bool_or(_X == 5, _X == 9))])
     grouped_b = _grouped("b", [(1, _X > 0), (2, _X > 1)])
-    engine = GroupEncoding(SolverConfig(max_conflicts=0,
-                                        use_interval_precheck=False))
+    engine = GroupEncoding(SolverConfig(max_conflicts=0))
     report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
     assert report.queries == 2
     assert report.unknown_pairs + report.inconsistency_count == 2
@@ -410,7 +408,7 @@ def test_row_scan_rejects_a_model_that_satisfies_no_candidate(monkeypatch):
     monkeypatch.setattr(incremental_module, "compile_term", lambda term: NeverTrue())
     grouped_a = _grouped("a", [(0, _X < 8)])
     grouped_b = _grouped("b", [(1, _X == 1), (2, _X == 2)])
-    engine = GroupEncoding(SolverConfig(use_interval_precheck=False))
+    engine = GroupEncoding()
     with pytest.raises(SolverError, match="satisfies none"):
         find_inconsistencies(grouped_a, grouped_b, engine=engine)
 
@@ -431,7 +429,7 @@ def test_deadline_is_checked_before_every_sat_call():
     # (which finds x == 1); tick 5 stops the second row solve.
     report = find_inconsistencies(
         grouped_a, grouped_b, deadline=4.5, clock=TickClock(),
-        engine=GroupEncoding(SolverConfig(use_interval_precheck=False)))
+        engine=GroupEncoding())
     assert report.truncated is True
     assert report.queries == report.inconsistency_count == 1
     assert report.solver_stats["assumption_solves"] == 1
@@ -454,7 +452,7 @@ def test_sat_answer_leaves_inactive_groups_unassigned():
         "modified": [bool_or(bool_and(_X == 1, _Y > 7, _X == _Y), _Y == 200),
                      bool_or(_X == 7, bool_and(_X < 40, _Y == 9))],
     }
-    engine = GroupEncoding(SolverConfig(use_interval_precheck=False))
+    engine = GroupEncoding()
     backend = engine._backend
     solver = backend.sat_solver
 
@@ -517,11 +515,10 @@ def _pooled_rows(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_pooled_rows(), st.booleans())
-def test_row_scan_on_shared_atom_pool_matches_legacy(rows, interval):
+@given(_pooled_rows())
+def test_row_scan_on_shared_atom_pool_matches_legacy(rows):
     grouped_a, grouped_b = _grouped("a", rows[0]), _grouped("b", rows[1])
-    engine = GroupEncoding(SolverConfig(use_interval_precheck=interval))
-    report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
+    report = find_inconsistencies(grouped_a, grouped_b, engine=GroupEncoding())
     legacy = pairwise_crosscheck(grouped_a, grouped_b)
     assert _sat_pairs(report) == _sat_pairs(legacy)
     assert report.unsat_pairs == legacy.unsat_pairs

@@ -1,4 +1,4 @@
-"""Tests for expression simplification, substitution and the interval domain."""
+"""Tests for expression simplification and substitution."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +19,6 @@ from repro.symbex.expr import (
     ite,
     zero_extend,
 )
-from repro.symbex.interval import IntervalDomain, analyze_conjunction
 from repro.symbex.simplify import simplify, simplify_bool, substitute
 from tests.oracles import evaluate_bool, evaluate_bv
 
@@ -111,64 +110,3 @@ def test_prop_substitution_then_evaluation_commutes(a, b):
     via_substitution = substitute(condition, {"x": a, "y": b})
     assert isinstance(via_substitution, BoolConst)
     assert via_substitution.value == direct
-
-
-# ---------------------------------------------------------------------------
-# Interval domain
-# ---------------------------------------------------------------------------
-
-def test_interval_bounds_and_exclusions():
-    x = bvvar("x", 8)
-    outcome = analyze_conjunction([x >= 10, x <= 12, x != 10, x != 12])
-    assert not outcome.is_unsat
-    assert outcome.verified
-    assert outcome.candidate["x"] == 11
-
-
-def test_interval_detects_empty_range():
-    x = bvvar("x", 8)
-    assert analyze_conjunction([x > 200, x < 100]).is_unsat
-    assert analyze_conjunction([x == 5, x == 6]).is_unsat
-    assert analyze_conjunction([x < 1, x != 0]).is_unsat
-
-
-def test_interval_handles_equality_pinning():
-    x, y = bvvar("x", 16), bvvar("y", 16)
-    outcome = analyze_conjunction([x == 0x1234, y > 5])
-    assert outcome.verified
-    assert outcome.candidate["x"] == 0x1234
-    assert outcome.candidate["y"] > 5
-
-
-def test_interval_reversed_operand_order():
-    x = bvvar("x", 8)
-    outcome = analyze_conjunction([bv(10, 8) < x, bv(20, 8) >= x])
-    assert not outcome.is_unsat
-    assert 10 < outcome.candidate["x"] <= 20
-
-
-def test_interval_unsupported_atoms_fall_through():
-    x, y = bvvar("x", 8), bvvar("y", 8)
-    outcome = analyze_conjunction([x + y == 10])
-    assert not outcome.is_unsat
-
-
-def test_interval_negated_atoms():
-    x = bvvar("x", 8)
-    outcome = analyze_conjunction([bool_not(x < 5), x < 7])
-    assert not outcome.is_unsat
-    assert outcome.candidate["x"] in (5, 6)
-
-
-def test_interval_domain_incremental_api():
-    domain = IntervalDomain()
-    x = bvvar("x", 8)
-    domain.add(x > 3)
-    domain.add(x < 3)
-    assert domain.is_definitely_unsat()
-
-
-def test_interval_false_constant_is_contradiction():
-    assert analyze_conjunction([FALSE]).is_unsat
-    outcome = analyze_conjunction([TRUE])
-    assert not outcome.is_unsat

@@ -1,11 +1,12 @@
-"""The CDCL engine: cancellation cleanliness, UNKNOWN caching, and the
-seed-catalog sweep of the interval pre-check against the CDCL verdicts.
+"""The CDCL engine: cancellation cleanliness, UNKNOWN caching, and a
+differential sweep over the engine's front ends on the seed catalogue.
 
 The sweep is the load-bearing test of the one-engine pipeline: on real path
-conditions from every (test, agent) cell of the seed catalogue, the default
-pipeline's verdicts, and every verdict the word-level interval analysis
-reaches on its own, must equal the verdicts of the bit-blasting CDCL engine
-without the pre-check.
+conditions from every (test, agent) cell of the seed catalogue, and on
+conjunctions of two of them, the one-shot :class:`Solver` (cached and
+uncached), the Phase-2b :class:`GroupEncoding` and the Phase-1
+:class:`PrefixOracle` must reach the same verdict, and every model any of
+them returns must satisfy the query under concrete evaluation.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import pytest
 
 from repro.core.explorer import explore_agent
 from repro.core.tests_catalog import TABLE1_TESTS
-from repro.symbex.expr import BoolAnd, BoolConst, BVCmp, BVConst, BVVar, bvvar
-from repro.symbex.interval import analyze_conjunction
-from repro.symbex.simplify import simplify_bool
+from repro.symbex.compile import evaluate_compiled_bool
+from repro.symbex.expr import TRUE, BVCmp, BVConst, BVVar, bool_and, bvvar
 from repro.symbex.solver import (
     CancellationToken,
     CDCLBackend,
+    GroupEncoding,
+    PrefixOracle,
     SATSolver,
     SATStatus,
     Solver,
@@ -52,8 +54,8 @@ def _sat_query(x=None):
 
 def test_interval_unknowns_are_never_cached():
     x, y = bvvar("x", 8), bvvar("y", 8)
-    # UNSAT, but neither the interval pre-check nor propagation alone can
-    # tell: refuting it takes CDCL conflicts.
+    # UNSAT, but propagation alone cannot tell: refuting it takes CDCL
+    # conflicts.
     query = [(x * y) == 7, x > 1, y > 1, x < 7, y < 7]
     solver = Solver(SolverConfig(max_conflicts=0))
     assert solver.check(query).is_unknown
@@ -66,7 +68,6 @@ def test_interval_unknowns_are_never_cached():
     assert solver.stats.cache_hits == 0
     assert solver.check(query).is_unsat
     assert solver.stats.cache_hits == 1
-    assert solver.stats.interval_decides == 0
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_token_cancels_an_inflight_query_from_another_thread():
 
 
 # ---------------------------------------------------------------------------
-# Seed-catalog sweep: interval verdicts vs CDCL verdicts
+# Seed-catalog sweep: every front end of the one engine agrees
 # ---------------------------------------------------------------------------
 
 def _sample(outcomes, limit):
@@ -181,68 +182,82 @@ def _sample(outcomes, limit):
 
 @pytest.fixture(scope="module")
 def catalog_queries():
-    """Real path conditions from every (test, agent) cell of the catalogue."""
+    """Real path conditions from every (test, agent) cell of the catalogue.
+
+    Besides each sampled path condition, the sweep asks Phase 2b's question
+    about two of them: a path of one agent against the path at the same
+    sample position of the next agent (SAT or UNSAT), and against the next
+    sampled path of its own agent (UNSAT: one agent's paths are disjoint).
+    """
 
     queries = []
     for test in TABLE1_TESTS:
+        sampled = {}
         for agent in AGENTS:
             report = explore_agent(agent, test)
             assert report.path_count > 0, (test, agent)
-            for outcome in _sample(report.outcomes, SWEEP_PATHS_PER_CELL):
-                if outcome.constraints:
-                    queries.append((test, agent, outcome.constraints))
-    assert len(queries) > 100
+            sampled[agent] = [outcome.constraints for outcome in
+                              _sample(report.outcomes, SWEEP_PATHS_PER_CELL)
+                              if outcome.constraints]
+            queries.extend((test, agent, constraints)
+                           for constraints in sampled[agent])
+        for agent, other in zip(AGENTS, AGENTS[1:] + AGENTS[:1]):
+            mine, theirs = sampled[agent], sampled[other]
+            queries.extend((test, agent + "/" + other, first + second)
+                           for first, second in zip(mine, theirs))
+            queries.extend((test, agent + "/" + agent, first + second)
+                           for first, second in zip(mine, mine[1:]))
+    assert len(queries) > 300
     return queries
 
 
-def _interval_verdict(constraints):
-    """What the interval pre-check alone concludes (UNKNOWN if nothing).
+def _deciders():
+    """Each front end as ``(test, constraints) -> (status, model)``."""
 
-    Mirrors the :class:`Solver` front-end: constraints are simplified, a
-    constant decides the query, and conjunctions are split into atoms.
-    """
+    cached = Solver()
+    uncached = Solver(SolverConfig(use_cache=False))
+    encodings = {}
 
-    atoms = []
-    for constraint in constraints:
-        reduced = simplify_bool(constraint)
-        if isinstance(reduced, BoolConst):
-            if not reduced.value:
-                return SATStatus.UNSAT
-            continue
-        atoms.extend(reduced.operands if isinstance(reduced, BoolAnd) else (reduced,))
-    if not atoms:
-        return SATStatus.SAT
-    outcome = analyze_conjunction(atoms)
-    if outcome.is_unsat:
-        return SATStatus.UNSAT
-    if outcome.verified:
-        return SATStatus.SAT
-    return SATStatus.UNKNOWN
+    def one_shot(solver):
+        def decide(_test, constraints):
+            result = solver.check(constraints)
+            return result.status, result.model
+        return decide
 
+    def group_encoding(test, constraints):
+        # One engine per test, as in a campaign's Phase 2b.
+        engine = encodings.setdefault(test, GroupEncoding())
+        result = engine.check_pair(bool_and(*constraints), TRUE).result
+        return result.status, result.model
 
-def _sweep(config, queries):
-    solver = Solver(config)
-    return [solver.check(constraints).status
-            for _test, _agent, constraints in queries]
+    def prefix_oracle(_test, constraints):
+        oracle = PrefixOracle()
+        node = oracle.root()
+        for constraint in constraints:
+            node = oracle.extend(node, oracle.literal(constraint))
+        status = oracle.check_node(node, base=oracle.root())
+        return status, node.witness
+
+    return {"solver": one_shot(cached), "solver-uncached": one_shot(uncached),
+            "group-encoding": group_encoding, "prefix-oracle": prefix_oracle}
 
 
 def test_differential_sweep_all_backends_agree(catalog_queries):
-    # The CDCL engine alone is the reference.
-    reference = _sweep(SolverConfig(use_interval_precheck=False, use_cache=False),
-                       catalog_queries)
-    assert SATStatus.UNKNOWN not in reference
-    # The default pipeline (interval pre-check, then CDCL) agrees everywhere.
-    assert _sweep(SolverConfig(use_cache=False), catalog_queries) == reference
-
-    verdicts = [_interval_verdict(constraints)
-                for _test, _agent, constraints in catalog_queries]
-    wrong = [
-        (query[0], query[1], expected, got)
-        for query, expected, got in zip(catalog_queries, reference, verdicts)
-        if got != SATStatus.UNKNOWN and got != expected
-    ]
-    assert not wrong, wrong[:5]
-    conclusive = sum(1 for got in verdicts if got != SATStatus.UNKNOWN)
-    # The catalogue's agent conditions are dominated by field-vs-constant
-    # comparisons; the word-level analysis must decide a meaningful share.
-    assert conclusive / len(verdicts) >= 0.2
+    verdicts = {}
+    for name, decide in _deciders().items():
+        statuses = []
+        for test, cell, constraints in catalog_queries:
+            status, model = decide(test, constraints)
+            if status == SATStatus.SAT:
+                assert model is not None, (name, test, cell)
+                assert all(evaluate_compiled_bool(constraint, model, default=0)
+                           for constraint in constraints), (name, test, cell)
+            statuses.append(status)
+        verdicts[name] = statuses
+    reference = verdicts["solver"]
+    assert {SATStatus.SAT, SATStatus.UNSAT} == set(reference)
+    for name, statuses in verdicts.items():
+        wrong = [(query[0], query[1], expected, got)
+                 for query, expected, got in zip(catalog_queries, reference, statuses)
+                 if got != expected]
+        assert not wrong, (name, wrong[:5])

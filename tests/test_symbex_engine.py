@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.errors import SolverError
 from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import bvvar
-from repro.symbex.solver import Solver
+from repro.symbex.solver import CDCLBackend, PrefixOracle, SATStatus, Solver
 from repro.symbex.state import PathCondition, PathState
 from tests.oracles import ReferenceEngine, evaluate_bool
 
@@ -168,6 +169,52 @@ def test_program_exception_recorded_as_path_error():
     assert len(errors) == 1
     assert "ValueError" in errors[0].error
     assert any(p.ok and p.events == ["ok"] for p in result.paths)
+
+
+def _product_branch(swallow):
+    """Branch on ``x * y == 77``: no base witness or repair decides it, so
+    the oracle's backend has to solve."""
+
+    def program(state):
+        x, y = state.new_symbol("x", 8), state.new_symbol("y", 8)
+        try:
+            state.record_event("hit" if x * y == 77 else "miss")
+        except Exception:  # noqa: BLE001 - agent code that swallows everything
+            if not swallow:
+                raise
+            state.record_event("swallowed")
+
+    return program
+
+
+@pytest.mark.parametrize("swallow", [False, True])
+def test_oracle_unknown_is_an_engine_fault_not_a_path_error(monkeypatch, swallow):
+    monkeypatch.setattr(CDCLBackend, "check_sat",
+                        lambda backend, *args, **kwargs: SATStatus.UNKNOWN)
+    with pytest.raises(SolverError, match="gave up"):
+        explore(_product_branch(swallow))
+
+
+def test_concretization_unknown_is_an_engine_fault(monkeypatch):
+    def program(state):
+        x = state.new_symbol("x", 8)
+        state.assume(x > 10)
+        state.record_event(state.concretize(x))
+
+    monkeypatch.setattr(CDCLBackend, "check_sat",
+                        lambda backend, *args, **kwargs: SATStatus.UNKNOWN)
+    with pytest.raises(SolverError, match="concretizing"):
+        explore(program)
+
+
+@pytest.mark.parametrize("swallow", [False, True])
+def test_oracle_bug_is_an_engine_fault_not_a_path_error(monkeypatch, swallow):
+    def broken(oracle, node, base=None):
+        raise RuntimeError("oracle bug")
+
+    monkeypatch.setattr(PrefixOracle, "check_node", broken)
+    with pytest.raises(RuntimeError, match="oracle bug"):
+        explore(_product_branch(swallow))
 
 
 def test_concretize_pins_value_consistently():

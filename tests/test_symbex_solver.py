@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.symbex.expr import FALSE, TRUE, bool_or, bv, bvvar, ite
-from repro.symbex.interval import analyze_conjunction
 from repro.symbex.solver import SATSolver, SATStatus, Solver, SolverConfig
 from repro.symbex.solver.cnf import CNFBuilder
 from tests.oracles import evaluate_bool
@@ -259,7 +258,7 @@ def test_solver_unknown_results_are_not_cached():
     # SAT backend and conflicts at least once; retrying the same query on the
     # same solver with a raised budget must reach the backend again instead of
     # replaying the stale UNKNOWN from the cache.
-    solver = Solver(SolverConfig(max_conflicts=0, use_interval_precheck=False))
+    solver = Solver(SolverConfig(max_conflicts=0))
     x = bvvar("x", 8)
     constraints = [bool_or(x == 5, x == 9)]
     first = solver.check(constraints)
@@ -279,7 +278,7 @@ def test_solver_model_verification_is_on_by_default(monkeypatch):
 
     monkeypatch.setattr(CDCLBackend, "get_value", lambda backend: {"x": 0})
     x = bvvar("x", 8)
-    solver = Solver(SolverConfig(use_interval_precheck=False))
+    solver = Solver()
     with pytest.raises(SolverError, match="does not satisfy"):
         solver.check([x * 3 == 21])
 
@@ -291,23 +290,6 @@ def test_solver_symbolic_shift():
     assert result.is_sat
     assert result.model["s"] == 3
     assert result.model["x"] == 0xFFFF >> 3
-
-
-def test_interval_precheck_unsat_detected_without_sat_backend():
-    solver = Solver()
-    x = bvvar("x", 16)
-    before = solver.stats.sat_backend_runs
-    assert solver.check([x > 10, x < 5]).is_unsat
-    assert solver.stats.sat_backend_runs == before
-
-
-def test_interval_analysis_direct():
-    x = bvvar("x", 16)
-    outcome = analyze_conjunction([x > 4, x < 10, x != 7])
-    assert not outcome.is_unsat
-    assert outcome.verified
-    assert 4 < outcome.candidate["x"] < 10 and outcome.candidate["x"] != 7
-    assert analyze_conjunction([x < 3, x > 3]).is_unsat
 
 
 @settings(max_examples=25, deadline=None)
