@@ -47,9 +47,6 @@ METRICS = [
     ("BENCH_triage.json", "corpus.replays_per_sec", "Corpus replays/sec"),
     ("BENCH_triage.json", "minimization.shrink_ratio", "Witness shrink ratio"),
     ("BENCH_triage.json", "triage.dedup_ratio", "Witness dedup ratio"),
-    ("BENCH_hybrid.json", "hybrid.clusters_per_minute", "Hybrid clusters/min"),
-    ("BENCH_hybrid.json", "hybrid.coverage_units", "Hybrid coverage units"),
-    ("BENCH_hybrid.json", "advantage.clusters_vs_fuzz", "Hybrid vs fuzz clusters"),
     ("BENCH_eval.json", "eval.compiled_evals_per_sec", "Compiled evals/sec"),
     ("BENCH_eval.json", "eval.compiled_speedup", "Compiled vs interpreted"),
 ]

@@ -59,7 +59,6 @@ from repro.core.witness import (
 )
 from repro.core.corpus import CorpusRunReport, WitnessCorpus
 from repro.core.tests_catalog import catalog, get_test
-from repro.hybrid import HuntReport, HybridConfig, HybridHunt
 from repro.agents import agent_registry, make_agent, register_agent
 
 __all__ = [
@@ -87,9 +86,6 @@ __all__ = [
     "minimize_witness",
     "WitnessCorpus",
     "CorpusRunReport",
-    "HybridConfig",
-    "HybridHunt",
-    "HuntReport",
     "catalog",
     "get_test",
     "make_agent",

@@ -83,10 +83,5 @@ class RecordingContext(AgentContext):
 
     # -- queries ------------------------------------------------------------------
 
-    def outputs_since(self, count: int) -> List[Event]:
-        """Events recorded after the first *count* events (harness helper)."""
-
-        return self.events[count:]
-
     def __len__(self) -> int:
         return len(self.events)

@@ -277,18 +277,6 @@ class FlowTable:
                 best, best_priority = entry, priority
         return best
 
-    def find_identical(self, match: Match, priority: FieldValue,
-                       emergency: bool = False) -> Optional[FlowEntry]:
-        """Entry with a strictly identical match and priority (strict commands)."""
-
-        pool = self._emergency_entries if emergency else self._entries
-        for entry in pool:
-            if not field_equals(entry.priority, priority, 16):
-                continue
-            if self._matches_strictly(entry.match, match):
-                return entry
-        return None
-
     def matching_entries(self, match: Match, strict: bool,
                          priority: FieldValue = 0,
                          out_port: FieldValue = c.OFPP_NONE,

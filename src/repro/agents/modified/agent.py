@@ -51,17 +51,9 @@ class ModifiedSwitch(ReferenceSwitch):
             self.send_error(header.xid, c.OFPET_HELLO_FAILED, c.OFPHFC_INCOMPATIBLE)
 
     # -- Mutation 2 (undetectable): no FLOW_REMOVED on idle expiry ----------------
-
-    def expire_idle_entry(self, entry) -> None:
-        """Remove an idle-expired entry without notifying the controller.
-
-        The reference behaviour (inherited agents) sends FLOW_REMOVED when the
-        entry requested it; this switch silently drops the entry.  The method
-        is only reachable from timer-driven code, which symbolic execution
-        never triggers — hence the paper's second undetected modification.
-        """
-
-        self.flow_table.remove(entry)
+    # Only timer-driven code expires entries, and symbolic execution never
+    # fires a timer, so no input sequence reaches the changed path; the
+    # agents model no timers at all (the paper's second undetected change).
 
     # -- Mutation 3: tighter port validation in output actions -------------------
 

@@ -5,9 +5,8 @@ Three passes, all AST-level and solver-free:
 * **Decision maps** (:mod:`repro.analysis.decision_map`) — extract every
   branch site, message-type dispatch arm and compared constant from agent
   handler code.  The branch-site set is the *static denominator* behind
-  ``CoverageTracker``'s ``coverage_fraction``, uncovered sites become explicit
-  targets for the coverage-guided strategy and the hybrid hunt, and mined
-  constants seed the differential fuzzer's interesting-value pool.
+  ``CoverageTracker``'s ``coverage_fraction``, and mined constants seed the
+  differential fuzzer's interesting-value pool.
 * **Symbex-compatibility lint** (:mod:`repro.analysis.symbex_lint`) — flag
   constructs the symbolic engine cannot model (time/random/os calls, I/O,
   iteration over unordered sets, unsupported builtins in branch conditions).

@@ -8,23 +8,15 @@ input space: the probability of hitting, say, exactly ``OFPP_CONTROLLER`` in a
 16-bit port field is 2^-16 per try.  The benchmark
 ``benchmarks/test_baseline_comparison.py`` quantifies this against SOFT.
 
-Two properties make fuzz runs first-class citizens of the witness pipeline:
-
-* the RNG is injectable (``rng=``), so a caller — notably the hybrid
-  scheduler — can share one seeded :class:`random.Random` across stages and
-  reproduce a whole campaign from a single seed; there is no module-global
-  randomness anywhere;
-* every :class:`FuzzDivergence` records the concrete :data:`InputSequence`
-  that produced it, so a divergence can be promoted to a full
-  :class:`~repro.core.witness.Witness` (:func:`promote_divergence`), replayed,
-  minimized and persisted in a corpus exactly like a symbex-found one.
+One *seed* reproduces a whole run: the fuzzer draws from its own
+:class:`random.Random`, with no module-global randomness anywhere.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.agents import make_agent
 from repro.harness.driver import run_concrete_sequence
@@ -35,13 +27,9 @@ from repro.openflow.messages import FlowMod, PacketOut, QueueGetConfigRequest, S
 from repro.packetlib.builder import build_tcp_packet
 from repro.wire.buffer import SymBuffer
 
-__all__ = ["DifferentialFuzzer", "FuzzDivergence", "FuzzReport",
-           "promote_divergence"]
+__all__ = ["DifferentialFuzzer", "FuzzDivergence", "FuzzReport"]
 
 InputSequence = List[Tuple[str, object]]
-
-#: Resolves an agent name to a fresh instance (the fuzzer needs one per run).
-AgentFactory = Callable[[str], object]
 
 
 @dataclass
@@ -52,10 +40,6 @@ class FuzzDivergence:
     description: str
     trace_a: str
     trace_b: str
-    #: The concrete input sequence that triggered the divergence — enough to
-    #: replay it, promote it to a Witness, minimize it, or store it in a
-    #: corpus (the formatted traces above are for humans only).
-    inputs: InputSequence = field(default_factory=list)
 
 
 @dataclass
@@ -76,55 +60,10 @@ class FuzzReport:
         return self.divergence_count / self.iterations if self.iterations else 0.0
 
 
-def promote_divergence(divergence: FuzzDivergence, agent_a: str, agent_b: str,
-                       agent_factory: Optional[AgentFactory] = None,
-                       test_key: Optional[str] = None):
-    """Promote a fuzz divergence to a replay-confirmed :class:`Witness`.
-
-    Re-runs the recorded input sequence on fresh agent instances (so the
-    witness carries a clean replay, not the fuzz-loop traces), wraps it in a
-    :class:`ConcreteTestCase` with an empty solver model — a fuzz input *is*
-    its own materialization — and computes the divergence signature from the
-    replay diff.  The result drops into TriageIndex/WitnessCorpus unchanged.
-    """
-
-    from repro.core.testcase import ConcreteTestCase, ReplayOutcome, resolve_agent_factory
-    from repro.core.tests_catalog import current_scale
-    from repro.core.witness import DivergenceSignature, Witness
-    from repro.errors import WitnessError
-
-    if not divergence.inputs:
-        raise WitnessError(
-            "fuzz divergence %r carries no recorded inputs; was it produced "
-            "by a pre-PR6 fuzzer?" % (divergence.description,))
-    factory = resolve_agent_factory(agent_factory)
-    # Hyphen, not slash: the key becomes part of corpus bundle file names.
-    key = test_key or "fuzz-%s" % divergence.description.split("(", 1)[0]
-    testcase = ConcreteTestCase(test_key=key, assignment={},
-                                inputs=list(divergence.inputs))
-    run_a = run_concrete_sequence(factory(agent_a), testcase.inputs)
-    run_b = run_concrete_sequence(factory(agent_b), testcase.inputs)
-    replay = ReplayOutcome(testcase=testcase, run_a=run_a, run_b=run_b)
-    signature = DivergenceSignature.from_diff(key, agent_a, agent_b, replay.diff())
-    return Witness(
-        test_key=key,
-        scale=current_scale(),
-        agent_a=agent_a,
-        agent_b=agent_b,
-        assignment={},
-        testcase=testcase,
-        replay=replay,
-        signature=signature,
-    )
-
-
 class DifferentialFuzzer:
     """Feed identical random messages to two agents and compare their traces.
 
-    *rng* injects the random source (a seeded :class:`random.Random`); when
-    omitted, one is built from *seed*.  *agent_factory* overrides how agent
-    names become instances (defaults to the registry), which lets callers
-    fuzz unregistered in-test agents.
+    *seed* seeds the random source.
 
     *interesting_values* is an optional pool of constants (typically mined
     from the agents' comparisons by
@@ -138,14 +77,11 @@ class DifferentialFuzzer:
     """
 
     def __init__(self, agent_a: str, agent_b: str, seed: int = 0,
-                 rng: Optional[random.Random] = None,
-                 agent_factory: Optional[AgentFactory] = None,
                  interesting_values: Optional[Sequence[int]] = None,
                  interesting_prob: float = 0.25) -> None:
         self.agent_a = agent_a
         self.agent_b = agent_b
-        self.random = rng if rng is not None else random.Random(seed)
-        self._factory = agent_factory if agent_factory is not None else make_agent
+        self.random = random.Random(seed)
         self.interesting_values = list(interesting_values or [])
         self.interesting_prob = interesting_prob
 
@@ -236,8 +172,8 @@ class DifferentialFuzzer:
                 iteration: int = 0) -> Optional[FuzzDivergence]:
         """Replay one concrete input on both agents; a divergence or None."""
 
-        run_a = run_concrete_sequence(self._factory(self.agent_a), inputs)
-        run_b = run_concrete_sequence(self._factory(self.agent_b), inputs)
+        run_a = run_concrete_sequence(make_agent(self.agent_a), inputs)
+        run_b = run_concrete_sequence(make_agent(self.agent_b), inputs)
         if run_a.trace == run_b.trace:
             return None
         return FuzzDivergence(
@@ -245,7 +181,6 @@ class DifferentialFuzzer:
             description=description,
             trace_a=run_a.trace.short(limit=4),
             trace_b=run_b.trace.short(limit=4),
-            inputs=list(inputs),
         )
 
     def run(self, iterations: int = 100) -> FuzzReport:

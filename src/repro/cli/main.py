@@ -45,7 +45,6 @@ from repro.errors import (
     CorpusError,
     WitnessError,
 )
-from repro.hybrid.scheduler import ALL_STAGES, HybridConfig, HybridHunt
 from repro.symbex.strategies import strategy_names
 
 __all__ = ["main", "build_parser"]
@@ -56,7 +55,6 @@ BENCH_SUITES = {
     "explore": "benchmarks/test_exploration.py",
     "solver": "benchmarks/test_solver_core.py",
     "triage": "benchmarks/test_triage_corpus.py",
-    "hybrid": "benchmarks/test_hybrid_hunt.py",
     "eval": "benchmarks/test_eval_core.py",
 }
 
@@ -215,39 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--mine-constants", action="store_true",
                       help="bias random fields toward constants mined from the "
                            "agents' branch comparisons (decision-map analysis)")
-
-    hunt = subparsers.add_parser(
-        "hunt",
-        help="hybrid concolic hunt: budgeted fuzz/concolic/symbex/replay "
-             "scheduler over one agent pair")
-    hunt.add_argument("--test", required=True, choices=TABLE1_TESTS)
-    hunt.add_argument("--agent-a", default="reference", choices=sorted(AGENT_REGISTRY))
-    hunt.add_argument("--agent-b", default="ovs", choices=sorted(AGENT_REGISTRY))
-    hunt.add_argument("--budget", type=float, default=10.0,
-                      help="global wall-clock budget in seconds (default 10)")
-    hunt.add_argument("--slice", type=float, default=0.5, dest="slice_time",
-                      help="target scheduler slice length in seconds (default 0.5)")
-    hunt.add_argument("--seed", type=int, default=0,
-                      help="RNG seed; one seed reproduces the whole hunt")
-    hunt.add_argument("--stages", default=",".join(ALL_STAGES),
-                      help="comma-separated stage subset (default: %s); e.g. "
-                           "--stages fuzz for the pure-fuzz baseline" % ",".join(ALL_STAGES))
-    hunt.add_argument("--no-minimize", action="store_true",
-                      help="skip delta-minimization of witnesses")
-    hunt.add_argument("--mine-constants", action="store_true",
-                      help="bias fuzz-stage draws toward constants mined from "
-                           "the agents' branch comparisons")
-    hunt.add_argument("--corpus", metavar="DIR",
-                      help="load historical witnesses from DIR and persist new "
-                           "confirmed clusters back into it")
-    hunt.add_argument("--profile", nargs="?", const=25, type=int, default=None,
-                      metavar="N",
-                      help="profile the hunt with cProfile and print the top N "
-                           "functions by cumulative time (default N: 25)")
-    hunt.add_argument("--json", metavar="FILE", dest="json_out",
-                      help="write the machine-readable hunt report to FILE ('-' = stdout)")
-    hunt.add_argument("--quiet", action="store_true",
-                      help="suppress the human-readable summary")
 
     lint = subparsers.add_parser(
         "lint",
@@ -562,30 +527,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hunt(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    stages = tuple(_split_csv(args.stages)) or ALL_STAGES
-    config = HybridConfig(budget=args.budget, slice_time=args.slice_time,
-                          seed=args.seed, stages=stages,
-                          minimize=not args.no_minimize,
-                          mined_constants=args.mine_constants,
-                          corpus_dir=args.corpus)
-    hunt = HybridHunt(args.test, args.agent_a, args.agent_b, config=config)
-    if args.profile:
-        report = _run_profiled(args.profile, hunt.run)
-    else:
-        report = hunt.run()
-    if not args.quiet:
-        print(report.describe())
-    if args.json_out:
-        code = _write_json(json_mod.dumps(report.to_dict(), indent=2),
-                           args.json_out, args.quiet)
-        if code:
-            return code
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as json_mod
 
@@ -705,8 +646,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_oftest(args)
         if args.command == "fuzz":
             return _cmd_fuzz(args)
-        if args.command == "hunt":
-            return _cmd_hunt(args)
         if args.command == "lint":
             return _cmd_lint(args)
         if args.command == "bench":

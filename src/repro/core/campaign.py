@@ -278,10 +278,6 @@ class CampaignReport:
     #: run actually wrote (0 = the corpus already contained them all).
     corpus_dir: Optional[str] = None
     corpus_saved: int = 0
-    #: Hybrid-mode hunt reports, one per (test, pair); empty in exhaustive
-    #: mode.  When non-empty, ``reports`` is empty and the exploration
-    #: counters are zero — the hunts carry the per-pair detail instead.
-    hunts: List["HuntReport"] = dataclass_field(default_factory=list)
     #: Campaign-wide coverage aggregate (``with_coverage=True`` only):
     #: static decision-map sites, the dynamic branch points reached, and
     #: their ratio (the true ``coverage_fraction``).
@@ -390,7 +386,6 @@ class CampaignReport:
             "corpus": ({"dir": self.corpus_dir, "saved": self.corpus_saved}
                        if self.corpus_dir else None),
             "explorations": [dict(row) for row in self.exploration_stats],
-            "hunts": [hunt.to_dict() for hunt in self.hunts],
             "coverage": dict(self.coverage) if self.coverage is not None else None,
             "job_failures": [failure.to_dict() for failure in self.job_failures],
             "job_states": dict(self.job_states),
@@ -470,14 +465,6 @@ class CampaignReport:
             lines.append(
                 "  warning: loaded artifact(s) for %s matched no pair and were unused"
                 % ", ".join(self.unused_loaded_agents))
-        for hunt in self.hunts:
-            lines.append(
-                "  hunt %-14s %-24s %3d witness(es) -> %d cluster(s), "
-                "%d slice(s), %.2fs"
-                % (hunt.test_key,
-                   "%s vs %s" % (hunt.agent_a, hunt.agent_b),
-                   len(hunt.witnesses), hunt.cluster_count,
-                   hunt.stats.slices, hunt.stats.wall_time))
         lines.append(
             "  %-14s %-24s %9s %9s %8s %7s %9s %8s"
             % ("TEST", "PAIR", "PATHS", "OUTPUTS", "QUERIES", "INCONS", "VERIFIED", "TIME"))
@@ -532,7 +519,6 @@ class Campaign:
                  minimize_budget: int = 96,
                  corpus_dir: Optional[str] = None,
                  agent_options: Optional[Dict[str, Dict[str, object]]] = None,
-                 hybrid: Optional["HybridConfig"] = None,
                  cell_timeout: Optional[float] = None,
                  retries: int = 1,
                  retry_policy: Optional[RetryPolicy] = None,
@@ -574,11 +560,6 @@ class Campaign:
         #: Per-agent keyword arguments threaded into ``make_agent`` whenever a
         #: concrete replay instantiates an agent (triage, corpus, replays).
         self.agent_options: Dict[str, Dict[str, object]] = dict(agent_options or {})
-        #: When set, :meth:`run` runs one budgeted hybrid hunt
-        #: (:class:`repro.hybrid.HybridHunt`) per (test, pair) instead of the
-        #: one-shot exhaustive pipeline; the budget applies per hunt.  All
-        #: hunt witnesses still merge into the campaign-wide triage/corpus.
-        self.hybrid = hybrid
         #: Per-cell wall-clock deadline in seconds (None = unlimited).  A
         #: cell that exceeds it is abandoned by the job supervisor and, once
         #: its retries are spent, lands as terminal state ``timed_out``.
@@ -676,33 +657,6 @@ class Campaign:
         self.strategy = strategy
         return self
 
-    def with_corpus(self, corpus_dir: Optional[str]) -> "Campaign":
-        """Persist confirmed cluster representatives to *corpus_dir* after runs."""
-
-        self.corpus_dir = corpus_dir
-        return self
-
-    def with_hybrid(self, config: Optional["HybridConfig"] = None,
-                    **knobs: object) -> "Campaign":
-        """Switch :meth:`run` to budgeted hybrid hunts per (test, pair).
-
-        Pass a pre-built :class:`repro.hybrid.HybridConfig`, or keyword knobs
-        (``budget=5.0, stages=("fuzz", "concolic")``) to build one.
-        """
-
-        from repro.hybrid.scheduler import HybridConfig
-
-        if config is not None and knobs:
-            raise CampaignError("pass either a HybridConfig or knobs, not both")
-        self.hybrid = config if config is not None else HybridConfig(**knobs)
-        return self
-
-    def with_agent_options(self, agent: str, **options: object) -> "Campaign":
-        """Keyword arguments for ``make_agent(agent, ...)`` during replays."""
-
-        self.agent_options.setdefault(agent, {}).update(options)
-        return self
-
     def with_workers(self, workers: int, executor: Optional[str] = None) -> "Campaign":
         """Set the worker-pool width (and optionally the executor kind)."""
 
@@ -712,32 +666,6 @@ class Campaign:
                 raise CampaignError("executor must be 'thread' or 'process', got %r"
                                     % (executor,))
             self.executor = executor
-        return self
-
-    def with_cell_timeout(self, timeout: Optional[float],
-                          retries: Optional[int] = None) -> "Campaign":
-        """Per-cell wall-clock deadline (and optionally the retry budget)."""
-
-        self.cell_timeout = timeout
-        if retries is not None:
-            self.retries = max(0, int(retries))
-        return self
-
-    def with_checkpoint(self, directory: Optional[str],
-                        resume: bool = False) -> "Campaign":
-        """Journal terminal cells into *directory*; ``resume=True`` skips
-        cells the journal already records as ``ok``."""
-
-        if resume and not directory:
-            raise CampaignError("resume=True requires a checkpoint directory")
-        self.checkpoint_dir = directory
-        self.resume = bool(resume)
-        return self
-
-    def with_fault_plan(self, plan) -> "Campaign":
-        """Install a :class:`repro.testing.faults.FaultPlan` for each run."""
-
-        self.fault_plan = plan
         return self
 
     # ------------------------------------------------------------------
@@ -1011,8 +939,7 @@ class Campaign:
             return None, {}
         checkpoint = CampaignCheckpoint(self.checkpoint_dir)
         checkpoint.open(CampaignCheckpoint.fingerprint_for(
-            specs, paired_agents, pairs, self.strategy,
-            self.hybrid is not None), resume=self.resume)
+            specs, paired_agents, pairs, self.strategy), resume=self.resume)
         completed = checkpoint.completed_cells() if self.resume else {}
         return checkpoint, completed
 
@@ -1061,11 +988,6 @@ class Campaign:
         checkpoint, completed = self._open_checkpoint(specs, pairs, paired_agents)
         job_failures: List[JobFailure] = []
         job_states: Dict[str, int] = {}
-
-        if self.hybrid is not None:
-            return self._run_hybrid(started, specs, pairs, paired_agents,
-                                    supervisor, checkpoint, completed,
-                                    job_failures, job_states)
 
         loaded_before = self.cache.loaded_count
         hits_before = self.cache.hits
@@ -1255,107 +1177,6 @@ class Campaign:
             corpus_dir=self.corpus_dir,
             corpus_saved=corpus_saved,
             coverage=coverage_summary,
-            job_failures=job_failures,
-            executor_degraded=list(supervisor.degradation_events),
-            job_states=job_states,
-            checkpoint_dir=self.checkpoint_dir,
-            resumed_cells=resumed,
-        )
-
-    # ------------------------------------------------------------------
-    # Hybrid mode
-    # ------------------------------------------------------------------
-
-    def _run_hybrid(self, started: float, specs: Sequence[TestSpec],
-                    pairs: Sequence[Pair], paired_agents: Sequence[str],
-                    supervisor: JobSupervisor,
-                    checkpoint: Optional[CampaignCheckpoint],
-                    completed: Dict[Tuple[str, ...], Dict[str, object]],
-                    job_failures: List[JobFailure],
-                    job_states: Dict[str, int]) -> CampaignReport:
-        """One budgeted :class:`HybridHunt` per (test, pair).
-
-        Each hunt keeps its own seed pool, engines and stage scheduler; the
-        witnesses of every hunt merge into one campaign-wide triage index so
-        clustering (and the optional corpus) spans the whole matrix, exactly
-        as in the exhaustive mode.  Hunts are supervised cells like any
-        other: per-cell deadlines, retries, checkpointed terminal states.
-        """
-
-        import dataclasses
-
-        from repro.hybrid.scheduler import HybridHunt
-
-        # Hunts persist through the campaign corpus below, not individually —
-        # per-hunt saves would race and double-write under the worker pool.
-        hunt_config = dataclasses.replace(self.hybrid, corpus_dir=None)
-
-        hunts_by_cell: Dict[Tuple[str, ...], object] = {}
-        ordered_cells: List[Tuple[str, ...]] = []
-        hunt_jobs: List[CampaignJob] = []
-        resumed = 0
-        for spec in specs:
-            for agent_a, agent_b in pairs:
-                cell = CampaignCheckpoint.hunt_cell(spec, agent_a, agent_b)
-                ordered_cells.append(cell)
-                if checkpoint is not None and cell in completed:
-                    hunts_by_cell[cell] = checkpoint.load_hunt(spec, agent_a, agent_b)
-                    resumed += 1
-                    continue
-
-                def thread_fn(spec: TestSpec = spec, agent_a: str = agent_a,
-                              agent_b: str = agent_b):
-                    hunt = HybridHunt(spec, agent_a, agent_b, config=hunt_config)
-                    return hunt.run()
-
-                hunt_jobs.append(CampaignJob(kind="hunt", key=cell,
-                                             thread_fn=thread_fn))
-
-        spec_by_cell = {CampaignCheckpoint.hunt_cell(spec, agent_a, agent_b): spec
-                        for spec in specs for agent_a, agent_b in pairs}
-
-        def on_hunt_result(result: JobResult) -> None:
-            job_states[result.state] = job_states.get(result.state, 0) + 1
-            if result.ok:
-                hunts_by_cell[result.job.key] = result.value
-                if checkpoint is not None:
-                    checkpoint.save_hunt(spec_by_cell[result.job.key], result.value)
-            else:
-                job_failures.append(result.failure)
-            if checkpoint is not None:
-                checkpoint.append(self._journal_record(result))
-
-        if hunt_jobs:
-            supervisor.run(hunt_jobs, on_result=on_hunt_result)
-
-        hunts = [hunts_by_cell[cell] for cell in ordered_cells
-                 if cell in hunts_by_cell]
-
-        triage_index = TriageIndex()
-        for hunt in hunts:
-            triage_index.add_all(hunt.witnesses)
-        triage_report = triage_index.report(
-            triage_time=sum(hunt.stats.wall_time for hunt in hunts))
-        corpus_saved = 0
-        if self.corpus_dir:
-            corpus_saved = WitnessCorpus(self.corpus_dir).add_clusters(
-                triage_report.clusters)
-
-        return CampaignReport(
-            tests=[spec.key for spec in specs],
-            agents=list(self._agents),
-            pairs=list(pairs),
-            reports=[],
-            explorations_run=0,
-            explorations_loaded=0,
-            cache_hits=0,
-            workers=self.workers,
-            total_time=time.perf_counter() - started,
-            solver_stats={"mode": "hybrid"},
-            triage=triage_report,
-            corpus_dir=self.corpus_dir,
-            corpus_saved=corpus_saved,
-            hunts=hunts,
             job_failures=job_failures,
             executor_degraded=list(supervisor.degradation_events),
             job_states=job_states,

@@ -1,11 +1,11 @@
 """Campaign checkpoints: a resumable on-disk journal of terminal cells.
 
 A checkpointed campaign appends one JSONL record to ``jobs.jsonl`` every
-time a cell (Phase-1 unit, crosscheck pair, hybrid hunt) reaches a
-terminal state, alongside the cell's payload when it succeeded:
+time a cell (Phase-1 unit or crosscheck pair) reaches a terminal
+state, alongside the cell's payload when it succeeded:
 
 * ``meta.json`` — the format tag plus a *fingerprint* of the campaign
-  configuration (tests, agents, pairs, strategy, mode).  Resuming into a
+  configuration (tests, agents, pairs, strategy).  Resuming into a
   differently-shaped campaign is refused loudly rather than silently
   mixing incompatible cells.
 * ``jobs.jsonl`` — append-only journal, one record per terminal job:
@@ -16,9 +16,8 @@ terminal state, alongside the cell's payload when it succeeded:
 * ``artifacts/`` — one Phase-1 exploration artifact per ``ok`` phase-1
   cell, in the standard vendor-exchange format
   (:mod:`repro.core.artifacts`), so checkpoints double as artifact dirs.
-* ``pairs/`` / ``hunts/`` — per-cell payloads for ``ok`` crosscheck
-  pairs and hybrid hunts: everything the campaign report needs, without
-  re-running Phase 2.
+* ``pairs/`` — one payload per ``ok`` crosscheck pair: everything the
+  campaign report needs, without re-running Phase 2.
 
 Resume semantics: only cells whose *last* recorded state is ``ok`` are
 skipped — failed/timed-out/crashed cells get a fresh retry budget on
@@ -43,14 +42,14 @@ from repro.core.witness import Witness
 from repro.errors import ArtifactError, CheckpointError, ReproError
 from repro.symbex.serialize import bool_expr_from_obj, expr_to_obj
 
-__all__ = ["CampaignCheckpoint", "CHECKPOINT_FORMAT", "PAIR_CELL_FORMAT",
-           "HUNT_CELL_FORMAT"]
+__all__ = ["CampaignCheckpoint", "CHECKPOINT_FORMAT", "PAIR_CELL_FORMAT"]
 
 #: v2: phase-1 payloads are term-table exploration artifacts, so an older
 #: checkpoint is refused when it is opened rather than cell by cell.
-CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v2"
+#: v3: the fingerprint has no ``hybrid`` key (there is one campaign mode),
+#: so a v2 directory is refused by format, not as a fingerprint mismatch.
+CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v3"
 PAIR_CELL_FORMAT = "soft/pair-cell/v1"
-HUNT_CELL_FORMAT = "soft/hunt-cell/v1"
 
 Cell = Tuple[str, ...]
 
@@ -98,7 +97,6 @@ class CampaignCheckpoint:
             os.makedirs(self.directory, exist_ok=True)
             os.makedirs(os.path.join(self.directory, "artifacts"), exist_ok=True)
             os.makedirs(os.path.join(self.directory, "pairs"), exist_ok=True)
-            os.makedirs(os.path.join(self.directory, "hunts"), exist_ok=True)
         except OSError as exc:
             raise CheckpointError("cannot create checkpoint directory %s: %s"
                                   % (self.directory, exc))
@@ -151,8 +149,8 @@ class CampaignCheckpoint:
 
     @staticmethod
     def fingerprint_for(specs: Sequence[TestSpec], agents: Sequence[str],
-                        pairs: Sequence[Tuple[str, str]], strategy: Optional[str],
-                        hybrid: bool) -> Dict[str, object]:
+                        pairs: Sequence[Tuple[str, str]],
+                        strategy: Optional[str]) -> Dict[str, object]:
         """The campaign-shape fingerprint recorded in ``meta.json``."""
 
         return {
@@ -160,7 +158,6 @@ class CampaignCheckpoint:
             "agents": sorted(agents),
             "pairs": sorted([sorted(pair) for pair in pairs]),
             "strategy": strategy,
-            "hybrid": bool(hybrid),
         }
 
     # ------------------------------------------------------------------
@@ -232,21 +229,12 @@ class CampaignCheckpoint:
     def pair_cell(spec: TestSpec, agent_a: str, agent_b: str) -> Cell:
         return ("pair", spec.key, spec.scale, agent_a, agent_b)
 
-    @staticmethod
-    def hunt_cell(spec: TestSpec, agent_a: str, agent_b: str) -> Cell:
-        return ("hunt", spec.key, spec.scale, agent_a, agent_b)
-
     def _phase1_path(self, agent: str, spec: TestSpec) -> str:
         return os.path.join(self.directory, "artifacts", "phase1-%s-%s-%s.json"
                             % (_slug(agent), _slug(spec.key), _slug(spec.scale)))
 
     def _pair_path(self, spec: TestSpec, agent_a: str, agent_b: str) -> str:
         return os.path.join(self.directory, "pairs", "pair-%s-%s-%s-vs-%s.json"
-                            % (_slug(spec.key), _slug(spec.scale),
-                               _slug(agent_a), _slug(agent_b)))
-
-    def _hunt_path(self, spec: TestSpec, agent_a: str, agent_b: str) -> str:
-        return os.path.join(self.directory, "hunts", "hunt-%s-%s-%s-vs-%s.json"
                             % (_slug(spec.key), _slug(spec.scale),
                                _slug(agent_a), _slug(agent_b)))
 
@@ -376,61 +364,6 @@ class CampaignCheckpoint:
             replays=replays,  # type: ignore[arg-type]
             witnesses=witnesses,
             total_time=float(data.get("total_time", 0.0)),
-        )
-
-    # ------------------------------------------------------------------
-    # Hunt payloads (hybrid mode)
-    # ------------------------------------------------------------------
-
-    def save_hunt(self, spec: TestSpec, hunt) -> None:
-        payload = {
-            "format": HUNT_CELL_FORMAT,
-            "test": spec.key,
-            "scale": spec.scale,
-            "agent_a": hunt.agent_a,
-            "agent_b": hunt.agent_b,
-            "stats": hunt.stats.as_dict(),
-            "witnesses": [witness.to_dict() for witness in hunt.witnesses],
-            "coverage": hunt.coverage,
-            "corpus_saved": hunt.corpus_saved,
-        }
-        path = self._hunt_path(spec, hunt.agent_a, hunt.agent_b)
-        try:
-            with open(path, "w") as handle:
-                json.dump(payload, handle)
-                handle.write("\n")
-        except OSError as exc:
-            raise CheckpointError("cannot write hunt payload %s: %s" % (path, exc))
-
-    def load_hunt(self, spec: TestSpec, agent_a: str, agent_b: str):
-        from repro.core.witness import TriageIndex
-        from repro.hybrid.scheduler import HuntReport, HybridStats
-
-        path = self._hunt_path(spec, agent_a, agent_b)
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise CheckpointError("cannot read hunt payload %s: %s" % (path, exc))
-        if data.get("format") != HUNT_CELL_FORMAT:
-            raise CheckpointError("unsupported hunt payload format %r in %s"
-                                  % (data.get("format"), path))
-        try:
-            witnesses = [Witness.from_dict(obj) for obj in data.get("witnesses", [])]
-            stats = HybridStats.from_dict(data.get("stats", {}))
-        except (KeyError, TypeError, ValueError, ReproError) as exc:
-            raise CheckpointError("malformed hunt payload %s: %s" % (path, exc))
-        index = TriageIndex()
-        index.add_all(witnesses)
-        return HuntReport(
-            test_key=spec.key,
-            agent_a=agent_a,
-            agent_b=agent_b,
-            stats=stats,
-            triage=index.report(triage_time=stats.wall_time),
-            witnesses=witnesses,
-            coverage=data.get("coverage"),
-            corpus_saved=int(data.get("corpus_saved", 0)),
         )
 
 

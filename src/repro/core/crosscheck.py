@@ -15,9 +15,8 @@ condition is bit-blasted once behind an activation literal, and
 candidate B-groups of one A-group with one disjunctive SAT query per hit
 round, falling back to pair-by-pair solves only where that would not save a
 call.  Pass ``engine=`` to share the encoding across several pair reports of
-the same test (what :class:`~repro.core.campaign.Campaign` does), or across
-re-scans of a growing pair matrix (what the hybrid scheduler does: the
-engine's pair cache answers every pair an earlier scan decided).
+the same test (what :class:`~repro.core.campaign.Campaign` does); the
+engine's pair cache answers every pair an earlier scan decided.
 
 ``CrosscheckReport.queries`` counts *pairs decided*, whatever decided them,
 so it keeps the meaning of the paper's query count; the SAT calls actually
@@ -140,8 +139,8 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
     ``time.perf_counter``): once reached, the scan stops before the next
     pair filter or SAT call and the report is flagged ``truncated``, like a
     *max_pairs* cutoff.  Pairs left undecided are neither counted nor
-    reported.  A caller that re-scans on the same *engine* (the hybrid
-    scheduler) gets every already-decided pair from its pair cache.
+    reported.  A caller that re-scans on the same *engine* gets every
+    already-decided pair from its pair cache.
     """
 
     if grouped_a.test_key != grouped_b.test_key:

@@ -1,7 +1,7 @@
 """Fault-tolerant job runtime for campaigns.
 
-Every unit of campaign work — one Phase-1 exploration, one crosscheck
-pair, one hybrid hunt — becomes a :class:`CampaignJob` with a wall-clock
+Every unit of campaign work — one Phase-1 exploration or one crosscheck
+pair — becomes a :class:`CampaignJob` with a wall-clock
 deadline and a retry budget, and runs under a :class:`JobSupervisor`
 instead of directly on an executor.  The supervisor guarantees that one
 bad cell cannot take the campaign down:
@@ -88,7 +88,7 @@ class RetryPolicy:
 class CampaignJob:
     """One campaign cell: a deadline-and-retry-bounded unit of work."""
 
-    #: Cell kind: ``"phase1"`` / ``"pair"`` / ``"hunt"``.
+    #: Cell kind: ``"phase1"`` / ``"pair"``.
     kind: str
     #: Stable cell identity (kind, then the cell coordinates), used for
     #: checkpoint keys and failure records.

@@ -21,15 +21,9 @@ import importlib
 import pkgutil
 import sys
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Set, Tuple
 
-__all__ = ["CoverageTracker", "CoverageReport", "CoverageFingerprint",
-           "executable_lines", "branch_lines"]
-
-#: A coverage fingerprint: the frozen set of covered units.  Line units are
-#: ``(path, line)`` pairs, arc units are ``(path, src, dst)`` triples — the
-#: arity disambiguates them, so one flat set holds both.
-CoverageFingerprint = FrozenSet[tuple]
+__all__ = ["CoverageTracker", "CoverageReport", "executable_lines", "branch_lines"]
 
 
 def _module_files(package_names: Iterable[str]) -> Dict[str, str]:
@@ -212,53 +206,6 @@ class CoverageTracker:
             self.arcs[path].clear()
         self._last_line.clear()
 
-    def merge_from(self, other: "CoverageTracker") -> None:
-        """Fold another tracker's executed lines/arcs into this one.
-
-        Used after parallel exploration: each worker records coverage on its
-        own tracker (``sys.settrace`` is per-thread) and the per-worker
-        results are unioned into one report.  Both trackers must have been
-        built over the same packages.
-        """
-
-        for path, lines in other.executed.items():
-            self.executed.setdefault(path, set()).update(lines)
-        for path, arcs in other.arcs.items():
-            self.arcs.setdefault(path, set()).update(arcs)
-
-    def fingerprint(self) -> CoverageFingerprint:
-        """A cheap, hashable identity of everything covered so far.
-
-        The fingerprint is the frozen set of covered units — ``(path, line)``
-        for executed lines plus ``(path, src, dst)`` for executed arcs — so
-        two trackers cover the same behaviour iff their fingerprints are
-        equal, and set difference measures novelty directly.  The hybrid seed
-        pool keys seeds on this instead of diffing full reports.
-        """
-
-        units: Set[tuple] = set()
-        for path, lines in self.executed.items():
-            for line in lines:
-                units.add((path, line))
-        for path, arcs in self.arcs.items():
-            for src, dst in arcs:
-                units.add((path, src, dst))
-        return frozenset(units)
-
-    def novel_vs(self, other: Union["CoverageTracker", CoverageFingerprint, None]
-                 ) -> int:
-        """Count of covered units this tracker has that *other* lacks.
-
-        *other* may be another tracker, a fingerprint (frozen set) from
-        :meth:`fingerprint`, or ``None`` (everything is novel).
-        """
-
-        mine = self.fingerprint()
-        if other is None:
-            return len(mine)
-        baseline = other.fingerprint() if isinstance(other, CoverageTracker) else other
-        return len(mine - baseline)
-
     def report(self, modules: Optional[Iterable[str]] = None) -> CoverageReport:
         """Aggregate coverage, optionally restricted to module-name prefixes."""
 
@@ -291,17 +238,3 @@ class CoverageTracker:
             executed_branch_arc_count=arc_count,
             executed_branch_point_count=executed_branch_count,
         )
-
-    def uncovered_sites(self) -> Set[Tuple[str, int]]:
-        """Static branch sites never executed so far, as ``(path, line)``.
-
-        These are the explicit targets handed to the coverage-guided
-        strategy and the hybrid hunt: every element is a decision the
-        exploration has not yet reached.
-        """
-
-        return {
-            (path, line)
-            for path, branches in self._branches.items()
-            for line in branches - self.executed.get(path, set())
-        }

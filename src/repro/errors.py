@@ -38,14 +38,6 @@ class SolverError(SymbexError):
     """The constraint solver failed or was mis-used."""
 
 
-class SolverTimeoutError(SolverError):
-    """The constraint solver exceeded its configured budget."""
-
-
-class UnknownResultError(SolverError):
-    """The solver returned an inconclusive answer where a decision is needed."""
-
-
 class EngineError(SymbexError):
     """The path-exploration engine detected an internal inconsistency."""
 
@@ -81,10 +73,6 @@ class ProtocolError(ReproError):
 
 class MessageParseError(ProtocolError):
     """A byte buffer could not be parsed as the expected OpenFlow message."""
-
-
-class MessageBuildError(ProtocolError):
-    """A message object could not be serialized (missing/invalid fields)."""
 
 
 class PacketError(ReproError):
@@ -137,14 +125,6 @@ class UnknownAgentError(AgentError, KeyError):
 
 
 # ---------------------------------------------------------------------------
-# Static analysis
-# ---------------------------------------------------------------------------
-
-class AnalysisError(ReproError):
-    """A static-analysis pass (decision map or lint) was driven incorrectly."""
-
-
-# ---------------------------------------------------------------------------
 # Harness / core pipeline
 # ---------------------------------------------------------------------------
 
@@ -154,10 +134,6 @@ class HarnessError(ReproError):
 
 class PipelineError(ReproError):
     """Base class for SOFT-pipeline (explore/group/crosscheck) errors."""
-
-
-class TraceError(PipelineError):
-    """An output trace could not be normalized or compared."""
 
 
 class CrosscheckError(PipelineError):
@@ -177,8 +153,8 @@ class CampaignError(PipelineError):
 
 
 class CellTimeoutError(PipelineError):
-    """A campaign cell (one Phase-1 unit, crosscheck pair or hybrid hunt)
-    exceeded its wall-clock deadline and was abandoned by the supervisor."""
+    """A campaign cell (one Phase-1 unit or crosscheck pair) exceeded its
+    wall-clock deadline and was abandoned by the supervisor."""
 
 
 class WorkerCrashError(PipelineError):

@@ -18,7 +18,7 @@ The engine is layered:
 
 * the **scheduler** (:meth:`Engine.explore`) pops prefixes, re-executes the
   program and enforces budgets; a truncated exploration hands its leftover
-  frontier back, and :meth:`ExplorationResult.resume` continues from it;
+  frontier back;
 * the **strategy** (:mod:`repro.symbex.strategies`) owns the pending-prefix
   frontier and decides exploration order (DFS/BFS/random/coverage-guided);
 * the **feasibility oracle** (:mod:`repro.symbex.solver.oracle`) answers
@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     DecisionLimitExceeded,
@@ -51,7 +51,7 @@ from repro.symbex.expr import (
 )
 from repro.symbex.compile import compiled_cache_stats, evaluate_compiled
 from repro.symbex.simplify import simplify_bool, simplify_cache_stats
-from repro.symbex.solver import Solver, SolverConfig, merge_stat_dicts
+from repro.symbex.solver import Solver, SolverConfig
 from repro.symbex.solver.oracle import PrefixNode, PrefixOracle
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.state import PathCondition, PathState
@@ -197,34 +197,6 @@ class ExplorationResult:
 
         return not self.frontier
 
-    def resume(self, engine: "Engine", program: Callable[[PathState], Any], *,
-               deadline: Optional[float] = None) -> "ExplorationResult":
-        """Continue a truncated exploration from its handed-back frontier.
-
-        A budget-truncated :meth:`Engine.explore` returns the unexplored
-        prefixes in :attr:`frontier`; ``resume`` seeds a new exploration with
-        exactly those prefixes (``initial_frontier=self.frontier``) and merges
-        the continuation into this result — path ids renumbered, stats and
-        solver counters summed (the oracle's instance-size gauges excepted),
-        the *new* leftover frontier handed back again.
-        Because every prefix is self-contained (re-execution replays it from
-        scratch), slicing one exploration into N resumed slices reaches the
-        same path set as a single uninterrupted run; the regression test in
-        ``tests/test_symbex_engine.py`` pins this down.  The hybrid
-        scheduler's symbex stage leans on it: each time slice resumes where
-        the previous one stopped instead of re-exploring from the root.
-
-        When the frontier is already empty the result is returned unchanged.
-        *engine* may be the engine that produced this result or a fresh one
-        (solver/oracle state is reusable across slices by design).
-        """
-
-        if not self.frontier:
-            return self
-        continuation = engine.explore(program, initial_frontier=self.frontier,
-                                      deadline=deadline)
-        return _merge_results(self, continuation)
-
     @property
     def path_count(self) -> int:
         return len(self.paths)
@@ -256,7 +228,6 @@ class Engine:
         self._current_prefix: Prefix = ()
         self._frontier: Optional[SearchStrategy] = None
         self._stats = ExplorationStats()
-        self._deadline: Optional[float] = None
         # Prefix-trie node mirroring the current path condition: each
         # decision extends the node by one literal delta.
         self._path_node: Optional[PrefixNode] = None
@@ -273,19 +244,12 @@ class Engine:
     # Public API
     # ------------------------------------------------------------------
 
-    def explore(self, program: Callable[[PathState], Any], *,
-                initial_frontier: Optional[Sequence[Prefix]] = None,
-                deadline: Optional[float] = None) -> ExplorationResult:
+    def explore(self, program: Callable[[PathState], Any]) -> ExplorationResult:
         """Run *program* once per feasible path and collect all path records.
 
         *program* receives a fresh :class:`PathState` per path.  It must be
         deterministic: for the same sequence of branch outcomes it must make
         the same branch queries in the same order.
-
-        *initial_frontier* seeds the frontier with recorded prefixes instead
-        of the root (:meth:`ExplorationResult.resume`); *deadline* is an
-        absolute ``time.perf_counter()`` cutoff overriding
-        ``config.time_budget``.
         """
 
         started = time.perf_counter()
@@ -293,14 +257,9 @@ class Engine:
         strategy = self._make_frontier()
         self._frontier = strategy
         self._stats.strategy = strategy.name
-        for prefix in (initial_frontier if initial_frontier is not None else [()]):
-            strategy.push(tuple(prefix))
-        if deadline is not None:
-            self._deadline = deadline
-        elif self.config.time_budget:
-            self._deadline = started + self.config.time_budget
-        else:
-            self._deadline = None
+        strategy.push(())
+        deadline = (started + self.config.time_budget
+                    if self.config.time_budget else None)
 
         solver_queries_before = self.solver.stats.queries
         simplify_before = simplify_cache_stats()
@@ -316,7 +275,7 @@ class Engine:
         previous_hook = set_branch_hook(self._branch_hook)
         try:
             while len(strategy):
-                if self._deadline is not None and time.perf_counter() > self._deadline:
+                if deadline is not None and time.perf_counter() > deadline:
                     self._note_truncation("time_budget")
                     break
                 if (self.config.max_paths is not None
@@ -595,51 +554,3 @@ class Engine:
 
         raise _PathAbort(reason)
 
-
-def _merge_results(first: ExplorationResult,
-                   continuation: ExplorationResult) -> ExplorationResult:
-    """*first* followed by its resumed *continuation*, as one result.
-
-    Path ids are renumbered in order, counters summed (the oracle's
-    instance-size gauges keep the larger value: a continuation on the same
-    engine reports the grown instance, not a delta), and the
-    continuation's leftover frontier is the merged one.
-    """
-
-    records: List[PathRecord] = []
-    stats = ExplorationStats(strategy=first.stats.strategy)
-    solver_stats: Dict[str, float] = {}
-    strategy_metrics: Dict[str, object] = {}
-    for result in (first, continuation):
-        for record in result.paths:
-            record.path_id = len(records)
-            records.append(record)
-        part = result.stats
-        stats.decisions += part.decisions
-        stats.forced_decisions += part.forced_decisions
-        stats.forks += part.forks
-        stats.discarded_replays += part.discarded_replays
-        stats.solver_queries += part.solver_queries
-        stats.wall_time += part.wall_time
-        stats.simplify_cache_hits += part.simplify_cache_hits
-        stats.simplify_cache_misses += part.simplify_cache_misses
-        stats.compiled_cache_hits += part.compiled_cache_hits
-        stats.compiled_cache_misses += part.compiled_cache_misses
-        if part.truncated:
-            stats.truncated = True
-            if stats.truncation_reason is None:
-                stats.truncation_reason = part.truncation_reason
-        merge_stat_dicts(solver_stats, result.solver_stats,
-                         max_keys=Engine._STATS_GAUGES)
-        merge_stat_dicts(strategy_metrics, result.strategy_metrics,
-                         max_keys=("max_frontier",))
-    stats.paths = len(records)
-    stats.failed_paths = sum(1 for record in records if not record.ok)
-    strategy_metrics["strategy"] = stats.strategy
-    return ExplorationResult(
-        paths=records,
-        stats=stats,
-        solver_stats=solver_stats,
-        frontier=list(continuation.frontier),
-        strategy_metrics=strategy_metrics,
-    )

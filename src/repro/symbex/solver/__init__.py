@@ -25,7 +25,6 @@ from repro.symbex.solver.solver import (
     Solver,
     SolverConfig,
     SolverStats,
-    merge_stat_dicts,
 )
 from repro.symbex.solver.incremental import GroupEncoding, IncrementalStats, PairOutcome, RowScan
 from repro.symbex.solver.oracle import PrefixOracle, PrefixOracleStats
@@ -49,5 +48,4 @@ __all__ = [
     "RowScan",
     "PrefixOracle",
     "PrefixOracleStats",
-    "merge_stat_dicts",
 ]

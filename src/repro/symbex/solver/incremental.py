@@ -460,11 +460,6 @@ class GroupEncoding:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def group_count(self) -> int:
-        with self._lock:
-            return len(self._groups)
-
     def stats_dict(self) -> Dict[str, float]:
         """Counter snapshot plus the size of the shared backend."""
 

@@ -38,7 +38,7 @@ base witness → backend):
   can apply: the base is SAT, so no core lies inside it.  The shared
   instance only gains definitional clauses for fresh variables and implied
   learned clauses, so a stored core stays UNSAT for the oracle's lifetime,
-  across ``resume`` and engine reuse.  A few dozen cores decide thousands
+  across explorations on a reused engine.  A few dozen cores decide thousands
   of branch sides;
 * the **base witness** — every node proven SAT keeps the model that proved
   it (its *witness*; the root's is the empty model, every variable 0).  The

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SolverError
 from repro.symbex.expr import (
@@ -33,29 +33,7 @@ from repro.symbex.solver.model import require_verified
 from repro.symbex.solver.sat import SATStatus
 from repro.testing.faults import fault_point
 
-__all__ = ["Solver", "SolverConfig", "SolverStats", "SatResult", "merge_stat_dicts"]
-
-
-def merge_stat_dicts(target: Dict[str, object], source: Dict[str, object],
-                     max_keys: Sequence[str] = ("max_query_time",)
-                     ) -> Dict[str, object]:
-    """Fold one stats dict into *target*.
-
-    Non-numeric values keep the first one seen, *max_keys* merge as
-    high-water marks (gauges), and every other number sums.  Used by
-    :meth:`~repro.symbex.engine.ExplorationResult.resume` to merge a
-    continuation's solver counters and strategy metrics, so gauge semantics
-    live in exactly one place.
-    """
-
-    for name, value in source.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            target.setdefault(name, value)
-        elif name in max_keys:
-            target[name] = max(target.get(name, 0), value)
-        else:
-            target[name] = target.get(name, 0) + value
-    return target
+__all__ = ["Solver", "SolverConfig", "SolverStats", "SatResult"]
 
 
 @dataclass
@@ -127,8 +105,8 @@ class SatResult:
 class Solver:
     """The one-shot decision procedure.
 
-    Phase-1 concretization and the concolic executor's branch flips query
-    through it; Phase-1 branch feasibility goes through the prefix oracle.
+    Phase-1 concretization queries through it; Phase-1 branch feasibility
+    goes through the prefix oracle.
     """
 
     def __init__(self, config: SolverConfig = None) -> None:
@@ -167,14 +145,6 @@ class Solver:
         else:
             self.stats.unknown += 1
         return result
-
-    def is_satisfiable(self, constraints: Iterable[BoolExpr]) -> bool:
-        """Convenience wrapper; raises on an inconclusive answer."""
-
-        result = self.check(constraints)
-        if result.is_unknown:
-            raise SolverError("solver gave up on the query (conflict budget exhausted)")
-        return result.is_sat
 
     def get_model(self, constraints: Iterable[BoolExpr]) -> Optional[Dict[str, int]]:
         """Return a satisfying assignment or None when unsatisfiable."""

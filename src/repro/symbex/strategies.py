@@ -26,10 +26,9 @@ Four strategies ship with the engine:
     prefixes forked from paths that discovered new coverage (or, without a
     tracker, a previously unseen output log) are explored first.
 
-Frontiers are *resumable*: :meth:`SearchStrategy.drain` empties the
-frontier (a truncated exploration hands the drained prefixes back through
-``ExplorationResult.frontier``), and ``ExplorationResult.resume`` seeds a
-later exploration with them via ``Engine.explore(initial_frontier=...)``.
+A truncated exploration hands its unexplored prefixes back:
+:meth:`SearchStrategy.drain` empties the frontier into
+``ExplorationResult.frontier``.
 """
 
 from __future__ import annotations
@@ -310,8 +309,8 @@ class CoverageGuidedStrategy(SearchStrategy):
 
     def _pop(self) -> Prefix:
         if not self._heap:
-            # Entries with no completed parent yet (e.g. the root prefix, or
-            # an initial_frontier shard handed to a worker): neutral order.
+            # Entries with no completed parent yet (the root prefix):
+            # neutral order.
             self._flush_batch(0)
         return heappop(self._heap)[2]
 

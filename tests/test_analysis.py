@@ -192,16 +192,16 @@ def test_symbex_lint_only_applies_under_agents_tree(tmp_path):
     agents_dir = tmp_path / "repro" / "agents"
     agents_dir.mkdir(parents=True)
     (agents_dir / "x.py").write_text(source)
-    hybrid_dir = tmp_path / "repro" / "hybrid"
-    hybrid_dir.mkdir(parents=True)
-    (hybrid_dir / "x.py").write_text(source)
+    core_dir = tmp_path / "repro" / "core"
+    core_dir.mkdir(parents=True)
+    (core_dir / "x.py").write_text(source)
 
     report = run_lint([str(tmp_path)])
     by_path = {}
     for finding in report.findings:
         by_path.setdefault(finding.path, []).append(finding.rule)
     assert "symbex-compat" in by_path[str(agents_dir / "x.py")]
-    assert str(hybrid_dir / "x.py") not in by_path
+    assert str(core_dir / "x.py") not in by_path
 
 
 def test_lint_class_on_clean_agents():

@@ -27,7 +27,7 @@ from repro.symbex.compile import (
     evaluate_compiled,
     evaluate_compiled_bool,
 )
-from repro.symbex.engine import Engine, EngineConfig
+from repro.symbex.engine import Engine
 from repro.symbex.expr import (
     BVBinOp,
     bool_and,
@@ -194,29 +194,6 @@ def test_engine_surfaces_compiled_cache_stats():
     for key in ("compiled_cache_hits", "compiled_cache_misses"):
         assert key in as_dict
     assert result.stats.compiled_cache_hits + result.stats.compiled_cache_misses > 0
-
-
-def test_resumed_exploration_merges_compiled_cache_stats():
-    def wide_program(state):
-        a = state.new_symbol("wa", 8)
-        b = state.new_symbol("wb", 8)
-        if a == 1:
-            state.record_event("a")
-        if b == 2:
-            state.record_event("b")
-
-    before = compiled_cache_stats()
-    engine = Engine(config=EngineConfig(max_paths=2))
-    first = engine.explore(wide_program)
-    assert first.frontier
-    result = first.resume(engine, wide_program)
-    after = compiled_cache_stats()
-    assert result.path_count == 4
-    # The merged counters are the sum of both slices' per-run deltas.
-    assert result.stats.compiled_cache_hits == after["hits"] - before["hits"]
-    assert result.stats.compiled_cache_misses == \
-        after["misses"] - before["misses"]
-    assert result.stats.compiled_cache_hits > 0
 
 
 # ---------------------------------------------------------------------------

@@ -305,24 +305,28 @@ def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch,
              replay_testcases=False, triage=False,
              checkpoint_dir=str(ckpt)).run()
     meta = ckpt / "meta.json"
-    data = json.loads(meta.read_text())
-    data["format"] = "soft/campaign-checkpoint/v1"  # nested-tree phase-1 payloads
-    meta.write_text(json.dumps(data))
-
+    current = json.loads(meta.read_text())
     explored = []
     monkeypatch.setattr(campaign_module, "explore_agent",
                         lambda *args, **kwargs: explored.append(args))
-    with pytest.raises(CheckpointError, match="unsupported checkpoint format"):
-        Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                 replay_testcases=False, triage=False,
-                 checkpoint_dir=str(ckpt), resume=True).run()
-    assert explored == []
+    # v1: nested-tree phase-1 payloads; v2: a fingerprint with a hybrid-mode key.
+    for old_format, old_keys in (("soft/campaign-checkpoint/v1", {}),
+                                 ("soft/campaign-checkpoint/v2", {"hybrid": False})):
+        data = {"format": old_format,
+                "fingerprint": dict(current["fingerprint"], **old_keys)}
+        meta.write_text(json.dumps(data))
 
-    code = cli_main(["campaign", "--tests", "concrete", "--agents", "reference,ovs",
-                     "--checkpoint", str(ckpt), "--resume", "--quiet"])
-    assert code == 2
-    assert "unsupported checkpoint format" in capsys.readouterr().err
-    assert explored == []
+        with pytest.raises(CheckpointError, match="unsupported checkpoint format"):
+            Campaign(tests=["concrete"], agents=["reference", "ovs"],
+                     replay_testcases=False, triage=False,
+                     checkpoint_dir=str(ckpt), resume=True).run()
+        assert explored == []
+
+        code = cli_main(["campaign", "--tests", "concrete", "--agents", "reference,ovs",
+                         "--checkpoint", str(ckpt), "--resume", "--quiet"])
+        assert code == 2
+        assert "unsupported checkpoint format" in capsys.readouterr().err
+        assert explored == []
 
 
 def test_checkpoint_journal_tolerates_truncated_tail(tmp_path):

@@ -240,21 +240,6 @@ def test_oracle_engine_issues_fewer_solver_queries(legacy_result):
     assert result.solver_stats["literals_encoded"] < result.solver_stats["branch_checks"]
 
 
-def test_explore_parallel_matches_sequential(legacy_result):
-    # One exploration split into budget slices, each resumed on a fresh
-    # engine, must reach the sequential path set with one run's path ids.
-    budget = -(-legacy_result.path_count // 3)
-    result = Engine(config=EngineConfig(max_paths=budget)).explore(_branchy_program)
-    slices = 1
-    while not result.exhausted:
-        result = result.resume(Engine(config=EngineConfig(max_paths=budget)),
-                               _branchy_program)
-        slices += 1
-    assert slices == 3
-    assert _path_condition_set(result) == _path_condition_set(legacy_result)
-    assert [path.path_id for path in result.paths] == list(range(result.path_count))
-
-
 def test_dfs_oracle_engine_preserves_legacy_path_order(legacy_result):
     result = Engine(config=EngineConfig(strategy="dfs")).explore(_branchy_program)
     legacy_order = [path.decisions for path in legacy_result.paths]

@@ -430,66 +430,3 @@ def test_decision_limit_truncation_reason_and_usable_result():
     assert failed and all("DecisionLimitExceeded" in p.error for p in failed)
     # Paths under the limit are unaffected and the result stays usable.
     assert any(p.ok and p.events == ["leaf"] for p in result.paths)
-
-
-def test_resume_slices_reach_the_same_path_set_as_one_full_run():
-    """Two half-budget slices == one full-budget run (hybrid symbex stage)."""
-
-    def program(state):
-        for index in range(4):
-            bit = state.new_symbol("b%d" % index, 8)
-            if bit == index:
-                state.record_event("eq%d" % index)
-            else:
-                state.record_event("ne%d" % index)
-
-    full = Engine(config=EngineConfig(max_paths=64)).explore(program)
-    assert full.path_count == 16
-    assert full.exhausted and not full.stats.truncated
-
-    engine = Engine(config=EngineConfig(max_paths=8))
-    sliced = engine.explore(program)
-    assert sliced.stats.truncated and sliced.frontier
-    slices = 1
-    while not sliced.exhausted:
-        sliced = sliced.resume(engine, program)
-        slices += 1
-    assert slices == 2  # exactly two half-budget slices cover 16 paths
-
-    def path_set(result):
-        return sorted(p.decisions for p in result.paths)
-
-    assert path_set(sliced) == path_set(full)
-    # The merged slices renumber path ids into one run's numbering.
-    assert [p.path_id for p in sliced.paths] == list(range(16))
-    assert (sorted(tuple(p.events) for p in sliced.paths)
-            == sorted(tuple(p.events) for p in full.paths))
-    assert sliced.path_count == 16
-
-
-def test_resume_merges_the_oracle_instance_size_as_a_gauge():
-    """A sliced exploration reports its oracle's real SAT instance size."""
-
-    def program(state):
-        for index in range(4):
-            bit = state.new_symbol("g%d" % index, 8)
-            if bit == index:
-                state.record_event("eq%d" % index)
-
-    engine = Engine(config=EngineConfig(max_paths=8))
-    first = engine.explore(program)
-    assert first.frontier
-    merged = first.resume(engine, program)
-    assert merged.exhausted and merged.path_count == 16
-    oracle = engine.oracle.stats_dict()
-    assert oracle["sat_variables"] > 0
-    for gauge in ("sat_variables", "sat_clauses"):
-        assert merged.solver_stats[gauge] == oracle[gauge]
-    # Work counters are per-run deltas and still sum across the slices.
-    assert merged.solver_stats["branch_checks"] == oracle["branch_checks"]
-
-
-def test_resume_on_exhausted_result_is_a_no_op():
-    result = Engine().explore(lambda state: state.record_event("done"))
-    assert result.exhausted
-    assert result.resume(Engine(), lambda state: None) is result
