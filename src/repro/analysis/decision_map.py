@@ -123,9 +123,6 @@ class DecisionMap:
     def files(self) -> List[str]:
         return sorted({site.path for site in self.sites})
 
-    def sites_for_file(self, path: str) -> Set[int]:
-        return {site.line for site in self.sites if site.path == path}
-
     def interesting_values(self) -> List[int]:
         """Sorted mined constants, ready for a fuzzer's value pool."""
 

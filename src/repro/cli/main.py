@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "of hanging the whole campaign")
     campaign.add_argument("--retries", type=int, default=1,
                           help="extra attempts per cell after a crash or failure "
-                               "(default 1; exponential backoff between attempts)")
+                               "(default 1; re-queued at once, no backoff)")
     campaign.add_argument("--checkpoint", metavar="DIR", default=None,
                           help="journal every finished cell into DIR so an "
                                "interrupted campaign can be resumed")

@@ -39,6 +39,7 @@ Quickstart::
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import threading
@@ -51,7 +52,7 @@ from repro.core.artifacts import load_exploration_artifact
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.crosscheck import find_inconsistencies
 from repro.core.explorer import AgentExplorationReport, explore_agent
-from repro.core.jobs import CampaignJob, JobFailure, JobResult, JobSupervisor, RetryPolicy
+from repro.core.jobs import CampaignJob, JobFailure, JobResult, JobSupervisor
 from repro.core.grouping import GroupedResults, group_paths
 from repro.core.corpus import WitnessCorpus
 from repro.core.soft import SoftReport
@@ -157,11 +158,6 @@ class ExplorationCache:
         with self._lock:
             return sum(1 for entry in self._entries.values() if entry.loaded)
 
-    @property
-    def explored_count(self) -> int:
-        with self._lock:
-            return sum(1 for entry in self._entries.values() if not entry.loaded)
-
     def drop_explored(self) -> int:
         """Discard locally explored entries (artifact-seeded ones cannot be
         rebuilt and are kept); returns the number dropped."""
@@ -220,7 +216,11 @@ def _explore_spec_unit(agent: str, spec: TestSpec,
                        solver_config: Optional[SolverConfig],
                        with_coverage: bool,
                        strategy: Optional[str] = None) -> Tuple[AgentExplorationReport, float]:
-    """Phase 1 for one unit; module-level so process pools can run it."""
+    """Phase 1 for one unit; module-level so process pools can run it.
+
+    ``explore_agent`` is looked up as this module's global on purpose:
+    tests and the span tracer replace it to instrument Phase 1.
+    """
 
     started = time.perf_counter()
     report = explore_agent(agent, spec, engine_config=engine_config,
@@ -521,7 +521,6 @@ class Campaign:
                  agent_options: Optional[Dict[str, Dict[str, object]]] = None,
                  cell_timeout: Optional[float] = None,
                  retries: int = 1,
-                 retry_policy: Optional[RetryPolicy] = None,
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False,
                  fault_plan=None) -> None:
@@ -564,10 +563,9 @@ class Campaign:
         #: cell that exceeds it is abandoned by the job supervisor and, once
         #: its retries are spent, lands as terminal state ``timed_out``.
         self.cell_timeout = cell_timeout
-        #: Extra attempts per cell after the first (the full policy —
-        #: backoff, jitter — is overridable via *retry_policy*).
+        #: Extra attempts per cell after the first; a failed or timed-out
+        #: attempt is re-queued at once, with no backoff.
         self.retries = max(0, int(retries))
-        self.retry_policy = retry_policy
         #: Journal terminal cells (and their payloads) into this directory;
         #: with ``resume=True`` cells whose last recorded state is ``ok`` are
         #: restored instead of re-run.  Failed/timed-out/crashed cells get a
@@ -812,26 +810,13 @@ class Campaign:
             cell = CampaignCheckpoint.phase1_cell(agent, spec)
             unit_by_cell[cell] = unit
 
-            def thread_fn(agent: str = agent, spec: TestSpec = spec) -> Tuple:
-                started = time.perf_counter()
-                # Module-global lookup on purpose: tests monkeypatch
-                # campaign-side explore_agent to instrument Phase 1.
-                report = explore_agent(
-                    agent, spec, engine_config=self.engine_config,
-                    solver_config=self.solver_config,
-                    with_coverage=self.with_coverage,
-                    strategy=self.strategy)
-                return report, time.perf_counter() - started
-
-            process_task = None
-            if id(unit) in process_ids:
-                process_task = (_explore_spec_unit,
-                                (agent, spec, self.engine_config,
-                                 self.solver_config, self.with_coverage,
-                                 self.strategy))
-            jobs.append(CampaignJob(kind="phase1", key=cell,
-                                    thread_fn=thread_fn,
-                                    process_task=process_task))
+            args = (agent, spec, self.engine_config, self.solver_config,
+                    self.with_coverage, self.strategy)
+            jobs.append(CampaignJob(
+                kind="phase1", key=cell,
+                thread_fn=functools.partial(_explore_spec_unit, *args),
+                process_task=((_explore_spec_unit, args)
+                              if id(unit) in process_ids else None)))
 
         ran = [0]
 
@@ -927,9 +912,8 @@ class Campaign:
     def _make_supervisor(self) -> JobSupervisor:
         return JobSupervisor(
             workers=self.workers,
-            executor=self.executor,
             cell_timeout=self.cell_timeout,
-            retry=self.retry_policy or RetryPolicy(retries=self.retries),
+            retries=self.retries,
             fault_plan=self.fault_plan,
         )
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.grouping import GroupedResults, OutputGroup
 from repro.core.trace import OutputTrace
@@ -103,9 +103,6 @@ class CrosscheckReport:
     @property
     def inconsistency_count(self) -> int:
         return len(self.inconsistencies)
-
-    def distinct_trace_pairs(self) -> List[Tuple[OutputTrace, OutputTrace]]:
-        return [(i.trace_a, i.trace_b) for i in self.inconsistencies]
 
     def summary_row(self) -> Dict[str, object]:
         """One row of the paper's Table 3 (inconsistency-checking part)."""

@@ -1,24 +1,27 @@
 """Fault-tolerant job runtime for campaigns.
 
 Every unit of campaign work — one Phase-1 exploration or one crosscheck
-pair — becomes a :class:`CampaignJob` with a wall-clock
-deadline and a retry budget, and runs under a :class:`JobSupervisor`
-instead of directly on an executor.  The supervisor guarantees that one
-bad cell cannot take the campaign down:
+pair — becomes a :class:`CampaignJob` and runs under a
+:class:`JobSupervisor` instead of directly on an executor.  One loop waits
+on every in-flight attempt as a :class:`concurrent.futures.Future`: a job
+that carries a ``process_task`` runs in a lazily built process pool, every
+other job on a daemon thread.  The campaign decides which jobs get a
+``process_task``; the supervisor only follows it.  One bad cell cannot
+take the campaign down:
 
-* **Timeouts** — a cell that exceeds ``cell_timeout`` is abandoned at its
-  deadline (thread attempts run as daemon threads precisely so they can
-  be walked away from; process attempts get their pool torn down) and
-  lands as terminal state ``timed_out`` once its retries are spent.
-* **Retries** — failed/timed-out attempts are re-queued with exponential
-  backoff and jitter (:class:`RetryPolicy`; clock, sleep and RNG are all
-  injectable, so tests pin the schedule down deterministically).
-* **Crash isolation** — a worker-process death surfaces as
-  ``BrokenProcessPool`` on every in-flight future; the supervisor
-  rebuilds the pool, re-queues the in-flight jobs (pool breaks don't
-  consume a job's retry budget — the victim is usually innocent), and
-  after ``max_pool_rebuilds`` rebuilds degrades the remaining work to
-  the thread executor, *recording* the degradation instead of hiding it.
+* **Timeouts** — an attempt still running ``cell_timeout`` seconds after
+  it started is abandoned (a thread attempt is left behind as a daemon
+  thread; a pool attempt gets the pool torn down, and the other in-flight
+  pool jobs re-run without spending a retry).  The loop sleeps until the
+  nearest deadline, so there is no polling tick.
+* **Retries** — a failed or timed-out attempt goes straight back on the
+  queue, up to ``retries + 1`` attempts; the cell then lands in its
+  terminal state (``failed``, ``timed_out`` or ``crashed``).
+* **Crash isolation** — a worker-process death breaks the pool; the
+  in-flight pool jobs re-run without spending a retry (the victim is
+  usually innocent) on a rebuilt pool.  After :data:`MAX_POOL_REBUILDS`
+  rebuilds the remaining pool jobs run on threads, and the degradation is
+  *recorded* instead of hidden.
 * **Structured failures** — every non-``ok`` terminal state becomes a
   :class:`JobFailure` with the attempt count and full traceback, which
   campaigns aggregate onto their report (completed-with-failures is a
@@ -33,24 +36,23 @@ its return value is simply dropped.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait as futures_wait
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import CampaignError, CellTimeoutError, WorkerCrashError
+from repro.errors import CellTimeoutError, WorkerCrashError
 
 __all__ = [
+    "MAX_POOL_REBUILDS",
     "TERMINAL_STATES",
     "CampaignJob",
     "JobFailure",
     "JobResult",
     "JobSupervisor",
-    "RetryPolicy",
 ]
 
 #: Terminal job states.  ``ok`` carries a value; the rest carry a
@@ -59,29 +61,9 @@ __all__ = [
 #: supervisor itself only produces the first four.
 TERMINAL_STATES = ("ok", "failed", "timed_out", "crashed", "skipped")
 
-
-@dataclass
-class RetryPolicy:
-    """Exponential backoff with jitter for re-queued attempts."""
-
-    #: Extra attempts after the first (0 = fail fast).
-    retries: int = 1
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    #: Uniform jitter fraction added on top of the deterministic delay.
-    jitter: float = 0.5
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        """Backoff before attempt ``attempt + 1`` (attempts are 1-based)."""
-
-        base = min(self.backoff_max,
-                   self.backoff_base * self.backoff_factor ** max(0, attempt - 1))
-        return base * (1.0 + self.jitter * rng.random())
-
-    @property
-    def max_attempts(self) -> int:
-        return max(1, self.retries + 1)
+#: Process-pool breaks survived by rebuilding; the next one moves the
+#: remaining pool jobs onto threads.
+MAX_POOL_REBUILDS = 2
 
 
 @dataclass
@@ -95,13 +77,10 @@ class CampaignJob:
     key: Tuple[str, ...]
     #: Runs the cell in a worker thread; returns the cell's value.
     thread_fn: Callable[[], object] = lambda: None
-    #: Optional picklable alternative ``(fn, args)`` for process pools.
+    #: Picklable ``(fn, args)``: when set, the cell runs in a process pool.
     process_task: Optional[Tuple[Callable, tuple]] = None
-    #: Per-job deadline override (falls back to the supervisor's).
-    timeout: Optional[float] = None
-    # -- runtime accounting (owned by the supervisor) --
+    #: Attempts started so far (owned by the supervisor).
     attempts: int = 0
-    pool_breaks: int = 0
 
     @property
     def cell(self) -> str:
@@ -167,35 +146,6 @@ class JobResult:
         return self.state == "ok"
 
 
-class _Attempt:
-    """One in-flight thread attempt; daemonized so timeouts can abandon it."""
-
-    __slots__ = ("job", "number", "done", "value", "error", "tb",
-                 "started", "abandoned", "wake")
-
-    def __init__(self, job: CampaignJob, number: int, wake: threading.Event) -> None:
-        self.job = job
-        self.number = number
-        self.done = threading.Event()
-        self.value: object = None
-        self.error: Optional[BaseException] = None
-        self.tb: str = ""
-        self.started: float = 0.0
-        self.abandoned = False
-        self.wake = wake
-
-    def run(self) -> None:
-        try:
-            self.value = self.job.thread_fn()
-        # soft-lint: disable=broad-except -- the whole point: any cell crash becomes a structured failure, not a campaign abort
-        except Exception as exc:
-            self.error = exc
-            self.tb = traceback.format_exc()
-        finally:
-            self.done.set()
-            self.wake.set()
-
-
 def _process_attempt_main(fault_plan, fn, args):
     """Module-level process-pool entry: install the fault plan, run the cell.
 
@@ -207,40 +157,57 @@ def _process_attempt_main(fault_plan, fn, args):
     return fn(*args)
 
 
+def _start_thread(job: CampaignJob) -> Future:
+    """Run ``job.thread_fn`` on a daemon thread that completes a future."""
+
+    future: Future = Future()
+    fn = job.thread_fn
+
+    def body() -> None:
+        try:
+            future.set_result(fn())
+        # soft-lint: disable=broad-except -- the whole point: any cell crash becomes a structured failure, not a campaign abort
+        except Exception as exc:
+            future.set_exception(exc)
+
+    threading.Thread(target=body, daemon=True, name="soft-job-%s" % job.cell).start()
+    return future
+
+
+def _kill_pool(pool) -> None:
+    """Tear a pool down hard, terminating workers that may be hung."""
+
+    try:
+        for process in list((getattr(pool, "_processes", None) or {}).values()):
+            process.terminate()
+    # soft-lint: disable=broad-except -- best-effort teardown of an already-broken pool
+    except Exception:
+        pass
+    pool.shutdown(wait=False)
+
+
 class JobSupervisor:
     """Runs :class:`CampaignJob` lists with timeouts, retries and isolation."""
 
     def __init__(self,
                  workers: int = 1,
-                 executor: str = "thread",
                  cell_timeout: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 sleep: Callable[[float], None] = time.sleep,
-                 rng: Optional[random.Random] = None,
-                 max_pool_rebuilds: int = 2,
+                 retries: int = 1,
                  fault_plan=None) -> None:
-        if executor not in ("thread", "process"):
-            raise CampaignError("executor must be 'thread' or 'process', got %r"
-                                % (executor,))
         self.workers = max(1, int(workers))
-        self.executor = executor
         self.cell_timeout = cell_timeout
-        self.retry = retry or RetryPolicy()
-        self.clock = clock
-        self.sleep = sleep
-        self.rng = rng or random.Random(0)
-        self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
+        #: Extra attempts per job after the first (0 = fail fast).
+        self.retries = max(0, int(retries))
         self.fault_plan = fault_plan
         #: Executor degradations recorded during runs (never silent).
         self.degradation_events: List[Dict[str, object]] = []
-        self.pool_rebuilds = 0
         #: Thread attempts abandoned at their deadline (zombies left behind).
         self.abandoned_attempts = 0
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
+    def record_degradation(self, reason: str, **detail: object) -> None:
+        event: Dict[str, object] = {"reason": reason}
+        event.update(detail)
+        self.degradation_events.append(event)
 
     def run(self, jobs: Sequence[CampaignJob],
             on_result: Optional[Callable[[JobResult], None]] = None,
@@ -253,281 +220,127 @@ class JobSupervisor:
         """
 
         jobs = list(jobs)
+        max_attempts = self.retries + 1
         results: Dict[int, JobResult] = {}
+        first_started: Dict[int, float] = {}
+        pending = deque(jobs)
+        #: future -> (job, attempt deadline or None, runs in the pool)
+        inflight: Dict[Future, Tuple[CampaignJob, Optional[float], bool]] = {}
+        pool = None
+        pool_breaks = 0
 
         def commit(result: JobResult) -> None:
             results[id(result.job)] = result
             if on_result is not None:
                 on_result(result)
 
-        process_jobs = [job for job in jobs
-                        if job.process_task is not None and self.executor == "process"
-                        and self.workers > 1]
-        thread_jobs = [job for job in jobs if id(job) not in
-                       {id(j) for j in process_jobs}]
-        if process_jobs:
-            demoted = self._run_process_stage(process_jobs, commit)
-            thread_jobs = demoted + thread_jobs
-        if thread_jobs:
-            self._run_thread_stage(thread_jobs, commit)
-        return [results[id(job)] for job in jobs]
+        def elapsed(job: CampaignJob) -> float:
+            return max(0.0, time.monotonic() - first_started[id(job)])
 
-    @property
-    def degraded(self) -> bool:
-        return bool(self.degradation_events)
+        def retry_or_fail(job: CampaignJob, error: BaseException, tb: str) -> None:
+            if job.attempts < max_attempts:
+                pending.append(job)
+                return
+            state = ("timed_out" if isinstance(error, CellTimeoutError)
+                     else "crashed" if isinstance(error, WorkerCrashError)
+                     else "failed")
+            failure = JobFailure(kind=job.kind, cell=job.cell, state=state,
+                                 attempts=job.attempts,
+                                 error_type=type(error).__name__,
+                                 message=str(error), traceback=tb,
+                                 wall_time=elapsed(job))
+            commit(JobResult(job=job, state=state, failure=failure,
+                             wall_time=failure.wall_time))
 
-    def record_degradation(self, reason: str, **detail: object) -> None:
-        event: Dict[str, object] = {"reason": reason}
-        event.update(detail)
-        self.degradation_events.append(event)
+        def drop_pool() -> None:
+            """Kill the pool; its in-flight jobs re-run without a retry."""
 
-    # ------------------------------------------------------------------
-    # Shared terminal-state plumbing
-    # ------------------------------------------------------------------
-
-    def _effective_timeout(self, job: CampaignJob) -> Optional[float]:
-        return job.timeout if job.timeout is not None else self.cell_timeout
-
-    def _terminal_state_for(self, error: BaseException) -> str:
-        if isinstance(error, CellTimeoutError):
-            return "timed_out"
-        if isinstance(error, WorkerCrashError):
-            return "crashed"
-        return "failed"
-
-    def _failure(self, job: CampaignJob, state: str, error: BaseException,
-                 tb: str, started: float) -> JobResult:
-        failure = JobFailure(
-            kind=job.kind,
-            cell=job.cell,
-            state=state,
-            attempts=job.attempts,
-            error_type=type(error).__name__,
-            message=str(error),
-            traceback=tb,
-            wall_time=max(0.0, self.clock() - started),
-        )
-        return JobResult(job=job, state=state, failure=failure,
-                         wall_time=failure.wall_time)
-
-    def _retry_or_terminalize(self, job: CampaignJob, error: BaseException,
-                              tb: str, started: float,
-                              waiting: List[Tuple[float, CampaignJob]],
-                              commit: Callable[[JobResult], None]) -> None:
-        if job.attempts < self.retry.max_attempts:
-            eligible_at = self.clock() + self.retry.delay(job.attempts, self.rng)
-            waiting.append((eligible_at, job))
-            return
-        commit(self._failure(job, self._terminal_state_for(error), error, tb, started))
-
-    # ------------------------------------------------------------------
-    # Thread stage
-    # ------------------------------------------------------------------
-
-    def _run_thread_stage(self, jobs: Sequence[CampaignJob],
-                          commit: Callable[[JobResult], None]) -> None:
-        pending = deque(jobs)
-        waiting: List[Tuple[float, CampaignJob]] = []
-        running: List[_Attempt] = []
-        wake = threading.Event()
-        job_started: Dict[int, float] = {id(job): 0.0 for job in jobs}
-
-        while pending or waiting or running:
-            now = self.clock()
-            for entry in list(waiting):
-                if now >= entry[0]:
-                    waiting.remove(entry)
-                    pending.append(entry[1])
-
-            while pending and len(running) < self.workers:
-                job = pending.popleft()
-                job.attempts += 1
-                if job.attempts == 1:
-                    job_started[id(job)] = self.clock()
-                attempt = _Attempt(job, job.attempts, wake)
-                attempt.started = self.clock()
-                thread = threading.Thread(target=attempt.run, daemon=True,
-                                          name="soft-job-%s" % job.cell)
-                thread.start()
-                running.append(attempt)
-
-            wake.clear()
-            progressed = False
-            for attempt in list(running):
-                job = attempt.job
-                started = job_started[id(job)]
-                if attempt.done.is_set():
-                    running.remove(attempt)
-                    progressed = True
-                    if attempt.error is None:
-                        commit(JobResult(job=job, state="ok", value=attempt.value,
-                                         wall_time=max(0.0, self.clock() - started)))
-                    else:
-                        self._retry_or_terminalize(job, attempt.error, attempt.tb,
-                                                   started, waiting, commit)
-                    continue
-                timeout = self._effective_timeout(job)
-                if timeout is not None and self.clock() - attempt.started >= timeout:
-                    attempt.abandoned = True
-                    self.abandoned_attempts += 1
-                    running.remove(attempt)
-                    progressed = True
-                    error = CellTimeoutError(
-                        "cell %s exceeded its %.2fs deadline (attempt %d/%d)"
-                        % (job.cell, timeout, job.attempts, self.retry.max_attempts))
-                    self._retry_or_terminalize(job, error, "", started, waiting, commit)
-
-            if progressed or (pending and len(running) < self.workers):
-                continue
-            if not running and not pending and waiting:
-                next_eligible = min(entry[0] for entry in waiting)
-                self.sleep(max(0.0, min(next_eligible - self.clock(), 0.05)))
-                continue
-            if running:
-                tick = 0.25
-                deadlines = [self._effective_timeout(a.job) for a in running]
-                if any(d is not None for d in deadlines):
-                    tick = 0.01
-                wake.wait(tick)
-
-    # ------------------------------------------------------------------
-    # Process stage
-    # ------------------------------------------------------------------
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down hard, terminating workers that may be hung."""
+            nonlocal pool
+            for future, (job, _, on_pool) in list(inflight.items()):
+                if on_pool:
+                    del inflight[future]
+                    job.attempts -= 1
+                    pending.append(job)
+            _kill_pool(pool)
+            pool = None
 
         try:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-        # soft-lint: disable=broad-except -- best-effort teardown of an already-broken pool
-        except Exception:
-            pass
-        try:
-            pool.shutdown(wait=False)
-        # soft-lint: disable=broad-except -- best-effort teardown of an already-broken pool
-        except Exception:
-            pass
-
-    def _run_process_stage(self, jobs: Sequence[CampaignJob],
-                           commit: Callable[[JobResult], None],
-                           ) -> List[CampaignJob]:
-        """Run process-capable jobs; returns jobs demoted to the thread stage."""
-
-        from concurrent.futures.process import BrokenProcessPool
-
-        pending = deque(jobs)
-        waiting: List[Tuple[float, CampaignJob]] = []
-        job_started: Dict[int, float] = {id(job): 0.0 for job in jobs}
-        pool = self._make_pool()
-        inflight: Dict[object, Tuple[CampaignJob, float]] = {}
-
-        def drain_inflight() -> List[CampaignJob]:
-            victims = [job for job, _ in inflight.values()]
-            inflight.clear()
-            return victims
-
-        try:
-            while pending or waiting or inflight:
-                now = self.clock()
-                for entry in list(waiting):
-                    if now >= entry[0]:
-                        waiting.remove(entry)
-                        pending.append(entry[1])
-
+            while pending or inflight:
                 while pending and len(inflight) < self.workers:
                     job = pending.popleft()
                     job.attempts += 1
-                    if job_started[id(job)] == 0.0:
-                        job_started[id(job)] = self.clock()
-                    fn, args = job.process_task  # type: ignore[misc]
-                    future = pool.submit(_process_attempt_main, self.fault_plan,
-                                         fn, args)
-                    inflight[future] = (job, self.clock())
+                    now = time.monotonic()
+                    first_started.setdefault(id(job), now)
+                    on_pool = (job.process_task is not None
+                               and pool_breaks <= MAX_POOL_REBUILDS)
+                    if on_pool:
+                        if pool is None:
+                            # Imported here: thread-only runs never load
+                            # multiprocessing (~14 ms of import time).
+                            from concurrent.futures import ProcessPoolExecutor
 
-                if not inflight:
-                    if waiting and not pending:
-                        next_eligible = min(entry[0] for entry in waiting)
-                        self.sleep(max(0.0, min(next_eligible - self.clock(), 0.05)))
-                    continue
+                            pool = ProcessPoolExecutor(max_workers=self.workers)
+                        fn, args = job.process_task  # type: ignore[misc]
+                        try:
+                            future = pool.submit(_process_attempt_main,
+                                                 self.fault_plan, fn, args)
+                        except BrokenExecutor as exc:
+                            future = Future()
+                            future.set_exception(exc)
+                    else:
+                        future = _start_thread(job)
+                    deadline = (None if self.cell_timeout is None
+                                else now + self.cell_timeout)
+                    inflight[future] = (job, deadline, on_pool)
 
-                done, _ = futures_wait(list(inflight), timeout=0.05,
-                                       return_when=FIRST_COMPLETED)
+                deadlines = [d for _, d, _ in inflight.values() if d is not None]
+                timeout = (max(0.0, min(deadlines) - time.monotonic())
+                           if deadlines else None)
+                done, _ = wait(list(inflight), timeout=timeout,
+                               return_when=FIRST_COMPLETED)
+
                 pool_broke = False
                 for future in done:
-                    job, _submitted = inflight.pop(future)
-                    started = job_started[id(job)]
-                    try:
-                        value = future.result(timeout=0)
-                    except BrokenProcessPool:
-                        pool_broke = True
-                        job.pool_breaks += 1
-                        # The pool break is not this job's fault until proven
-                        # otherwise: re-queue without consuming its retries.
+                    job, _, on_pool = inflight.pop(future)
+                    error = future.exception()
+                    if error is None:
+                        commit(JobResult(job=job, state="ok", value=future.result(),
+                                         wall_time=elapsed(job)))
+                    elif on_pool and isinstance(error, BrokenExecutor):
                         job.attempts -= 1
                         pending.append(job)
-                    # soft-lint: disable=broad-except -- worker exceptions of any type become structured failures
-                    except Exception as exc:
-                        tb = getattr(exc, "__traceback__", None)
-                        rendered = "".join(traceback.format_exception(
-                            type(exc), exc, tb))
-                        self._retry_or_terminalize(job, exc, rendered, started,
-                                                   waiting, commit)
+                        pool_broke = True
                     else:
-                        commit(JobResult(job=job, state="ok", value=value,
-                                         wall_time=max(0.0, self.clock() - started)))
+                        retry_or_fail(job, error, "".join(traceback.format_exception(
+                            type(error), error, error.__traceback__)))
 
                 if pool_broke:
-                    for job in drain_inflight():
-                        job.pool_breaks += 1
-                        job.attempts -= 1
-                        pending.append(job)
-                    self._kill_pool(pool)
-                    self.pool_rebuilds += 1
-                    if self.pool_rebuilds > self.max_pool_rebuilds:
+                    drop_pool()
+                    pool_breaks += 1
+                    if pool_breaks > MAX_POOL_REBUILDS:
                         self.record_degradation(
                             "process pool broke %d time(s); degrading the "
                             "remaining Phase-1 cells to the thread executor"
-                            % self.pool_rebuilds,
-                            kind="process-pool-broken",
-                            pool_rebuilds=self.pool_rebuilds)
-                        leftovers = list(pending) + [entry[1] for entry in waiting]
-                        pending.clear()
-                        waiting.clear()
-                        return leftovers
-                    pool = self._make_pool()
-                    continue
+                            % pool_breaks,
+                            kind="process-pool-broken", pool_rebuilds=pool_breaks)
 
-                # Deadline sweep: a hung worker cannot be reclaimed on its
-                # own, so the whole pool is torn down and the survivors
-                # re-queued (for free — only the timed-out cell pays).
-                timed_out = [
-                    (future, job) for future, (job, submitted) in inflight.items()
-                    if self._effective_timeout(job) is not None
-                    and self.clock() - submitted >= self._effective_timeout(job)]
-                if timed_out:
-                    expired = {id(job) for _, job in timed_out}
-                    survivors = [job for job, _ in inflight.values()
-                                 if id(job) not in expired]
-                    inflight.clear()
-                    self._kill_pool(pool)
-                    for _, job in timed_out:
-                        timeout = self._effective_timeout(job)
-                        error = CellTimeoutError(
-                            "cell %s exceeded its %.2fs deadline (attempt %d/%d)"
-                            % (job.cell, timeout, job.attempts,
-                               self.retry.max_attempts))
-                        self._retry_or_terminalize(job, error, "",
-                                                   job_started[id(job)],
-                                                   waiting, commit)
-                    for job in survivors:
-                        job.attempts -= 1
-                        pending.append(job)
-                    pool = self._make_pool()
+                now = time.monotonic()
+                expired = [(future, job, on_pool)
+                           for future, (job, deadline, on_pool) in inflight.items()
+                           if deadline is not None and now >= deadline
+                           and not future.done()]
+                for future, _, _ in expired:
+                    del inflight[future]
+                if any(on_pool for _, _, on_pool in expired):
+                    drop_pool()  # a hung worker cannot be reclaimed on its own
+                for _, job, on_pool in expired:
+                    if not on_pool:
+                        self.abandoned_attempts += 1
+                    error = CellTimeoutError(
+                        "cell %s exceeded its %.2fs deadline (attempt %d/%d)"
+                        % (job.cell, self.cell_timeout, job.attempts, max_attempts))
+                    retry_or_fail(job, error, "")
         finally:
-            self._kill_pool(pool)
-        return []
+            if pool is not None:
+                _kill_pool(pool)
+        return [results[id(job)] for job in jobs]

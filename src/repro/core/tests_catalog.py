@@ -89,9 +89,6 @@ class TestSpec:
     message_count: int
     scale: str = "small"
 
-    def input_names(self) -> List[str]:
-        return [i.name for i in self.inputs]
-
 
 # ---------------------------------------------------------------------------
 # Builder helpers

@@ -640,11 +640,6 @@ class TriageIndex:
             clusters = list(self._clusters.values())
         return sorted(clusters, key=lambda c: (-c.size, c.signature.short()))
 
-    @property
-    def witness_count(self) -> int:
-        with self._lock:
-            return sum(cluster.size for cluster in self._clusters.values())
-
     def report(self, triage_time: float = 0.0,
                skipped_pairs: Optional[List[Tuple[str, str, str, str]]] = None,
                ) -> "TriageReport":

@@ -258,14 +258,6 @@ class CompiledProgram:
                  default: Optional[int] = None) -> bool:
         return bool(self.run(assignment, default=default))
 
-    @property
-    def tape_length(self) -> int:
-        return len(self._tape)
-
-    @property
-    def register_count(self) -> int:
-        return len(self._template)
-
 
 _BINOP_CODES = {
     "add": _ADD, "sub": _SUB, "mul": _MUL, "udiv": _UDIV, "urem": _UREM,

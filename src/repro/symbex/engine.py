@@ -188,9 +188,6 @@ class ExplorationResult:
     #: Frontier-discipline counters from the strategy that ran.
     strategy_metrics: Dict[str, object] = field(default_factory=dict)
 
-    def successful_paths(self) -> List[PathRecord]:
-        return [p for p in self.paths if p.ok]
-
     @property
     def exhausted(self) -> bool:
         """True when nothing is left to explore (empty frontier)."""

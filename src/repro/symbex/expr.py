@@ -888,9 +888,6 @@ class BoolExpr(Expr):
     def is_concrete(self) -> bool:
         return isinstance(self, BoolConst)
 
-    def as_bool(self) -> bool:
-        raise ConcretizationError("condition %r is symbolic" % (self,))
-
     def __bool__(self) -> bool:
         if isinstance(self, BoolConst):
             return self.value
@@ -941,9 +938,6 @@ class BoolConst(BoolExpr):
 
     def __reduce__(self):
         return (BoolConst, (self.value,))
-
-    def as_bool(self) -> bool:
-        return self.value
 
     def _compute_key(self) -> tuple:
         return ("bool", self.value)

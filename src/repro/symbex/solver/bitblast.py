@@ -61,9 +61,6 @@ class BitBlaster:
 
         return dict(self._var_bits)
 
-    def variable_widths(self) -> Dict[str, int]:
-        return dict(self._var_widths)
-
     # ------------------------------------------------------------------
     # Bit-vector translation
     # ------------------------------------------------------------------

@@ -51,9 +51,6 @@ class CNFBuilder:
 
     # -- gates ---------------------------------------------------------------
 
-    def gate_not(self, lit: int) -> int:
-        return -lit
-
     def gate_and(self, literals: Sequence[int]) -> int:
         """Return a literal equivalent to the conjunction of *literals*."""
 

@@ -339,12 +339,11 @@ class GroupEncoding:
             self.stats.sat += 1
             return PairOutcome(SatResult(SATStatus.SAT, model={}), via="trivial")
 
-        if self.config.use_cache:
-            cached = self._pair_cache.get(self._cache_key(group_a, group_b))
-            if cached is not None:
-                self.stats.pair_cache_hits += 1
-                return PairOutcome(SatResult(cached.status, dict(cached.model)),
-                                   via="pair-cache")
+        cached = self._pair_cache.get(self._cache_key(group_a, group_b))
+        if cached is not None:
+            self.stats.pair_cache_hits += 1
+            return PairOutcome(SatResult(cached.status, dict(cached.model)),
+                               via="pair-cache")
         return None
 
     def _solve_pair(self, group_a: _EncodedGroup,
@@ -444,17 +443,13 @@ class GroupEncoding:
         else:
             self.stats.unsat += 1
             result = SatResult(SATStatus.UNSAT, time=elapsed)
-        self._remember(self._cache_key(group_a, group_b),
-                       SatResult(result.status, model=dict(result.model)))
+        self._pair_cache[self._cache_key(group_a, group_b)] = SatResult(
+            result.status, model=dict(result.model))
         return PairOutcome(result, via=via)
 
     @staticmethod
     def _cache_key(group_a: _EncodedGroup, group_b: _EncodedGroup) -> FrozenSet[int]:
         return frozenset((group_a.activation, group_b.activation))
-
-    def _remember(self, cache_key: FrozenSet[int], result: SatResult) -> None:
-        if self.config.use_cache:
-            self._pair_cache[cache_key] = result
 
     # ------------------------------------------------------------------
     # Introspection

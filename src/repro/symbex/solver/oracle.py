@@ -291,21 +291,20 @@ class PrefixOracle:
             self.stats.trivial_decides += 1
             self.stats.sat += 1
             return SATStatus.SAT
-        if self.config.use_cache:
-            cached = node.status
-            if cached is not None:
-                self.stats.prefix_cache_hits += 1
-                if cached == SATStatus.SAT:
-                    self.stats.sat += 1
-                else:
-                    self.stats.unsat += 1
-                return cached
+        cached = node.status
+        if cached is not None:
+            self.stats.prefix_cache_hits += 1
+            if cached == SATStatus.SAT:
+                self.stats.sat += 1
+            else:
+                self.stats.unsat += 1
+            return cached
 
         fresh = node.ordered[len(base.ordered):] if base is not None else node.ordered
         if any(core <= node.lits for lit in fresh for core in self._cores.get(lit, ())):
             self.stats.core_decides += 1
             self.stats.unsat += 1
-            self._cache(node, SATStatus.UNSAT)
+            node.status = SATStatus.UNSAT
             return SATStatus.UNSAT
         if base is not None and base.witness is not None:
             witness = base.witness
@@ -329,7 +328,7 @@ class PrefixOracle:
         if status == SATStatus.SAT:
             return self._proven_sat(node, self._backend.get_value())
         self.stats.unsat += 1
-        self._cache(node, status)
+        node.status = status
         self._learn_core(frozenset(self._backend.core))
         return status
 
@@ -344,7 +343,7 @@ class PrefixOracle:
 
     def _proven_sat(self, node: PrefixNode, witness: Dict[str, int]) -> str:
         self.stats.sat += 1
-        self._cache(node, SATStatus.SAT)
+        node.status = SATStatus.SAT
         self._set_witness(node, witness)
         return SATStatus.SAT
 
@@ -359,10 +358,6 @@ class PrefixOracle:
         self.stats.cores_learned += 1
         for lit in core:
             self._cores.setdefault(lit, []).append(core)
-
-    def _cache(self, node: PrefixNode, status: str) -> None:
-        if self.config.use_cache:
-            node.status = status
 
     def _holds(self, lit: int, model: Dict[str, int]) -> bool:
         """Whether assumption *lit* is true under *model* (unbound reads 0)."""
@@ -423,10 +418,6 @@ class PrefixOracle:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def encoded_count(self) -> int:
-        return len(self._literals)
 
     def stats_dict(self) -> Dict[str, float]:
         """Counter snapshot plus the size of the shared backend."""

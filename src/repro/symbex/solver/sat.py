@@ -177,10 +177,6 @@ class SATSolver:
     def num_clauses(self) -> int:
         return len(self._clauses) + len(self._binary) + len(self._learned)
 
-    @property
-    def num_learned(self) -> int:
-        return len(self._learned)
-
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause; returns False if the formula became trivially UNSAT."""
 

@@ -42,8 +42,6 @@ class SolverConfig:
 
     #: Maximum number of CDCL conflicts per query before giving up (None = unlimited).
     max_conflicts: Optional[int] = 200_000
-    #: Whether to cache query results keyed on constraint structure.
-    use_cache: bool = True
 
 
 @dataclass
@@ -183,25 +181,22 @@ class Solver:
         if not simplified:
             return SatResult(SATStatus.SAT, model={})
 
-        cache_key: Optional[Tuple[int, ...]] = None
-        if self.config.use_cache:
-            cache_key = tuple(sorted(id(c) for c in simplified))
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                return SatResult(cached[1].status, dict(cached[1].model))
+        cache_key = tuple(sorted(id(c) for c in simplified))
+        cached = self._cache.get(cache_key)
+        if cached is not None:
+            self.stats.cache_hits += 1
+            return SatResult(cached[1].status, dict(cached[1].model))
 
         result = self._decide(simplified)
 
-        if cache_key is not None:
-            if result.is_unknown:
-                # A budget-exhausted answer is not a property of the query;
-                # caching it would make a retry with a raised max_conflicts
-                # return the stale UNKNOWN forever.
-                self.stats.unknown_cache_skips += 1
-            else:
-                self._cache[cache_key] = (
-                    simplified, SatResult(result.status, dict(result.model)))
+        if result.is_unknown:
+            # A budget-exhausted answer is not a property of the query;
+            # caching it would make a retry with a raised max_conflicts
+            # return the stale UNKNOWN forever.
+            self.stats.unknown_cache_skips += 1
+        else:
+            self._cache[cache_key] = (
+                simplified, SatResult(result.status, dict(result.model)))
         return result
 
     def _decide(self, constraints: List[BoolExpr]) -> SatResult:

@@ -18,7 +18,6 @@ from repro.symbex.expr import (
     BoolExpr,
     BVExpr,
     BVVar,
-    bool_and,
     bvvar,
     collect_variables,
     expr_size,
@@ -54,11 +53,6 @@ class PathCondition:
         """
 
         return self._constraints[index:]
-
-    def to_expr(self) -> BoolExpr:
-        """The conjunction of all constraints as a single expression."""
-
-        return bool_and(True, *self._constraints) if self._constraints else BoolConst(True)
 
     def copy(self) -> "PathCondition":
         return PathCondition(self._constraints)

@@ -9,7 +9,6 @@ to the same inconsistency set as an uninterrupted campaign.
 
 import json
 import os
-import random
 import time
 
 import pytest
@@ -22,7 +21,7 @@ from repro.core.campaign import (
 )
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.corpus import WitnessCorpus
-from repro.core.jobs import CampaignJob, JobSupervisor, RetryPolicy
+from repro.core.jobs import CampaignJob, JobSupervisor
 from repro.errors import CheckpointError
 from repro.testing.faults import (
     FaultPlan,
@@ -83,18 +82,8 @@ def test_fault_plan_corrupt_directive_is_returned_not_raised():
 
 
 # ---------------------------------------------------------------------------
-# Retry policy and supervisor
+# Supervisor
 # ---------------------------------------------------------------------------
-
-def test_retry_policy_backoff_grows_and_caps():
-    policy = RetryPolicy(retries=5, backoff_base=0.1, backoff_factor=2.0,
-                         backoff_max=0.5, jitter=0.0)
-    delays = [policy.delay(attempt, random.Random(0)) for attempt in (1, 2, 3, 4)]
-    assert delays == [0.1, 0.2, 0.4, 0.5]  # capped at backoff_max
-    jittered = RetryPolicy(jitter=0.5).delay(1, random.Random(0))
-    assert 0.05 <= jittered <= 0.075
-    assert policy.max_attempts == 6
-
 
 def test_supervisor_retries_flaky_job_then_succeeds():
     failures = {"left": 1}
@@ -105,8 +94,7 @@ def test_supervisor_retries_flaky_job_then_succeeds():
             raise RuntimeError("transient")
         return "value"
 
-    supervisor = JobSupervisor(retry=RetryPolicy(retries=2, backoff_base=0.001,
-                                                 jitter=0.0))
+    supervisor = JobSupervisor(retries=2)
     job = CampaignJob(kind="phase1", key=("phase1", "x"), thread_fn=flaky)
     results = supervisor.run([job])
     assert results[0].state == "ok" and results[0].value == "value"
@@ -117,8 +105,7 @@ def test_supervisor_abandons_hanging_job_at_deadline():
     def hang():
         time.sleep(30.0)
 
-    supervisor = JobSupervisor(cell_timeout=0.2,
-                               retry=RetryPolicy(retries=0, jitter=0.0))
+    supervisor = JobSupervisor(cell_timeout=0.2, retries=0)
     started = time.monotonic()
     results = supervisor.run([
         CampaignJob(kind="phase1", key=("phase1", "hung"), thread_fn=hang),
@@ -141,6 +128,27 @@ def test_supervisor_commits_results_on_caller_thread():
                                 thread_fn=lambda: 41)],
                    on_result=lambda r: seen.append(threading.current_thread()))
     assert seen == [threading.main_thread()]
+
+
+def _cube(x):
+    return x ** 3
+
+
+def test_supervisor_runs_process_and_thread_jobs_in_one_loop():
+    import threading
+
+    seen = []
+    jobs = [CampaignJob(kind="phase1", key=("phase1", "pool"),
+                        process_task=(_cube, (3,))),
+            CampaignJob(kind="pair", key=("pair", "thread"),
+                        thread_fn=lambda: threading.current_thread().name)]
+    results = JobSupervisor(workers=2).run(
+        jobs, on_result=lambda r: seen.append(threading.current_thread()))
+    assert [r.job for r in results] == jobs  # input order
+    assert [r.state for r in results] == ["ok", "ok"]
+    assert results[0].value == 27
+    assert results[1].value == "soft-job-pair/thread"
+    assert seen == [threading.main_thread()] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +176,30 @@ def test_campaign_hanging_agent_is_killed_at_deadline():
     assert cells["pair/concrete/small/reference/ovs"].state == "skipped"
     # The healthy agent's cell is untouched.
     assert report.job_states.get("ok") == 1
+
+
+def test_campaign_process_pool_hang_is_torn_down_at_deadline():
+    # A hung worker process cannot be abandoned like a thread: the pool is
+    # torn down at the deadline and the other in-flight cell re-runs free.
+    plan = FaultPlan([FaultSpec(site="phase1", kind="hang",
+                                match="ovs:stats_request", hits=(1,),
+                                duration=60.0)])
+    campaign = Campaign(tests=["stats_request"], agents=["reference", "ovs"],
+                        workers=2, executor="process", cell_timeout=1.0,
+                        retries=1, replay_testcases=False, triage=False,
+                        fault_plan=plan)
+    started = time.monotonic()
+    report = campaign.run()
+    wall = time.monotonic() - started
+    assert wall < 1.0 * 2 + 8.0
+    assert report.exit_code == EXIT_FAILURES
+    assert report.job_states == {"ok": 1, "timed_out": 1, "skipped": 1}
+    cells = {f.cell: f for f in report.job_failures}
+    hung = cells["phase1/ovs/stats_request/small"]
+    assert hung.state == "timed_out" and hung.attempts == 2
+    assert hung.error_type == "CellTimeoutError"
+    assert cells["pair/stats_request/small/reference/ovs"].state == "skipped"
+    assert report.executor_degraded == []
 
 
 def test_campaign_crashing_agent_retries_then_fails_with_traceback():
@@ -211,7 +243,7 @@ def test_campaign_in_process_worker_kill_is_isolated():
 
 def test_campaign_process_pool_kill_rebuilds_then_degrades():
     # Counters restart in every worker process, so hits=(1,) kills every
-    # process attempt: the pool breaks, is rebuilt max_pool_rebuilds times,
+    # process attempt: the pool breaks, is rebuilt MAX_POOL_REBUILDS times,
     # then the remaining cells degrade to threads where the same spec
     # consumes one retry (WorkerCrashError) and the rerun succeeds.
     plan = FaultPlan([FaultSpec(site="phase1", kind="kill",

@@ -214,15 +214,17 @@ def catalog_queries():
 def _deciders():
     """Each front end as ``(test, constraints) -> (status, model)``."""
 
-    cached = Solver()
-    uncached = Solver(SolverConfig(use_cache=False))
+    shared = Solver()
     encodings = {}
 
-    def one_shot(solver):
-        def decide(_test, constraints):
-            result = solver.check(constraints)
-            return result.status, result.model
-        return decide
+    def solver(_test, constraints):
+        result = shared.check(constraints)
+        return result.status, result.model
+
+    def uncached(_test, constraints):
+        # A fresh front end per query: nothing is ever answered from a cache.
+        result = Solver().check(constraints)
+        return result.status, result.model
 
     def group_encoding(test, constraints):
         # One engine per test, as in a campaign's Phase 2b.
@@ -238,7 +240,7 @@ def _deciders():
         status = oracle.check_node(node, base=oracle.root())
         return status, node.witness
 
-    return {"solver": one_shot(cached), "solver-uncached": one_shot(uncached),
+    return {"solver": solver, "solver-uncached": uncached,
             "group-encoding": group_encoding, "prefix-oracle": prefix_oracle}
 
 
