@@ -6,8 +6,8 @@ conditions from concrete runs (:mod:`repro.symbex.concolic`).  Both assume
 the program under test is a *deterministic pure function of its inputs*:
 
 * calls into ``time``/``random``/``os``/... make replays diverge from their
-  schedule (surfaced loudly as ``PathDivergedError``, but only after budget
-  was burned);
+  schedule (a replay follows its recorded prefix without re-checking it, so
+  the divergent path's condition is silently wrong);
 * I/O escapes the recorded trace entirely;
 * iterating an unordered ``set`` makes branch order depend on hash
   randomization;

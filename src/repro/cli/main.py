@@ -45,7 +45,6 @@ from repro.errors import (
     CorpusError,
     WitnessError,
 )
-from repro.symbex.strategies import strategy_names
 
 __all__ = ["main", "build_parser"]
 
@@ -83,9 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="test to explore (required unless --load is given)")
     explore.add_argument("--coverage", action="store_true",
                          help="also report instruction/branch coverage")
-    explore.add_argument("--strategy", choices=strategy_names(), default=None,
-                         help="frontier discipline for Phase 1 (default: dfs); "
-                              "all strategies explore the same path set")
     explore.add_argument("--profile", nargs="?", const=25, type=int, default=None,
                          metavar="N",
                          help="profile the exploration with cProfile and print "
@@ -127,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "minimization, clustering)")
     campaign.add_argument("--no-minimize", action="store_true",
                           help="triage without delta-minimization of witnesses")
-    campaign.add_argument("--strategy", choices=strategy_names(), default=None,
-                          help="Phase-1 frontier discipline (default: dfs)")
     campaign.add_argument("--cell-timeout", type=float, default=None,
                           metavar="SECONDS", dest="cell_timeout",
                           help="per-cell wall-clock deadline; a cell still running "
@@ -168,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="explicit a:b pairs (comma-separated) instead of all-pairs")
     triage.add_argument("--workers", type=int, default=1,
                         help="worker pool width for exploration and pair crosschecks")
-    triage.add_argument("--strategy", choices=strategy_names(), default=None,
-                        help="Phase-1 frontier discipline (default: dfs)")
     triage.add_argument("--no-minimize", action="store_true",
                         help="skip delta-minimization of witnesses")
     triage.add_argument("--minimize-budget", type=int, default=96,
@@ -289,8 +281,6 @@ def _print_exploration_summary(report, grouped) -> None:
     print("  distinct outputs:      %d" % grouped.distinct_output_count)
     print("  cpu time:              %.2fs" % report.cpu_time)
     engine_stats = report.engine_stats or {}
-    if engine_stats.get("strategy"):
-        print("  strategy:              %s" % engine_stats["strategy"])
     if engine_stats.get("solver_queries") is not None:
         print("  solver queries:        %d" % engine_stats["solver_queries"])
     print("  avg constraint size:   %.1f" % report.average_constraint_size())
@@ -314,8 +304,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
         def run_exploration():
             return explore_agent(args.agent, args.test,
-                                 with_coverage=args.coverage,
-                                 strategy=args.strategy)
+                                 with_coverage=args.coverage)
 
         if args.profile:
             report = _run_profiled(args.profile, run_exploration)
@@ -391,7 +380,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                         replay_testcases=not args.no_replay,
                         triage=not args.no_triage,
                         minimize=not args.no_minimize,
-                        strategy=args.strategy,
                         cell_timeout=args.cell_timeout,
                         retries=args.retries,
                         checkpoint_dir=args.checkpoint,
@@ -425,7 +413,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_triage(args: argparse.Namespace) -> int:
     import json as json_mod
 
-    campaign = Campaign(workers=args.workers, strategy=args.strategy,
+    campaign = Campaign(workers=args.workers,
                         triage=True, minimize=not args.no_minimize,
                         minimize_budget=args.minimize_budget,
                         corpus_dir=args.corpus)

@@ -214,8 +214,7 @@ class EncodingCache:
 def _explore_spec_unit(agent: str, spec: TestSpec,
                        engine_config: Optional[EngineConfig],
                        solver_config: Optional[SolverConfig],
-                       with_coverage: bool,
-                       strategy: Optional[str] = None) -> Tuple[AgentExplorationReport, float]:
+                       with_coverage: bool) -> Tuple[AgentExplorationReport, float]:
     """Phase 1 for one unit; module-level so process pools can run it.
 
     ``explore_agent`` is looked up as this module's global on purpose:
@@ -224,8 +223,7 @@ def _explore_spec_unit(agent: str, spec: TestSpec,
 
     started = time.perf_counter()
     report = explore_agent(agent, spec, engine_config=engine_config,
-                           solver_config=solver_config, with_coverage=with_coverage,
-                           strategy=strategy)
+                           solver_config=solver_config, with_coverage=with_coverage)
     return report, time.perf_counter() - started
 
 
@@ -266,7 +264,7 @@ class CampaignReport:
     #: assumption solves, backend rebuilds, ...).
     solver_stats: Dict[str, object] = dataclass_field(default_factory=dict)
     #: One row per (agent, test) Phase-1 exploration this campaign consumed:
-    #: strategy, paths, solver queries, truncation.
+    #: paths, solver queries, truncation.
     exploration_stats: List[Dict[str, object]] = dataclass_field(default_factory=list)
     #: Hash-consing activity during this run (hit/miss deltas) plus the
     #: absolute size of the shared intern table.
@@ -429,12 +427,9 @@ class CampaignReport:
             lines.append("  cell %s" % failure.describe())
         explored = [row for row in self.exploration_stats if not row.get("loaded")]
         if explored:
-            strategies = sorted({str(row.get("strategy")) for row in explored
-                                 if row.get("strategy")})
             lines.append(
-                "  phase 1 engine: strategy=%s, %d path(s), %d solver query(ies)"
-                % ("/".join(strategies) or "dfs",
-                   sum(int(row.get("paths") or 0) for row in explored),
+                "  phase 1 engine: %d path(s), %d solver query(ies)"
+                % (sum(int(row.get("paths") or 0) for row in explored),
                    sum(int(row.get("solver_queries") or 0) for row in explored)))
         stats = self.solver_stats or {}
         if stats.get("mode") == "incremental":
@@ -512,7 +507,6 @@ class Campaign:
                  with_coverage: bool = False,
                  build_testcases: bool = True,
                  replay_testcases: bool = True,
-                 strategy: Optional[str] = None,
                  reset_intern: bool = False,
                  triage: bool = True,
                  minimize: bool = True,
@@ -578,9 +572,6 @@ class Campaign:
         #: Deterministic :class:`repro.testing.faults.FaultPlan` installed for
         #: the duration of each run (and shipped to worker processes).
         self.fault_plan = fault_plan
-        self.strategy: Optional[str] = None
-        if strategy is not None:
-            self.with_strategy(strategy)
         self.cache = ExplorationCache()
         self.encodings = EncodingCache(self.solver_config)
         if executor not in ("thread", "process"):
@@ -641,18 +632,6 @@ class Campaign:
             checked.append((pair[0], pair[1]))
             self.with_agents(*pair)
         self._pairs = (self._pairs or []) + checked
-        return self
-
-    def with_strategy(self, strategy: str) -> "Campaign":
-        """Select the Phase-1 search strategy (dfs/bfs/random/coverage)."""
-
-        from repro.symbex.strategies import STRATEGIES
-
-        if strategy not in STRATEGIES:
-            raise CampaignError(
-                "unknown search strategy %r (available: %s)"
-                % (strategy, ", ".join(sorted(STRATEGIES))))
-        self.strategy = strategy
         return self
 
     def with_workers(self, workers: int, executor: Optional[str] = None) -> "Campaign":
@@ -811,7 +790,7 @@ class Campaign:
             unit_by_cell[cell] = unit
 
             args = (agent, spec, self.engine_config, self.solver_config,
-                    self.with_coverage, self.strategy)
+                    self.with_coverage)
             jobs.append(CampaignJob(
                 kind="phase1", key=cell,
                 thread_fn=functools.partial(_explore_spec_unit, *args),
@@ -923,7 +902,8 @@ class Campaign:
             return None, {}
         checkpoint = CampaignCheckpoint(self.checkpoint_dir)
         checkpoint.open(CampaignCheckpoint.fingerprint_for(
-            specs, paired_agents, pairs, self.strategy), resume=self.resume)
+            specs, paired_agents, pairs, self.engine_config, self.with_coverage),
+            resume=self.resume)
         completed = checkpoint.completed_cells() if self.resume else {}
         return checkpoint, completed
 
@@ -1108,7 +1088,6 @@ class Campaign:
                     "scale": spec.scale,
                     "loaded": entry.loaded,
                     "paths": entry.report.path_count,
-                    "strategy": engine_stats.get("strategy"),
                     "solver_queries": engine_stats.get("solver_queries"),
                     "discarded_replays": engine_stats.get("discarded_replays", 0),
                     "truncated": entry.report.truncated,

@@ -5,9 +5,10 @@ time a cell (Phase-1 unit or crosscheck pair) reaches a terminal
 state, alongside the cell's payload when it succeeded:
 
 * ``meta.json`` — the format tag plus a *fingerprint* of the campaign
-  configuration (tests, agents, pairs, strategy).  Resuming into a
-  differently-shaped campaign is refused loudly rather than silently
-  mixing incompatible cells.
+  configuration: tests, agents, pairs, and the Phase-1 settings that decide
+  which paths a restored cell holds (the ``EngineConfig`` budgets and
+  ``with_coverage``).  Resuming into a differently-configured campaign is
+  refused loudly rather than silently mixing incompatible cells.
 * ``jobs.jsonl`` — append-only journal, one record per terminal job:
   ``{"cell": [...], "state": ..., "attempts": ..., "error": ...}``.
   Last record per cell wins, so a re-run of a previously failed cell
@@ -30,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.artifacts import load_exploration_artifact, save_exploration_artifact
@@ -40,6 +42,7 @@ from repro.core.tests_catalog import TestSpec
 from repro.core.trace import OutputTrace
 from repro.core.witness import Witness
 from repro.errors import ArtifactError, CheckpointError, ReproError
+from repro.symbex.engine import EngineConfig
 from repro.symbex.serialize import bool_expr_from_obj, expr_to_obj
 
 __all__ = ["CampaignCheckpoint", "CHECKPOINT_FORMAT", "PAIR_CELL_FORMAT"]
@@ -48,7 +51,9 @@ __all__ = ["CampaignCheckpoint", "CHECKPOINT_FORMAT", "PAIR_CELL_FORMAT"]
 #: checkpoint is refused when it is opened rather than cell by cell.
 #: v3: the fingerprint has no ``hybrid`` key (there is one campaign mode),
 #: so a v2 directory is refused by format, not as a fingerprint mismatch.
-CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v3"
+#: v4: the fingerprint records the Phase-1 settings that decide which paths
+#: a restored cell holds (``engine_config``, ``with_coverage``).
+CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v4"
 PAIR_CELL_FORMAT = "soft/pair-cell/v1"
 
 Cell = Tuple[str, ...]
@@ -150,14 +155,21 @@ class CampaignCheckpoint:
     @staticmethod
     def fingerprint_for(specs: Sequence[TestSpec], agents: Sequence[str],
                         pairs: Sequence[Tuple[str, str]],
-                        strategy: Optional[str]) -> Dict[str, object]:
-        """The campaign-shape fingerprint recorded in ``meta.json``."""
+                        engine_config: Optional[EngineConfig],
+                        with_coverage: bool) -> Dict[str, object]:
+        """The campaign fingerprint recorded in ``meta.json``.
+
+        Besides the campaign's shape it holds every Phase-1 setting that
+        changes what a restored cell contains: a checkpoint of explorations
+        truncated by ``max_paths`` must not resume into an unbounded run.
+        """
 
         return {
             "tests": [[spec.key, spec.scale] for spec in specs],
             "agents": sorted(agents),
             "pairs": sorted([sorted(pair) for pair in pairs]),
-            "strategy": strategy,
+            "engine_config": asdict(engine_config or EngineConfig()),
+            "with_coverage": bool(with_coverage),
         }
 
     # ------------------------------------------------------------------

@@ -5,13 +5,16 @@
 :class:`AgentExplorationReport` — the per-agent intermediate result that a
 vendor would hand to the crosschecking party in the paper's usage model
 (§2.4): path conditions plus normalized output traces, but no source code.
+The engine explores every feasible path depth-first, so the report's paths
+come in one fixed order; only the :class:`EngineConfig` budgets can cut the
+set short.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.agents import make_agent
 from repro.agents.common.base import OpenFlowAgent
@@ -22,7 +25,6 @@ from repro.harness.driver import TestDriver
 from repro.symbex.engine import Engine, EngineConfig, PathRecord
 from repro.symbex.expr import BoolExpr
 from repro.symbex.solver import Solver, SolverConfig
-from repro.symbex.strategies import make_strategy
 from repro.testing.faults import fault_point
 
 __all__ = ["PathOutcome", "AgentExplorationReport", "explore_agent"]
@@ -223,55 +225,35 @@ def explore_agent(agent: AgentSpec,
                   test: Union[str, TestSpec],
                   engine_config: Optional[EngineConfig] = None,
                   solver_config: Optional[SolverConfig] = None,
-                  with_coverage: bool = False,
-                  coverage_packages: Optional[Sequence[str]] = None,
-                  strategy: Optional[str] = None) -> AgentExplorationReport:
+                  with_coverage: bool = False) -> AgentExplorationReport:
     """Run Phase 1 for one agent and one test specification.
 
-    *strategy* selects the frontier discipline (overriding
-    ``engine_config.strategy``).
+    The engine explores every feasible path depth-first; *engine_config*
+    bounds it (a truncated exploration sets ``truncated``), and
+    *with_coverage* traces the agent's packages for a coverage report.
     """
 
     agent_name, factory = _resolve_agent_factory(agent)
     spec = get_test(test) if isinstance(test, str) else test
     fault_point("phase1", "%s:%s" % (agent_name, spec.key))
 
-    config = engine_config if engine_config is not None else EngineConfig()
-    if strategy is not None and strategy != config.strategy:
-        config = replace(config, strategy=strategy)
-
-    packages = list(coverage_packages) if coverage_packages else [
+    tracker = CoverageTracker(packages=[
         "repro.agents.common", "repro.agents.%s" % agent_name,
-    ]
-    tracker = CoverageTracker(packages=packages) if with_coverage else None
-
-    # Static decision-map sites become explicit targets for the
-    # coverage-guided strategy: reaching one for the first time outscores
-    # generic line/arc novelty.
-    targets = None
-    if with_coverage and config.strategy == "coverage":
-        from repro.analysis.decision_map import build_decision_map
-
-        targets = build_decision_map(packages).site_keys()
-
+    ]) if with_coverage else None
     driver = TestDriver(agent_factory=factory, inputs=spec.inputs,
                         coverage_tracker=tracker)
-    frontier = make_strategy(config.strategy, seed=config.strategy_seed,
-                             tracker=tracker, targets=targets)
     started = time.process_time()
     wall_started = time.perf_counter()
     # A temporary engine: its prefix trie and SAT instance are freed before
     # the report is built, which keeps them out of the peak.
-    result = Engine(solver=Solver(solver_config or SolverConfig()), config=config,
-                    strategy=frontier).explore(driver.program)
+    result = Engine(solver=Solver(solver_config or SolverConfig()),
+                    config=engine_config).explore(driver.program)
     cpu_time = time.process_time() - started
     wall_time = time.perf_counter() - wall_started
 
     outcomes = [_outcome_from_record(record) for record in result.paths]
     engine_stats = result.stats.as_dict()
     engine_stats["wall_time"] = wall_time
-    for name, value in result.strategy_metrics.items():
-        engine_stats.setdefault(name, value)
 
     report = AgentExplorationReport(
         agent_name=agent_name,

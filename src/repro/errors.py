@@ -46,19 +46,6 @@ class NoActiveEngineError(EngineError):
     """A symbolic boolean was branched on outside of an exploration context."""
 
 
-class PathDivergedError(EngineError):
-    """Replay of a decision schedule took a different branch than recorded.
-
-    This indicates non-determinism in the program under test (e.g. iteration
-    over an unordered container keyed by object identity) and is surfaced
-    loudly because silent divergence would corrupt path conditions.
-    """
-
-
-class PathLimitExceeded(EngineError):
-    """Exploration hit the configured maximum number of paths."""
-
-
 class DecisionLimitExceeded(EngineError):
     """A single path hit the configured maximum number of symbolic branches."""
 

@@ -55,7 +55,6 @@ from repro.symbex.engine import (
 from repro.symbex.simplify import simplify, simplify_bool, simplify_cache_stats
 from repro.symbex.solver import PrefixOracle, SatResult, Solver, SolverConfig
 from repro.symbex.state import PathCondition, PathState
-from repro.symbex.strategies import SearchStrategy, make_strategy, strategy_names
 
 __all__ = [
     "BitVec",
@@ -95,7 +94,4 @@ __all__ = [
     "SolverConfig",
     "PathCondition",
     "PathState",
-    "SearchStrategy",
-    "make_strategy",
-    "strategy_names",
 ]

@@ -1,4 +1,4 @@
-"""The path-exploration engine: scheduler + strategy + feasibility oracle.
+"""The path-exploration engine: a depth-first scheduler + feasibility oracle.
 
 The engine explores every feasible execution path of a deterministic Python
 program that computes on symbolic bit-vectors.  The mechanism is the classic
@@ -16,11 +16,11 @@ SOFT consumes: a path condition and an output event log.
 
 The engine is layered:
 
-* the **scheduler** (:meth:`Engine.explore`) pops prefixes, re-executes the
-  program and enforces budgets; a truncated exploration hands its leftover
-  frontier back;
-* the **strategy** (:mod:`repro.symbex.strategies`) owns the pending-prefix
-  frontier and decides exploration order (DFS/BFS/random/coverage-guided);
+* the **scheduler** (:meth:`Engine.explore`) pops prefixes from a LIFO
+  stack, re-executes the program and enforces budgets; a truncated
+  exploration hands its leftover stack back.  Exploration is exhaustive, so
+  the order decides only which paths a budget keeps; depth-first keeps the
+  stack small and consecutive paths sharing the longest common prefix;
 * the **feasibility oracle** (:mod:`repro.symbex.solver.oracle`) answers
   "is this branch side feasible?" by assumption-based re-solving of one
   shared incremental SAT instance; :meth:`Engine._decide` is the one place
@@ -37,8 +37,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import (
     DecisionLimitExceeded,
     EngineError,
-    PathDivergedError,
-    PathLimitExceeded,
     SolverError,
 )
 from repro.symbex.expr import (
@@ -55,7 +53,6 @@ from repro.symbex.solver import Solver, SolverConfig
 from repro.symbex.solver.oracle import PrefixNode, PrefixOracle
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.state import PathCondition, PathState
-from repro.symbex.strategies import Prefix, SearchStrategy, make_strategy
 
 __all__ = [
     "EngineConfig",
@@ -67,6 +64,9 @@ __all__ = [
 ]
 
 _thread_local = threading.local()
+
+#: A path prefix: the branch outcomes to replay before exploring freely.
+Prefix = Tuple[bool, ...]
 
 
 def active_engine() -> Optional["Engine"]:
@@ -94,13 +94,6 @@ class EngineConfig:
     max_decisions_per_path: int = 4_096
     #: Abort the whole exploration after this many seconds (None = unlimited).
     time_budget: Optional[float] = None
-    #: Raise instead of silently truncating when a limit is hit.
-    strict_limits: bool = False
-    #: Frontier discipline: "dfs", "bfs", "random" or "coverage"
-    #: (:mod:`repro.symbex.strategies`).
-    strategy: str = "dfs"
-    #: Seed for the "random" strategy (deterministic exploration order).
-    strategy_seed: int = 0
 
 
 @dataclass
@@ -144,8 +137,6 @@ class ExplorationStats:
     wall_time: float = 0.0
     truncated: bool = False
     truncation_reason: Optional[str] = None
-    #: Frontier discipline this exploration ran with.
-    strategy: str = "dfs"
     #: Per-node simplify-memo activity during this exploration (per-run
     #: deltas of process-wide counters, so concurrent explorations overlap).
     simplify_cache_hits: int = 0
@@ -167,7 +158,6 @@ class ExplorationStats:
             "wall_time": self.wall_time,
             "truncated": self.truncated,
             "truncation_reason": self.truncation_reason,
-            "strategy": self.strategy,
             "simplify_cache_hits": self.simplify_cache_hits,
             "simplify_cache_misses": self.simplify_cache_misses,
             "compiled_cache_hits": self.compiled_cache_hits,
@@ -182,11 +172,9 @@ class ExplorationResult:
     paths: List[PathRecord]
     stats: ExplorationStats
     solver_stats: Dict[str, float]
-    #: Prefixes left unexplored when a budget truncated the exploration;
-    #: empty when exhaustive.
+    #: Prefixes left unexplored when a budget truncated the exploration,
+    #: in the order they would have been popped; empty when exhaustive.
     frontier: List[Prefix] = field(default_factory=list)
-    #: Frontier-discipline counters from the strategy that ran.
-    strategy_metrics: Dict[str, object] = field(default_factory=dict)
 
     @property
     def exhausted(self) -> bool:
@@ -208,22 +196,19 @@ class ExplorationResult:
 
 
 class Engine:
-    """Exhaustive exploration of a symbolic program, strategy-scheduled."""
+    """Exhaustive depth-first exploration of a symbolic program."""
 
     def __init__(self, solver: Optional[Solver] = None,
-                 config: Optional[EngineConfig] = None,
-                 strategy: Optional[SearchStrategy] = None) -> None:
+                 config: Optional[EngineConfig] = None) -> None:
         self.solver = solver if solver is not None else Solver(SolverConfig())
         self.config = config if config is not None else EngineConfig()
-        #: Optional pre-built strategy instance; overrides config.strategy
-        #: (used to hand a coverage tracker to the coverage-guided strategy).
-        self.strategy = strategy
         #: The prefix-feasibility oracle; it outlives explorations, so a
         #: reused engine answers repeated prefixes from its cache.
         self.oracle = PrefixOracle(self.solver.config)
         self._current_state: Optional[PathState] = None
         self._current_prefix: Prefix = ()
-        self._frontier: Optional[SearchStrategy] = None
+        # Pending prefixes, a LIFO stack: the last fork is explored next.
+        self._frontier: List[Prefix] = []
         self._stats = ExplorationStats()
         # Prefix-trie node mirroring the current path condition: each
         # decision extends the node by one literal delta.
@@ -251,10 +236,8 @@ class Engine:
 
         started = time.perf_counter()
         self._stats = ExplorationStats()
-        strategy = self._make_frontier()
-        self._frontier = strategy
-        self._stats.strategy = strategy.name
-        strategy.push(())
+        frontier: List[Prefix] = [()]
+        self._frontier = frontier
         deadline = (started + self.config.time_budget
                     if self.config.time_budget else None)
 
@@ -271,7 +254,7 @@ class Engine:
         _thread_local.engine = self
         previous_hook = set_branch_hook(self._branch_hook)
         try:
-            while len(strategy):
+            while frontier:
                 if deadline is not None and time.perf_counter() > deadline:
                     self._note_truncation("time_budget")
                     break
@@ -279,17 +262,15 @@ class Engine:
                         and path_id + self._stats.discarded_replays >= self.config.max_paths):
                     self._note_truncation("max_paths")
                     break
-                prefix = strategy.pop()
+                prefix = frontier.pop()
                 record = self._run_one(program, path_id, prefix)
                 if record is None:
                     # Aborted replay: no record, but the attempt still counts
                     # against the path budget so infeasible prefixes cannot
                     # spin the scheduler past its limits.
                     self._stats.discarded_replays += 1
-                    strategy.on_path_discarded()
                     continue
                 records.append(record)
-                strategy.on_path_complete(record)
                 path_id += 1
         finally:
             set_branch_hook(previous_hook)
@@ -317,19 +298,12 @@ class Engine:
             stats=self._stats,
             solver_stats=self._solver_stats_snapshot(concretize_queries,
                                                      oracle_stats_before),
-            frontier=strategy.drain(),
-            strategy_metrics=strategy.metrics(),
+            frontier=frontier[::-1],
         )
 
     # ------------------------------------------------------------------
-    # Frontier / reporting helpers
+    # Reporting helpers
     # ------------------------------------------------------------------
-
-    def _make_frontier(self) -> SearchStrategy:
-        if self.strategy is not None:
-            self.strategy.reset()
-            return self.strategy
-        return make_strategy(self.config.strategy, seed=self.config.strategy_seed)
 
     #: solver_stats entries that describe instance *state*, not per-run work;
     #: they stay absolute when the snapshot is converted to per-run deltas.
@@ -368,12 +342,9 @@ class Engine:
         except _PathAbort:
             # Infeasible replay or deliberate abandonment: not a real path.
             aborted = True
-        except (DecisionLimitExceeded, PathDivergedError) as exc:
-            if self.config.strict_limits:
-                raise
+        except DecisionLimitExceeded as exc:
             error = "%s: %s" % (type(exc).__name__, exc)
-            if isinstance(exc, DecisionLimitExceeded):
-                self._note_truncation("max_decisions_per_path")
+            self._note_truncation("max_decisions_per_path")
         # soft-lint: disable=broad-except -- the explored program is arbitrary agent code; any crash is this path's error output
         except Exception as exc:  # noqa: BLE001 - program bugs become path errors
             error = "%s: %s" % (type(exc).__name__, exc)
@@ -471,7 +442,7 @@ class Engine:
 
         A side the oracle proves infeasible forces the other one; when both
         are feasible the path takes True now and the False side is pushed
-        onto the frontier for a later run.
+        onto the frontier stack for a later run.
         """
 
         self._sync_path_node(state)
@@ -484,7 +455,7 @@ class Engine:
             self._stats.forced_decisions += 1
             return True
         self._stats.forks += 1
-        self._frontier.push(tuple(state.decisions) + (False,))
+        self._frontier.append(tuple(state.decisions) + (False,))
         return True
 
     def _check(self, node: PrefixNode) -> str:
@@ -540,8 +511,6 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _note_truncation(self, reason: str) -> None:
-        if self.config.strict_limits:
-            raise PathLimitExceeded("exploration truncated: %s" % reason)
         self._stats.truncated = True
         if self._stats.truncation_reason is None:
             self._stats.truncation_reason = reason

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.symbex.compile import compile_term
 from repro.symbex.expr import (
@@ -255,22 +255,6 @@ class PrefixOracle:
     # ------------------------------------------------------------------
     # Feasibility
     # ------------------------------------------------------------------
-
-    def check_prefix(self, literals: Sequence[int]) -> str:
-        """Satisfiability (a :class:`SATStatus` value) of a literal sequence.
-
-        Convenience wrapper over the node API: walks the trie from the root
-        (every step after the first visit is a delta hit) and checks the
-        final node against the root's witness.  The answer is all a caller
-        gets, so the node's witness is released again.
-        """
-
-        node = self._root
-        for lit in literals:
-            node = self.extend(node, lit)
-        status = self.check_node(node, base=self._root)
-        self.release(node)
-        return status
 
     def check_node(self, node: PrefixNode,
                    base: Optional[PrefixNode] = None) -> str:

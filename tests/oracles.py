@@ -4,7 +4,10 @@
 branch asks :class:`~repro.symbex.solver.Solver` about each side's whole
 path condition from scratch (simplify, bit-blast into a fresh CDCL
 instance, solve).  The oracle-driven :class:`Engine` must explore
-exactly its path set, in the same order under DFS.
+exactly its path set, in the same depth-first order.
+
+:func:`check_prefix` asks a :class:`~repro.symbex.solver.PrefixOracle`
+about a bare literal sequence, the way the oracle unit tests probe it.
 
 :func:`pairwise_crosscheck` is Phase 2b as the paper states it (§3.4): one
 satisfiability query per pair of *different* output groups, each answered
@@ -21,7 +24,7 @@ and of ``BENCH_eval.json``'s ``compiled_speedup``.
 from __future__ import annotations
 
 import time
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.agents import make_agent
 from repro.core.crosscheck import CrosscheckReport, Inconsistency
@@ -52,7 +55,7 @@ from repro.symbex.expr import (
     bool_not,
     bool_or,
 )
-from repro.symbex.solver import Solver, SolverConfig
+from repro.symbex.solver import PrefixOracle, Solver, SolverConfig
 from repro.symbex.state import PathState
 
 
@@ -74,7 +77,7 @@ class ReferenceEngine(Engine):
             return True
         # Both sides feasible: take True now, schedule False for later.
         self._stats.forks += 1
-        self._frontier.push(tuple(state.decisions) + (False,))
+        self._frontier.append(tuple(state.decisions) + (False,))
         return True
 
     def _query(self, constraints):
@@ -82,6 +85,23 @@ class ReferenceEngine(Engine):
         if result.is_unknown:
             raise SolverError("solver gave up while checking branch feasibility")
         return result
+
+
+def check_prefix(oracle: PrefixOracle, literals: Sequence[int]) -> str:
+    """Satisfiability (a ``SATStatus`` value) of a literal sequence.
+
+    Walks the oracle's trie from the root (every step after the first visit
+    is a delta hit) and checks the final node against the root's witness.
+    The answer is all a caller gets, so the node's witness is released
+    again.
+    """
+
+    node = oracle.root()
+    for lit in literals:
+        node = oracle.extend(node, lit)
+    status = oracle.check_node(node, base=oracle.root())
+    oracle.release(node)
+    return status
 
 
 def explore_with_driver(agent: str, test: str, engine: Optional[Engine] = None,

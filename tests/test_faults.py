@@ -23,6 +23,7 @@ from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.corpus import WitnessCorpus
 from repro.core.jobs import CampaignJob, JobSupervisor
 from repro.errors import CheckpointError
+from repro.symbex.engine import EngineConfig
 from repro.testing.faults import (
     FaultPlan,
     FaultSpec,
@@ -341,9 +342,11 @@ def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch,
     explored = []
     monkeypatch.setattr(campaign_module, "explore_agent",
                         lambda *args, **kwargs: explored.append(args))
-    # v1: nested-tree phase-1 payloads; v2: a fingerprint with a hybrid-mode key.
+    # v1: nested-tree phase-1 payloads; v2: a fingerprint with a hybrid-mode
+    # key; v3: a fingerprint with a search-strategy key.
     for old_format, old_keys in (("soft/campaign-checkpoint/v1", {}),
-                                 ("soft/campaign-checkpoint/v2", {"hybrid": False})):
+                                 ("soft/campaign-checkpoint/v2", {"hybrid": False}),
+                                 ("soft/campaign-checkpoint/v3", {"strategy": None})):
         data = {"format": old_format,
                 "fingerprint": dict(current["fingerprint"], **old_keys)}
         meta.write_text(json.dumps(data))
@@ -359,6 +362,32 @@ def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch,
         assert code == 2
         assert "unsupported checkpoint format" in capsys.readouterr().err
         assert explored == []
+
+
+def test_checkpoint_refuses_resume_with_other_phase1_settings(tmp_path, monkeypatch):
+    import repro.core.campaign as campaign_module
+
+    ckpt = str(tmp_path / "ckpt")
+    cells = dict(tests=["stats_request"], agents=["reference", "ovs"],
+                 replay_testcases=False, triage=False, checkpoint_dir=ckpt)
+    first = Campaign(engine_config=EngineConfig(max_paths=5), **cells).run()
+    assert first.exit_code == EXIT_OK
+    assert all(row["truncated"] for row in first.exploration_stats)
+    explored = []
+    monkeypatch.setattr(campaign_module, "explore_agent",
+                        lambda *args, **kwargs: explored.append(args))
+    # Restoring the truncated explorations into an unbounded (default) run,
+    # or into one that also traces coverage, would report paths that run
+    # never explored.
+    for changed in ({}, {"engine_config": EngineConfig(max_paths=5),
+                         "with_coverage": True}):
+        with pytest.raises(CheckpointError, match="differently-configured"):
+            Campaign(resume=True, **changed, **cells).run()
+        assert explored == []
+    same = Campaign(engine_config=EngineConfig(max_paths=5), resume=True,
+                    **cells).run()
+    assert same.explorations_run == 0 and same.resumed_cells == 3
+    assert explored == []
 
 
 def test_checkpoint_journal_tolerates_truncated_tail(tmp_path):

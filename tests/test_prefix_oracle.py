@@ -1,133 +1,21 @@
-"""Tests for the strategy/scheduler/oracle exploration stack.
+"""Tests for the prefix-feasibility oracle and the engine built on it.
 
-Covers the frontier strategies in isolation, the prefix-feasibility oracle
-in isolation, and — the load-bearing property — that every strategy of the
-prefix-oracle engine produces exactly the same path-condition set as
-:class:`tests.oracles.ReferenceEngine` (one fresh ``Solver`` query per
-branch side) on the seed catalog.
+Covers the prefix-feasibility oracle in isolation and — the load-bearing
+property — that the depth-first prefix-oracle engine produces exactly the
+path-condition set of :class:`tests.oracles.ReferenceEngine` (one fresh
+``Solver`` query per branch side), in the same order, on synthetic programs
+and on the seed catalog.
 """
 
 import pytest
 
 from repro.core.explorer import explore_agent
 from repro.core.tests_catalog import TABLE1_TESTS
-from repro.errors import EngineError
 from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import bool_not, bvvar
 from repro.symbex.solver import PrefixOracle, Solver, SolverConfig
 from repro.symbex.solver.sat import SATStatus
-from repro.symbex.strategies import (
-    BFSStrategy,
-    CoverageGuidedStrategy,
-    DFSStrategy,
-    RandomRestartStrategy,
-    make_strategy,
-    strategy_names,
-)
-from tests.oracles import ReferenceEngine, explore_with_driver
-
-ALL_STRATEGIES = ("dfs", "bfs", "random", "coverage")
-
-
-# ---------------------------------------------------------------------------
-# Strategy frontier unit tests
-# ---------------------------------------------------------------------------
-
-
-def test_dfs_is_lifo_and_bfs_is_fifo():
-    prefixes = [(True,), (False,), (True, True)]
-    dfs = DFSStrategy()
-    bfs = BFSStrategy()
-    for prefix in prefixes:
-        dfs.push(prefix)
-        bfs.push(prefix)
-    assert [dfs.pop() for _ in range(3)] == list(reversed(prefixes))
-    assert [bfs.pop() for _ in range(3)] == prefixes
-
-
-def test_random_strategy_is_deterministic_per_seed():
-    def pop_order(seed):
-        strategy = RandomRestartStrategy(seed=seed)
-        for index in range(8):
-            strategy.push((True,) * index)
-        return [strategy.pop() for _ in range(8)]
-
-    assert pop_order(7) == pop_order(7)
-    assert pop_order(7) != pop_order(8)  # 8! orderings; collision ~ impossible
-
-
-def test_strategy_metrics_track_frontier():
-    strategy = DFSStrategy()
-    strategy.push(())
-    strategy.push((True,))
-    strategy.pop()
-    metrics = strategy.metrics()
-    assert metrics["strategy"] == "dfs"
-    assert metrics["frontier_pushes"] == 2
-    assert metrics["frontier_pops"] == 1
-    assert metrics["max_frontier"] == 2
-
-
-def test_drain_empties_the_frontier_in_pop_order():
-    strategy = BFSStrategy()
-    pushed = [(index % 2 == 0,) for index in range(6)]
-    for prefix in pushed:
-        strategy.push(prefix)
-    remaining = strategy.drain()
-    assert remaining == pushed and len(strategy) == 0
-
-
-def test_coverage_strategy_reset_clears_novelty_state():
-    class FakeRecord:
-        def __init__(self, events):
-            self.events = events
-
-    strategy = CoverageGuidedStrategy()
-    strategy.push(())
-    strategy.pop()
-    strategy.push(("fork",))
-    strategy.on_path_complete(FakeRecord(["seen"]))
-    strategy.reset()
-    # Regression: reset() used to keep _seen_logs, so a reused engine's
-    # second exploration scored every path 0 (silent FIFO degradation).
-    strategy.push(())
-    strategy.pop()
-    strategy.push(("fork2",))
-    strategy.on_path_complete(FakeRecord(["seen"]))
-    assert strategy.rescores == 1
-    assert strategy.metrics()["scored_batches"] == 1
-
-
-def test_coverage_strategy_prioritizes_novel_paths():
-    class FakeRecord:
-        def __init__(self, events):
-            self.events = events
-
-    strategy = CoverageGuidedStrategy()
-    strategy.push(())
-    assert strategy.pop() == ()
-    # Three completed paths, each forking one prefix: the first two logs are
-    # novel (score 1), the middle one is a repeat (score 0).  Novel forks
-    # must pop before the stale one, FIFO among themselves.
-    strategy.push(("novel-a",))
-    strategy.on_path_complete(FakeRecord(["seen"]))  # first sighting: novel
-    strategy.push(("stale",))
-    strategy.on_path_complete(FakeRecord(["seen"]))  # repeated log: stale
-    strategy.push(("novel-b",))
-    strategy.on_path_complete(FakeRecord(["fresh"]))  # novel again
-    assert [strategy.pop() for _ in range(3)] == [
-        ("novel-a",), ("novel-b",), ("stale",)]
-
-
-def test_pop_empty_frontier_raises():
-    with pytest.raises(EngineError):
-        DFSStrategy().pop()
-
-
-def test_make_strategy_rejects_unknown_names():
-    with pytest.raises(EngineError):
-        make_strategy("dijkstra")
-    assert set(ALL_STRATEGIES) == set(strategy_names())
+from tests.oracles import ReferenceEngine, check_prefix, explore_with_driver
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +38,10 @@ def test_oracle_prefix_feasibility_and_negation():
     x = bvvar("x", 8)
     lit = oracle.literal(x < 10)
     other = oracle.literal(x > 20)
-    assert oracle.check_prefix([lit]) == SATStatus.SAT
-    assert oracle.check_prefix([lit, other]) == SATStatus.UNSAT
+    assert check_prefix(oracle, [lit]) == SATStatus.SAT
+    assert check_prefix(oracle, [lit, other]) == SATStatus.UNSAT
     # The same literal serves the negated side: x >= 10 and x > 20 is SAT.
-    assert oracle.check_prefix([-lit, other]) == SATStatus.SAT
+    assert check_prefix(oracle, [-lit, other]) == SATStatus.SAT
 
 
 def test_oracle_trivial_contradiction_skips_backend():
@@ -161,7 +49,7 @@ def test_oracle_trivial_contradiction_skips_backend():
     x = bvvar("x", 8)
     lit = oracle.literal(x == 1)
     solves_before = oracle.stats.assumption_solves
-    assert oracle.check_prefix([lit, -lit]) == SATStatus.UNSAT
+    assert check_prefix(oracle, [lit, -lit]) == SATStatus.UNSAT
     assert oracle.stats.assumption_solves == solves_before
     assert oracle.stats.trivial_decides >= 1
 
@@ -170,11 +58,11 @@ def test_oracle_prefix_cache_hits():
     oracle = PrefixOracle(SolverConfig())
     x = bvvar("x", 8)
     lits = [oracle.literal(x < 10), oracle.literal(x < 20)]
-    assert oracle.check_prefix(lits) == SATStatus.SAT
+    assert check_prefix(oracle, lits) == SATStatus.SAT
     hits_before = oracle.stats.prefix_cache_hits
     # A repeated literal leaves the prefix unchanged: the same trie node
     # answers from its cached verdict.
-    assert oracle.check_prefix(lits + [lits[0]]) == SATStatus.SAT
+    assert check_prefix(oracle, lits + [lits[0]]) == SATStatus.SAT
     assert oracle.stats.prefix_cache_hits == hits_before + 1
 
 
@@ -185,9 +73,9 @@ def test_oracle_negated_constraint_matches_bool_not():
     lit = oracle.literal(condition)
     # assuming -lit must agree with encoding bool_not(condition) separately
     not_lit = oracle.literal(bool_not(condition))
-    assert oracle.check_prefix([-lit, -not_lit]) == SATStatus.UNSAT
-    assert oracle.check_prefix([lit, not_lit]) == SATStatus.UNSAT
-    assert oracle.check_prefix([-lit, not_lit]) == SATStatus.SAT
+    assert check_prefix(oracle, [-lit, -not_lit]) == SATStatus.UNSAT
+    assert check_prefix(oracle, [lit, not_lit]) == SATStatus.UNSAT
+    assert check_prefix(oracle, [-lit, not_lit]) == SATStatus.SAT
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +111,9 @@ def legacy_result():
     return ReferenceEngine().explore(_branchy_program)
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-def test_every_strategy_explores_the_same_path_set(strategy, legacy_result):
-    engine = Engine(config=EngineConfig(strategy=strategy))
-    result = engine.explore(_branchy_program)
+def test_engine_explores_the_reference_path_set(legacy_result):
+    result = Engine().explore(_branchy_program)
     assert _path_condition_set(result) == _path_condition_set(legacy_result)
-    assert result.stats.strategy == strategy
-    assert result.strategy_metrics["strategy"] == strategy
 
 
 def test_oracle_engine_issues_fewer_solver_queries(legacy_result):
@@ -241,14 +125,14 @@ def test_oracle_engine_issues_fewer_solver_queries(legacy_result):
 
 
 def test_dfs_oracle_engine_preserves_legacy_path_order(legacy_result):
-    result = Engine(config=EngineConfig(strategy="dfs")).explore(_branchy_program)
+    result = Engine().explore(_branchy_program)
     legacy_order = [path.decisions for path in legacy_result.paths]
     oracle_order = [path.decisions for path in result.paths]
     assert oracle_order == legacy_order
 
 
 # ---------------------------------------------------------------------------
-# Strategy-vs-legacy equivalence on the seed catalog (acceptance criterion)
+# Engine-vs-reference equivalence on the seed catalog (acceptance criterion)
 # ---------------------------------------------------------------------------
 
 
@@ -268,45 +152,20 @@ def legacy_catalog_path_sets():
     }
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-def test_strategies_match_legacy_on_seed_catalog(strategy, legacy_catalog_path_sets):
+def test_engine_matches_reference_on_seed_catalog(legacy_catalog_path_sets):
     for test in TABLE1_TESTS:
-        report = explore_agent("reference", test, strategy=strategy)
-        assert report.engine_stats["strategy"] == strategy
+        report = explore_agent("reference", test)
         assert _report_path_set(report) == legacy_catalog_path_sets[test], (
-            "strategy %r diverged from the reference engine on test %r"
-            % (strategy, test))
+            "the engine diverged from the reference engine on test %r" % test)
 
 
 # ---------------------------------------------------------------------------
-# Review regressions: per-path truncation, discard scoring, per-run stats
+# Regressions: discarded replays, per-run stats, the truncated frontier
 # ---------------------------------------------------------------------------
 
 
-def test_discarded_replays_do_not_inherit_next_path_score():
-    class FakeRecord:
-        def __init__(self, events):
-            self.events = events
-
-    strategy = CoverageGuidedStrategy()
-    strategy.push(())
-    strategy.pop()
-    strategy.push(("from-discard",))
-    strategy.on_path_discarded()  # flushed neutrally, before any novelty
-    strategy.push(("from-novel",))
-    strategy.on_path_complete(FakeRecord(["fresh"]))  # novel: score 1
-    assert strategy.pop() == ("from-novel",)
-    assert strategy.pop() == ("from-discard",)
-
-
-def test_engine_notifies_strategy_of_discarded_replays():
+def test_engine_counts_discarded_replays():
     from repro.symbex.engine import active_engine
-
-    notifications = []
-
-    class SpyStrategy(DFSStrategy):
-        def on_path_discarded(self):
-            notifications.append("discarded")
 
     def program(state):
         x = state.new_symbol("x", 8)
@@ -314,10 +173,10 @@ def test_engine_notifies_strategy_of_discarded_replays():
             active_engine().abort_current_path("nope")
         state.record_event("ok")
 
-    result = Engine(strategy=SpyStrategy()).explore(program)
-    assert notifications == ["discarded"]
+    result = Engine().explore(program)
     assert result.stats.discarded_replays == 1
     assert result.path_count == 1
+    assert [path.events for path in result.paths] == [["ok"]]
 
 
 def test_reused_engine_solver_stats_are_per_run_deltas():
@@ -350,21 +209,21 @@ def test_reused_engine_solver_stats_are_per_run_deltas():
     assert legacy_second.solver_stats["queries"] == legacy_first.solver_stats["queries"]
 
 
-def test_forkless_paths_still_consume_their_novelty():
-    class FakeRecord:
-        def __init__(self, events):
-            self.events = events
+def test_truncated_frontier_is_the_rest_of_the_depth_first_order():
+    def program(state):
+        for index in range(3):
+            if state.new_symbol("b%d" % index, 1) == 1:
+                state.record_event(index)
 
-    strategy = CoverageGuidedStrategy()
-    # A fork-less leaf path sees log "leaf": nothing to score, but the log
-    # must enter the seen-set so a later identical log is not called novel.
-    strategy.on_path_complete(FakeRecord(["leaf"]))
-    strategy.push(("stale",))
-    strategy.on_path_complete(FakeRecord(["leaf"]))  # repeat: score 0
-    strategy.push(("novel",))
-    strategy.on_path_complete(FakeRecord(["new"]))  # genuinely new: score 1
-    assert strategy.pop() == ("novel",)
-    assert strategy.pop() == ("stale",)
+    full = Engine().explore(program)
+    truncated = Engine(config=EngineConfig(max_paths=3)).explore(program)
+    order = [path.decisions for path in full.paths]
+    assert full.exhausted and len(order) == 8
+    assert [path.decisions for path in truncated.paths] == order[:3]
+    # The unexplored prefixes come back in pop order: the deepest fork first.
+    assert truncated.frontier == [(True, False, False), (False,)]
+    assert order[3] == (True, False, False)
+    assert order[4][:1] == (False,)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,17 @@ def test_cli_explore_and_oftest(capsys):
     assert "cases passed" in capsys.readouterr().out
 
 
+def test_cli_rejects_removed_strategy_flag(capsys):
+    # Phase 1 explores depth-first only; the frontier option is gone.
+    for argv in (["explore", "--agent", "reference", "--test", "concrete"],
+                 ["campaign", "--tests", "concrete", "--agents", "reference,ovs"],
+                 ["triage", "--tests", "concrete", "--agents", "reference,ovs"]):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(argv + ["--strategy", "dfs"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+
+
 def test_cli_run_set_config(capsys):
     assert cli_main(["run", "--test", "set_config", "--agent-a", "reference",
                      "--agent-b", "ovs"]) == 0
