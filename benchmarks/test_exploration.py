@@ -2,7 +2,7 @@
 
 The reference engine (:class:`tests.oracles.ReferenceEngine`, reported as
 ``legacy``) answers every branch-feasibility question with a full
-:class:`Solver` query — re-simplify, re-bit-blast and re-solve the whole
+:func:`tests.oracles.solve` — re-simplify, re-bit-blast and re-solve the whole
 path condition in a fresh SAT instance, up to twice per branch.  The
 prefix-oracle engine encodes every distinct branch condition once into one
 shared incremental SAT instance and decides each prefix under assumptions,

@@ -21,8 +21,8 @@ import time
 from benchmarks.conftest import print_table, write_bench
 from repro.core.campaign import Campaign
 from repro.core.corpus import WitnessCorpus
+from repro.symbex.solver.backend import CDCLBackend
 from repro.symbex.solver.incremental import GroupEncoding
-from repro.symbex.solver.solver import Solver
 
 TESTS = ("set_config", "flow_mod")
 AGENTS = ("reference", "modified")
@@ -53,20 +53,20 @@ def test_triage_and_corpus_benchmark(tmp_path):
     corpus = WitnessCorpus(corpus_dir, create=False)
     assert len(corpus) == triage.cluster_count
 
-    solver_check = Solver.check
+    backend_check = CDCLBackend.check_sat
     engine_check = GroupEncoding.check_pair
     engine_row = GroupEncoding.check_row
 
     def poisoned(*args, **kwargs):
         raise AssertionError("solver query during corpus replay")
 
-    Solver.check = poisoned
+    CDCLBackend.check_sat = poisoned
     GroupEncoding.check_pair = poisoned
     GroupEncoding.check_row = poisoned
     try:
         runs = [corpus.run() for _ in range(CORPUS_ROUNDS)]
     finally:
-        Solver.check = solver_check
+        CDCLBackend.check_sat = backend_check
         GroupEncoding.check_pair = engine_check
         GroupEncoding.check_row = engine_row
     assert all(run.ok for run in runs)

@@ -1,13 +1,12 @@
 """Symbex-compatibility lint: constructs the symbolic engine cannot model.
 
 The engine replays agent handlers along recorded decision schedules
-(:mod:`repro.symbex.engine`) and the concolic executor re-derives path
-conditions from concrete runs (:mod:`repro.symbex.concolic`).  Both assume
-the program under test is a *deterministic pure function of its inputs*:
+(:mod:`repro.symbex.engine`).  It assumes the program under test is a
+*deterministic pure function of its inputs*:
 
 * calls into ``time``/``random``/``os``/... make replays diverge from their
-  schedule (a replay follows its recorded prefix without re-checking it, so
-  the divergent path's condition is silently wrong);
+  schedule (a replay that branches on a condition its prefix never forked
+  on aborts the exploration with an engine fault);
 * I/O escapes the recorded trace entirely;
 * iterating an unordered ``set`` makes branch order depend on hash
   randomization;

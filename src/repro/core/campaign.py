@@ -68,7 +68,7 @@ from repro.core.witness import (
 from repro.errors import CampaignError
 from repro.symbex.engine import EngineConfig
 from repro.symbex.expr import intern_table
-from repro.symbex.solver import GroupEncoding, SolverConfig
+from repro.symbex.solver import GroupEncoding
 
 __all__ = ["Campaign", "CampaignReport", "EncodingCache", "ExplorationCache"]
 
@@ -179,17 +179,16 @@ class EncodingCache:
     agent that produced it.
     """
 
-    def __init__(self, solver_config: Optional[SolverConfig] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._engines: Dict[Tuple[str, str], GroupEncoding] = {}
-        self.solver_config = solver_config
 
     def engine_for(self, spec: TestSpec) -> GroupEncoding:
         with self._lock:
             key = (spec.key, spec.scale)
             engine = self._engines.get(key)
             if engine is None:
-                engine = GroupEncoding(self.solver_config or SolverConfig())
+                engine = GroupEncoding()
                 engine.bind_test(spec.key)
                 self._engines[key] = engine
             return engine
@@ -213,7 +212,6 @@ class EncodingCache:
 
 def _explore_spec_unit(agent: str, spec: TestSpec,
                        engine_config: Optional[EngineConfig],
-                       solver_config: Optional[SolverConfig],
                        with_coverage: bool) -> Tuple[AgentExplorationReport, float]:
     """Phase 1 for one unit; module-level so process pools can run it.
 
@@ -223,7 +221,7 @@ def _explore_spec_unit(agent: str, spec: TestSpec,
 
     started = time.perf_counter()
     report = explore_agent(agent, spec, engine_config=engine_config,
-                           solver_config=solver_config, with_coverage=with_coverage)
+                           with_coverage=with_coverage)
     return report, time.perf_counter() - started
 
 
@@ -503,9 +501,7 @@ class Campaign:
                  workers: int = 1,
                  executor: str = "thread",
                  engine_config: Optional[EngineConfig] = None,
-                 solver_config: Optional[SolverConfig] = None,
                  with_coverage: bool = False,
-                 build_testcases: bool = True,
                  replay_testcases: bool = True,
                  reset_intern: bool = False,
                  triage: bool = True,
@@ -524,9 +520,7 @@ class Campaign:
         self.workers = max(1, int(workers))
         self.executor = executor
         self.engine_config = engine_config
-        self.solver_config = solver_config
         self.with_coverage = with_coverage
-        self.build_testcases = build_testcases
         self.replay_testcases = replay_testcases
         #: Reset the process-wide expression intern table (and with it the
         #: per-term memos on its nodes) at the start of each run.  Off by
@@ -573,7 +567,7 @@ class Campaign:
         #: the duration of each run (and shipped to worker processes).
         self.fault_plan = fault_plan
         self.cache = ExplorationCache()
-        self.encodings = EncodingCache(self.solver_config)
+        self.encodings = EncodingCache()
         if executor not in ("thread", "process"):
             raise CampaignError("executor must be 'thread' or 'process', got %r" % (executor,))
         if tests is not None:
@@ -789,8 +783,7 @@ class Campaign:
             cell = CampaignCheckpoint.phase1_cell(agent, spec)
             unit_by_cell[cell] = unit
 
-            args = (agent, spec, self.engine_config, self.solver_config,
-                    self.with_coverage)
+            args = (agent, spec, self.engine_config, self.with_coverage)
             jobs.append(CampaignJob(
                 kind="phase1", key=cell,
                 thread_fn=functools.partial(_explore_spec_unit, *args),
@@ -819,7 +812,7 @@ class Campaign:
     def _run_pair(self, spec: TestSpec, agent_a: str, agent_b: str,
                   exploration_shares: Optional[Dict[Tuple[str, str], int]] = None,
                   ) -> SoftReport:
-        """Phase 2 for one (test, pair): crosscheck, concretize, replay, triage.
+        """Phase 2 for one (test, pair): crosscheck, build test cases, replay, triage.
 
         *exploration_shares* maps (agent, test key) to the number of pairs
         consuming that cached exploration; its wall time is split between
@@ -848,16 +841,15 @@ class Campaign:
         witnesses: List[Witness] = []
         can_replay = (self.replay_testcases
                       and agent_a in AGENT_REGISTRY and agent_b in AGENT_REGISTRY)
-        if self.build_testcases:
-            for inconsistency in crosscheck.inconsistencies:
-                testcase = build_testcase(spec, inconsistency.example, inconsistency)
-                testcases.append(testcase)
-                if can_replay:
-                    replays.append(replay_testcase(
-                        testcase, agent_a, agent_b,
-                        agent_options=self.agent_options))
+        for inconsistency in crosscheck.inconsistencies:
+            testcase = build_testcase(spec, inconsistency.example, inconsistency)
+            testcases.append(testcase)
+            if can_replay:
+                replays.append(replay_testcase(
+                    testcase, agent_a, agent_b,
+                    agent_options=self.agent_options))
 
-        if self.triage and can_replay and self.build_testcases:
+        if self.triage and can_replay:
             def replayer(candidate: ConcreteTestCase) -> ReplayOutcome:
                 return replay_testcase(candidate, agent_a, agent_b,
                                        agent_options=self.agent_options)
@@ -935,7 +927,7 @@ class Campaign:
             # entries are kept: they cannot be rebuilt, and cross-generation
             # use stays correct via the structural-key fallback.
             intern_table().reset()
-            self.encodings = EncodingCache(self.solver_config)
+            self.encodings = EncodingCache()
             self.cache.drop_explored()
         table = intern_table()
         intern_hits_before = table.hits
@@ -978,9 +970,7 @@ class Campaign:
             if report.witnesses:
                 triage_index.add_all(report.witnesses)
             elif report.inconsistencies:
-                if not self.build_testcases:
-                    reason = "testcase generation disabled"
-                elif not self.replay_testcases:
+                if not self.replay_testcases:
                     reason = "replay disabled"
                 else:
                     reason = "agent(s) not replayable"

@@ -24,7 +24,6 @@ from repro.coverage.tracker import CoverageReport, CoverageTracker
 from repro.harness.driver import TestDriver
 from repro.symbex.engine import Engine, EngineConfig, PathRecord
 from repro.symbex.expr import BoolExpr
-from repro.symbex.solver import Solver, SolverConfig
 from repro.testing.faults import fault_point
 
 __all__ = ["PathOutcome", "AgentExplorationReport", "explore_agent"]
@@ -224,7 +223,6 @@ def _resolve_agent_factory(agent: AgentSpec) -> (str, Callable[[], OpenFlowAgent
 def explore_agent(agent: AgentSpec,
                   test: Union[str, TestSpec],
                   engine_config: Optional[EngineConfig] = None,
-                  solver_config: Optional[SolverConfig] = None,
                   with_coverage: bool = False) -> AgentExplorationReport:
     """Run Phase 1 for one agent and one test specification.
 
@@ -246,8 +244,7 @@ def explore_agent(agent: AgentSpec,
     wall_started = time.perf_counter()
     # A temporary engine: its prefix trie and SAT instance are freed before
     # the report is built, which keeps them out of the peak.
-    result = Engine(solver=Solver(solver_config or SolverConfig()),
-                    config=engine_config).explore(driver.program)
+    result = Engine(config=engine_config).explore(driver.program)
     cpu_time = time.process_time() - started
     wall_time = time.perf_counter() - wall_started
 

@@ -20,7 +20,7 @@ from repro.core.testcase import ConcreteTestCase, ReplayOutcome
 from repro.core.tests_catalog import TestSpec
 from repro.core.witness import Witness
 from repro.symbex.engine import EngineConfig
-from repro.symbex.solver import GroupEncoding, SolverConfig
+from repro.symbex.solver import GroupEncoding
 
 __all__ = ["SOFT", "SoftReport"]
 
@@ -100,15 +100,11 @@ class SOFT:
     """Systematic OpenFlow Testing: the paper's tool, end to end."""
 
     def __init__(self, engine_config: Optional[EngineConfig] = None,
-                 solver_config: Optional[SolverConfig] = None,
                  with_coverage: bool = False,
-                 build_testcases: bool = True,
                  replay_testcases: bool = True,
                  triage: bool = True) -> None:
         self.engine_config = engine_config
-        self.solver_config = solver_config
         self.with_coverage = with_coverage
-        self.build_testcases = build_testcases
         self.replay_testcases = replay_testcases
         self.triage = triage
 
@@ -120,7 +116,6 @@ class SOFT:
         """Phase 1 for one agent (what a vendor runs in-house)."""
 
         return explore_agent(agent, test, engine_config=self.engine_config,
-                             solver_config=self.solver_config,
                              with_coverage=self.with_coverage)
 
     def group(self, report: AgentExplorationReport) -> GroupedResults:
@@ -132,8 +127,7 @@ class SOFT:
                    grouped_b: GroupedResults) -> CrosscheckReport:
         """Phase 2b: find inconsistencies between two grouped results."""
 
-        engine = GroupEncoding(self.solver_config)
-        return find_inconsistencies(grouped_a, grouped_b, engine=engine)
+        return find_inconsistencies(grouped_a, grouped_b, engine=GroupEncoding())
 
     # ------------------------------------------------------------------
     # End-to-end convenience
@@ -149,9 +143,7 @@ class SOFT:
             tests=list(tests),
             pairs=[(agent_a, agent_b)],
             engine_config=self.engine_config,
-            solver_config=self.solver_config,
             with_coverage=self.with_coverage,
-            build_testcases=self.build_testcases,
             replay_testcases=self.replay_testcases,
             triage=self.triage,
         )

@@ -669,7 +669,7 @@ class TriageReport:
     mean_shrink_ratio: float
     #: (test, agent_a, agent_b, reason) for pairs whose inconsistencies
     #: bypassed triage — e.g. an artifact-only agent that cannot be replayed,
-    #: or replay/testcase generation disabled on the campaign.
+    #: or replay disabled on the campaign.
     skipped_pairs: List[Tuple[str, str, str, str]] = field(default_factory=list)
     triage_time: float = 0.0
 

@@ -8,12 +8,12 @@ replay generated test cases and by the OFTest-style baseline).
 Decision-free input builds are recorded once per exploration.  The first
 time :meth:`TestDriver.program` builds an input, it notes the symbols the
 build declared, the constraints it assumed and the value it returned.  If
-the build made no branch decision, no ``concretize`` call and no event, that
-record stands in for the build on every later path: the symbols and
-constraints are replayed in their recorded order and each agent gets its own
-copy of the recorded buffers.  Any other build runs on every path.  The path
-a record produces is the one a fresh build would, so explored path
-conditions, traces and concolic replays are unchanged.
+the build made no branch decision and no event, that record stands in for
+the build on every later path: the symbols and constraints are replayed in
+their recorded order and each agent gets its own copy of the recorded
+buffers.  Any other build runs on every path.  The path a record produces is
+the one a fresh build would, so explored path conditions and traces are
+unchanged.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class TestDriver:
         self.coverage_tracker = coverage_tracker
         self.perform_handshake = perform_handshake
         # Input index -> its recorded build, or None for a build that must
-        # run on every path (it branched, concretized or emitted an event).
+        # run on every path (it branched or emitted an event).
         self._recorded: Dict[int, Optional[_RecordedBuild]] = {}
 
     # ------------------------------------------------------------------
@@ -101,14 +101,11 @@ class TestDriver:
         symbols = len(state.symbols)
         constraints = len(state.condition)
         decisions = len(state.decisions)
-        concretizations = state.concretizations
         events = len(state.events)
         value = test_input.build(state)
         if index in self._recorded:
             return value
-        if (len(state.decisions) == decisions
-                and state.concretizations == concretizations
-                and len(state.events) == events):
+        if len(state.decisions) == decisions and len(state.events) == events:
             self._recorded[index] = _RecordedBuild(
                 dict(list(state.symbols.items())[symbols:]),
                 state.condition.since(constraints), value)

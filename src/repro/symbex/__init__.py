@@ -53,7 +53,7 @@ from repro.symbex.engine import (
     active_engine,
 )
 from repro.symbex.simplify import simplify, simplify_bool, simplify_cache_stats
-from repro.symbex.solver import PrefixOracle, SatResult, Solver, SolverConfig
+from repro.symbex.solver import PrefixOracle, SatResult
 from repro.symbex.state import PathCondition, PathState
 
 __all__ = [
@@ -90,8 +90,6 @@ __all__ = [
     "simplify_cache_stats",
     "PrefixOracle",
     "SatResult",
-    "Solver",
-    "SolverConfig",
     "PathCondition",
     "PathState",
 ]

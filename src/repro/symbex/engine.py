@@ -42,14 +42,11 @@ from repro.errors import (
 from repro.symbex.expr import (
     BoolConst,
     BoolExpr,
-    BVConst,
-    BVExpr,
     bool_not,
     set_branch_hook,
 )
-from repro.symbex.compile import compiled_cache_stats, evaluate_compiled
+from repro.symbex.compile import compiled_cache_stats
 from repro.symbex.simplify import simplify_bool, simplify_cache_stats
-from repro.symbex.solver import Solver, SolverConfig
 from repro.symbex.solver.oracle import PrefixNode, PrefixOracle
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.state import PathCondition, PathState
@@ -130,9 +127,9 @@ class ExplorationStats:
     #: Replays abandoned via abort_current_path(); they produce no record
     #: but still count against the max_paths attempt budget.
     discarded_replays: int = 0
-    #: Decision-procedure checks issued *by this exploration* (branch
-    #: feasibility + concretization) — a per-run delta, not the cumulative
-    #: counter of a possibly-reused solver.
+    #: Branch-feasibility checks that reached the SAT backend *in this
+    #: exploration* — a per-run delta, not the cumulative counter of a
+    #: possibly-reused oracle.
     solver_queries: int = 0
     wall_time: float = 0.0
     truncated: bool = False
@@ -198,13 +195,11 @@ class ExplorationResult:
 class Engine:
     """Exhaustive depth-first exploration of a symbolic program."""
 
-    def __init__(self, solver: Optional[Solver] = None,
-                 config: Optional[EngineConfig] = None) -> None:
-        self.solver = solver if solver is not None else Solver(SolverConfig())
+    def __init__(self, config: Optional[EngineConfig] = None) -> None:
         self.config = config if config is not None else EngineConfig()
         #: The prefix-feasibility oracle; it outlives explorations, so a
         #: reused engine answers repeated prefixes from its cache.
-        self.oracle = PrefixOracle(self.solver.config)
+        self.oracle = PrefixOracle()
         self._current_state: Optional[PathState] = None
         self._current_prefix: Prefix = ()
         # Pending prefixes, a LIFO stack: the last fork is explored next.
@@ -231,7 +226,9 @@ class Engine:
 
         *program* receives a fresh :class:`PathState` per path.  It must be
         deterministic: for the same sequence of branch outcomes it must make
-        the same branch queries in the same order.
+        the same branch queries in the same order.  A replay that branches
+        on a condition its prefix never forked on raises
+        :class:`~repro.errors.EngineError`.
         """
 
         started = time.perf_counter()
@@ -241,7 +238,6 @@ class Engine:
         deadline = (started + self.config.time_budget
                     if self.config.time_budget else None)
 
-        solver_queries_before = self.solver.stats.queries
         simplify_before = simplify_cache_stats()
         compiled_before = compiled_cache_stats()
         oracle = self.oracle
@@ -290,14 +286,12 @@ class Engine:
             compiled_after["hits"] - compiled_before["hits"])
         self._stats.compiled_cache_misses = int(
             compiled_after["misses"] - compiled_before["misses"])
-        concretize_queries = self.solver.stats.queries - solver_queries_before
-        self._stats.solver_queries = concretize_queries + (
+        self._stats.solver_queries = (
             oracle.stats.assumption_solves - oracle_stats_before["assumption_solves"])
         return ExplorationResult(
             paths=records,
             stats=self._stats,
-            solver_stats=self._solver_stats_snapshot(concretize_queries,
-                                                     oracle_stats_before),
+            solver_stats=self._solver_stats_snapshot(oracle_stats_before),
             frontier=frontier[::-1],
         )
 
@@ -309,8 +303,7 @@ class Engine:
     #: they stay absolute when the snapshot is converted to per-run deltas.
     _STATS_GAUGES = ("sat_variables", "sat_clauses")
 
-    def _solver_stats_snapshot(self, concretize_queries: int,
-                               before: Dict[str, float]) -> Dict[str, float]:
+    def _solver_stats_snapshot(self, before: Dict[str, float]) -> Dict[str, float]:
         """Per-run oracle counters (a reused engine must not accumulate)."""
 
         stats = self.oracle.stats_dict()
@@ -318,7 +311,6 @@ class Engine:
             if name not in self._STATS_GAUGES:
                 stats[name] = stats[name] - value
         stats["queries"] = self._stats.solver_queries
-        stats["concretize_queries"] = concretize_queries
         return stats
 
     # ------------------------------------------------------------------
@@ -328,7 +320,6 @@ class Engine:
     def _run_one(self, program: Callable[[PathState], Any], path_id: int,
                  prefix: Prefix) -> Optional[PathRecord]:
         state = PathState(path_id=path_id)
-        state._engine = self
         self._current_state = state
         self._current_prefix = prefix
         self._path_node = self._base_node = self.oracle.root()
@@ -386,14 +377,16 @@ class Engine:
             )
 
         index = len(state.decisions)
+        replay = index < len(self._current_prefix)
         try:
-            if index < len(self._current_prefix):
-                # Replaying a previously scheduled prefix: follow it blindly
-                # (its feasibility was established when it was scheduled).
+            if replay:
+                # Replaying a previously scheduled prefix: its feasibility was
+                # established when it was scheduled; the trie checks that the
+                # program branched on the same condition as then.
                 outcome = self._current_prefix[index]
             else:
                 outcome = self._decide(state, condition)
-            self._commit_decision(state, condition, outcome)
+            self._commit_decision(state, condition, outcome, replay)
         # soft-lint: disable=broad-except -- an oracle fault, recorded so _run_one re-raises it even if the program catches it
         except Exception as exc:  # noqa: BLE001 - re-raised
             self._fault = exc
@@ -401,21 +394,23 @@ class Engine:
         return outcome
 
     def _commit_decision(self, state: PathState, condition: BoolExpr,
-                         outcome: bool) -> None:
+                         outcome: bool, replay: bool) -> None:
         # Mirror the branch in the prefix trie.  The branch literal is a
         # full equivalence, so the False side is its negation — no second
         # encoding of the negated constraint; extending the node is a
-        # one-literal delta on the parent prefix.
+        # one-literal delta on the parent prefix.  A replayed decision must
+        # land on a node the original run created.
         self._sync_path_node(state)
         lit = self.oracle.literal(condition)
-        self._advance(self.oracle.extend(self._path_node, lit if outcome else -lit))
+        self._advance(self.oracle.extend(
+            self._path_node, lit if outcome else -lit, replay=replay))
         state.decisions.append(outcome)
         state.condition.add(condition if outcome else bool_not(condition))
         self._synced_constraints = len(state.condition)
         self._stats.decisions += 1
 
     def _sync_path_node(self, state: PathState) -> None:
-        """Encode constraints added outside branching (assume/concretize)."""
+        """Encode constraints added outside branching (``assume``)."""
 
         for constraint in state.condition.since(self._synced_constraints):
             self._advance(self.oracle.extend(
@@ -427,8 +422,8 @@ class Engine:
 
         The old base is then behind the path — both sides of its branch are
         decided — and no check starts from it again, so its witness goes.
-        Nodes without a witness (assume/concretize constraints, cached or
-        forced decisions) leave the base where it is; the next check
+        Nodes without a witness (assumed constraints, cached or forced
+        decisions) leave the base where it is; the next check
         evaluates every literal added since.
         """
 
@@ -462,49 +457,10 @@ class Engine:
         status = self.oracle.check_node(node, base=self._base_node)
         if status == SATStatus.UNKNOWN:
             raise SolverError(
-                "solver gave up while checking branch feasibility; raise the "
-                "conflict budget in SolverConfig"
+                "solver gave up while checking branch feasibility; raise "
+                "MAX_CONFLICTS in repro.symbex.solver.backend"
             )
         return status
-
-    # ------------------------------------------------------------------
-    # Concretization support
-    # ------------------------------------------------------------------
-
-    def concretize_in_state(self, state: PathState, value: BVExpr,
-                            hint: Optional[int] = None) -> int:
-        """Pin *value* to one concrete integer consistent with the path.
-
-        Concretization runs on the engine's :class:`Solver`, never on the
-        oracle: the model it picks (and therefore the pinned value) depends
-        only on the path condition, not on which oracle layer decided the
-        branches or on what earlier paths left in the oracle's caches.
-        """
-
-        if isinstance(value, BVConst):
-            return value.value
-        if isinstance(value, int):
-            return value
-        constraints = state.condition.constraints()
-        hinted = None if hint is None else value == hint
-        try:
-            if hinted is not None and self.solver.check(constraints + [hinted]).is_sat:
-                state.condition.add(hinted)
-                return hint
-            result = self.solver.check(constraints)
-            if result.is_unknown:
-                raise SolverError(
-                    "solver gave up while concretizing; raise the conflict "
-                    "budget in SolverConfig")
-        # soft-lint: disable=broad-except -- a solver fault, recorded so _run_one re-raises it even if the program catches it
-        except Exception as exc:  # noqa: BLE001 - re-raised
-            self._fault = exc
-            raise
-        if not result.is_sat:
-            raise EngineError("current path condition is unsatisfiable during concretization")
-        concrete = evaluate_compiled(value, result.model, default=0)
-        state.condition.add(value == concrete)
-        return concrete
 
     # ------------------------------------------------------------------
     # Misc

@@ -96,7 +96,7 @@ def _no_engine_branch(cond: "BoolExpr") -> bool:
     raise NoActiveEngineError(
         "attempted to branch on the symbolic condition %r outside of an "
         "exploration context; wrap the computation in Engine.explore() or "
-        "concretize the value first" % (cond,)
+        "evaluate it under a concrete assignment" % (cond,)
     )
 
 

@@ -10,22 +10,17 @@ The pipeline mirrors what STP provides to the original SOFT prototype:
    (:mod:`repro.symbex.solver.model`).
 
 Every query runs on that one engine, :class:`CDCLBackend`
-(:mod:`repro.symbex.solver.backend`): one-shot through :class:`Solver`,
-incrementally through the Phase-1 :class:`PrefixOracle` and the Phase-2b
-:class:`GroupEncoding`.
+(:mod:`repro.symbex.solver.backend`), under its one conflict budget
+:data:`~repro.symbex.solver.backend.MAX_CONFLICTS`.  It has two front ends,
+both incremental: the Phase-1 :class:`PrefixOracle` (branch feasibility) and
+the Phase-2b :class:`GroupEncoding` (group-pair overlap).
 """
 
 from repro.symbex.solver.sat import SATSolver, SATStatus
 from repro.symbex.solver.cnf import CNFBuilder
 from repro.symbex.solver.bitblast import BitBlaster
-from repro.symbex.solver.model import extract_model, verify_model
+from repro.symbex.solver.model import SatResult, extract_model, verify_model
 from repro.symbex.solver.backend import CancellationToken, CDCLBackend
-from repro.symbex.solver.solver import (
-    SatResult,
-    Solver,
-    SolverConfig,
-    SolverStats,
-)
 from repro.symbex.solver.incremental import GroupEncoding, IncrementalStats, PairOutcome, RowScan
 from repro.symbex.solver.oracle import PrefixOracle, PrefixOracleStats
 
@@ -39,9 +34,6 @@ __all__ = [
     "extract_model",
     "verify_model",
     "SatResult",
-    "Solver",
-    "SolverConfig",
-    "SolverStats",
     "GroupEncoding",
     "IncrementalStats",
     "PairOutcome",

@@ -3,14 +3,16 @@
 :class:`CDCLBackend` owns one ``SATSolver`` + ``CNFBuilder`` + ``BitBlaster``
 triple for its whole lifetime, so it is fully incremental: conditions
 declared once are solved under assumptions any number of times, and learned
-clauses persist across calls.  The one-shot
-:class:`~repro.symbex.solver.solver.Solver` builds a fresh instance per
-query; the Phase-1 :class:`~repro.symbex.solver.oracle.PrefixOracle` and the
-Phase-2b :class:`~repro.symbex.solver.incremental.GroupEncoding` each keep
-one for their lifetime.  The surface mirrors the ezSMT / smt_switch verbs:
-``declare`` a condition as an assumption literal, ``assert_formula`` a
-permanent constraint, ``check_sat`` under assumptions, ``get_value`` the
-model.
+clauses persist across calls.  Its two users are the Phase-1
+:class:`~repro.symbex.solver.oracle.PrefixOracle` (branch feasibility) and
+the Phase-2b :class:`~repro.symbex.solver.incremental.GroupEncoding`
+(group-pair overlap); each keeps one instance for its lifetime.  The surface
+mirrors the ezSMT / smt_switch verbs: ``declare`` a condition as an
+assumption literal, ``assert_formula`` a permanent constraint, ``check_sat``
+under assumptions, ``get_value`` the model.
+
+Every ``check_sat`` runs under the one conflict budget
+:data:`MAX_CONFLICTS`, read when the query runs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ from repro.symbex.solver.cnf import CNFBuilder
 from repro.symbex.solver.model import extract_model
 from repro.symbex.solver.sat import SATSolver
 
-__all__ = ["CDCLBackend", "CancellationToken"]
+__all__ = ["CDCLBackend", "CancellationToken", "MAX_CONFLICTS"]
+
+#: CDCL conflicts one query may spend before it answers ``UNKNOWN``.
+MAX_CONFLICTS = 200_000
 
 
 class CancellationToken:
@@ -74,18 +79,18 @@ class CDCLBackend:
     # -- solving -------------------------------------------------------------
 
     def check_sat(self, assumptions: Sequence[int] = (),
-                  max_conflicts: Optional[int] = None,
                   cancel: Optional[CancellationToken] = None,
                   prefer: Sequence[int] = ()) -> str:
         """Decide the current formula; returns a ``SATStatus`` constant.
 
-        ``UNKNOWN`` means the budget ran out or the query was cancelled —
-        never a property of the formula itself.  *prefer* is a decision hint
-        (literals to try first, one at a time); it never changes the answer.
+        ``UNKNOWN`` means :data:`MAX_CONFLICTS` ran out or the query was
+        cancelled — never a property of the formula itself.  *prefer* is a
+        decision hint (literals to try first, one at a time); it never
+        changes the answer.
         """
 
         return self._sat.solve(assumptions=list(assumptions),
-                               max_conflicts=max_conflicts, cancel=cancel,
+                               max_conflicts=MAX_CONFLICTS, cancel=cancel,
                                prefer=prefer)
 
     def get_value(self) -> Dict[str, int]:

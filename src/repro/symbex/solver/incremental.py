@@ -70,9 +70,8 @@ from repro.symbex.compile import compile_term
 from repro.symbex.expr import BoolAnd, BoolConst, BoolExpr, BoolOr
 from repro.symbex.simplify import simplify_bool
 from repro.symbex.solver.backend import CDCLBackend
-from repro.symbex.solver.model import require_verified
+from repro.symbex.solver.model import SatResult, require_verified
 from repro.symbex.solver.sat import SATStatus
-from repro.symbex.solver.solver import SatResult, SolverConfig
 
 __all__ = ["GroupEncoding", "IncrementalStats", "PairOutcome", "RowScan"]
 
@@ -186,8 +185,7 @@ class GroupEncoding:
     that hold engines in a cache.
     """
 
-    def __init__(self, config: Optional[SolverConfig] = None) -> None:
-        self.config = config if config is not None else SolverConfig()
+    def __init__(self) -> None:
         self.stats = IncrementalStats(backend_rebuilds=1)
         self._lock = threading.RLock()
         self._backend = CDCLBackend()
@@ -353,8 +351,7 @@ class GroupEncoding:
         self.stats.assumption_solves += 1
         started = time.perf_counter()
         status = self._backend.check_sat(
-            assumptions=[group_a.activation, group_b.activation],
-            max_conflicts=self.config.max_conflicts)
+            assumptions=[group_a.activation, group_b.activation])
         elapsed = time.perf_counter() - started
         if status == SATStatus.UNKNOWN:
             # Never cached: a later call may run with a raised budget.
@@ -387,7 +384,6 @@ class GroupEncoding:
             scan.row_solves += 1
             started = time.perf_counter()
             status = backend.check_sat(assumptions=[group_a.activation, selector],
-                                       max_conflicts=self.config.max_conflicts,
                                        prefer=activations if dense else ())
             elapsed = time.perf_counter() - started
             # Read the model before retiring the selector: adding a clause

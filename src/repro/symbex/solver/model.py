@@ -1,24 +1,50 @@
-"""Model extraction and verification.
+"""Model extraction and verification, and the query result they fill in.
 
 After the SAT backend reports SAT, the bit-level assignment is folded back
 into per-variable integers.  Because the whole pipeline (simplification,
 bit-blasting, CDCL) is home-grown, every model is re-verified by concrete
 evaluation of the original constraints before it is returned to callers — a
 cheap, independent soundness check that turns silent solver bugs into loud
-errors.
+errors.  A :class:`SatResult` carries a verdict and its verified model.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping
 
 from repro.errors import SolverError
 from repro.symbex.compile import compile_term
 from repro.symbex.expr import BoolExpr
 from repro.symbex.solver.bitblast import BitBlaster
-from repro.symbex.solver.sat import SATSolver
+from repro.symbex.solver.sat import SATSolver, SATStatus
 
-__all__ = ["extract_model", "verify_model", "complete_model"]
+__all__ = ["SatResult", "extract_model", "verify_model", "complete_model",
+           "require_verified"]
+
+
+@dataclass
+class SatResult:
+    """Outcome of a satisfiability query."""
+
+    status: str
+    model: Dict[str, int] = field(default_factory=dict)
+    time: float = 0.0
+
+    @property
+    def is_sat(self) -> bool:
+        return self.status == SATStatus.SAT
+
+    @property
+    def is_unsat(self) -> bool:
+        return self.status == SATStatus.UNSAT
+
+    @property
+    def is_unknown(self) -> bool:
+        return self.status == SATStatus.UNKNOWN
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return "SatResult(%s, model=%r)" % (self.status, self.model)
 
 
 def extract_model(blaster: BitBlaster, sat: SATSolver) -> Dict[str, int]:

@@ -1,9 +1,8 @@
 """Prefix-feasibility oracle: branch decisions as assumption-based SAT.
 
 Phase 1 asks "is this branch side feasible?" once or twice per fresh
-branch.  Asking a fresh :class:`~repro.symbex.solver.solver.Solver` would
-re-simplify, re-bit-blast and re-solve the *entire* path condition every
-time: along a path of depth ``d`` that is ``O(d)`` rebuilds of mostly
+branch.  A fresh solver instance per check would re-simplify, re-bit-blast
+and re-solve the *entire* path condition every time: along a path of depth ``d`` that is ``O(d)`` rebuilds of mostly
 identical formulas, and sibling paths rebuild their shared ancestry again.
 
 :class:`PrefixOracle` instead keeps one SAT instance for the whole
@@ -19,7 +18,10 @@ Paths are nodes of a **prefix trie of bitblast deltas**: a child path
 that extends a parent prefix by one decision reuses the parent's encoded
 literal set and ordered assumption list and only adds the suffix literal
 (``extend``), instead of re-walking and re-hashing the shared conditions
-per check; ``delta_hits`` counts reused nodes.  Every check then runs
+per check; ``delta_hits`` counts reused nodes.  A replayed decision must
+find its literal already in the trie: a fork creates both children, so a
+missing one means the program branched differently on the same prefix,
+and ``extend(..., replay=True)`` raises :class:`~repro.errors.EngineError`.  Every check then runs
 through these layers, cheapest first (trivial → cache → learned cores →
 base witness → backend):
 
@@ -62,8 +64,6 @@ only the root holds one.  Nodes hold no parent pointer (the base is passed
 in), so a finished trie is freed by reference counting.
 
 The oracle decides feasibility only; it never *returns* models.
-Concretization uses the engine's :class:`Solver`, so the value pinned into
-a path condition does not depend on which layer decided a branch.
 
 Instances are not thread-safe; each engine owns its own oracle.
 """
@@ -74,6 +74,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.errors import EngineError
 from repro.symbex.compile import compile_term
 from repro.symbex.expr import (
     BoolAnd,
@@ -91,7 +92,6 @@ from repro.symbex.expr import (
 from repro.symbex.simplify import simplify_bool
 from repro.symbex.solver.backend import CDCLBackend
 from repro.symbex.solver.sat import SATStatus
-from repro.symbex.solver.solver import SolverConfig
 
 __all__ = ["PrefixOracle", "PrefixOracleStats", "PrefixNode"]
 
@@ -181,8 +181,7 @@ class PrefixNode:
 class PrefixOracle:
     """Shared incremental encoding of one exploration's branch conditions."""
 
-    def __init__(self, config: Optional[SolverConfig] = None) -> None:
-        self.config = config if config is not None else SolverConfig()
+    def __init__(self) -> None:
         self.stats = PrefixOracleStats()
         self._backend = CDCLBackend()
         # id-keyed (the expression layer hash-conses terms): entry values
@@ -230,12 +229,15 @@ class PrefixOracle:
 
         return self._root
 
-    def extend(self, node: PrefixNode, lit: int) -> PrefixNode:
+    def extend(self, node: PrefixNode, lit: int,
+               replay: bool = False) -> PrefixNode:
         """The node for *node*'s prefix extended by *lit* (delta-encoded).
 
         A true literal or a literal already in the prefix leaves the node
         unchanged; an existing child is reused (``delta_hits``); otherwise
         one new node is created from the parent by a single-literal delta.
+        With *replay* (a decision replayed from a scheduled prefix) that
+        last case is a divergence and raises :class:`EngineError`.
         """
 
         if lit == self._backend.true_lit or lit in node.lits:
@@ -245,6 +247,10 @@ class PrefixOracle:
         if child is not None:
             self.stats.delta_hits += 1
             return child
+        if replay:
+            raise EngineError(
+                "replayed branch diverged from its scheduled prefix: the "
+                "program is not deterministic in its branch conditions")
         trivial = (node.trivial_unsat or lit == self._backend.false_lit
                    or -lit in node.lits)
         child = PrefixNode(node.lits | {lit}, node.ordered + (lit,), trivial)
@@ -302,8 +308,7 @@ class PrefixOracle:
 
         started = time.perf_counter()
         self.stats.assumption_solves += 1
-        status = self._backend.check_sat(assumptions=list(node.ordered),
-                                         max_conflicts=self.config.max_conflicts)
+        status = self._backend.check_sat(assumptions=list(node.ordered))
         self.stats.solve_time += time.perf_counter() - started
         if status == SATStatus.UNKNOWN:
             # Never cached: a retry with a raised budget must reach the backend.

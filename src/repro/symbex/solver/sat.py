@@ -16,7 +16,7 @@ classic conflict-driven clause-learning solver with:
   clauses locked as reasons are kept; the worst half of the rest, by LBD then
   activity, is dropped),
 * non-chronological backjumping,
-* geometric restarts,
+* geometric restarts (:data:`RESTART_GROWTH`),
 * an optional conflict budget so callers can bound worst-case work,
 * **non-decision variables** (MiniSat's ``setDecisionVar``): a variable
   allocated with ``new_var(decision=False)`` never enters the decision heap,
@@ -61,6 +61,9 @@ from repro.errors import SolverError
 
 __all__ = ["SATSolver", "SATStatus"]
 
+#: Factor by which the conflict count between two restarts grows.
+RESTART_GROWTH = 1.5
+
 
 class SATStatus:
     """Tri-state result of a SAT query."""
@@ -84,14 +87,10 @@ class _Clause:
 class SATSolver:
     """Conflict-driven clause-learning SAT solver."""
 
-    def __init__(self, phase_saving: bool = True, restart_first: int = 100,
-                 restart_growth: float = 1.5, learned_db_base: int = 4000,
+    def __init__(self, restart_first: int = 100, learned_db_base: int = 4000,
                  learned_db_growth: float = 1.2) -> None:
-        #: Re-use each variable's last assigned polarity for new decisions.
-        self.phase_saving = phase_saving
-        #: Conflicts before the first restart; grows geometrically.
+        #: Conflicts before the first restart; grows by RESTART_GROWTH.
         self.restart_first = max(1, int(restart_first))
-        self.restart_growth = restart_growth
         #: Learned-clause count that triggers the first DB reduction.
         self.learned_db_base = max(1, int(learned_db_base))
         self.learned_db_growth = learned_db_growth
@@ -680,7 +679,7 @@ class SATSolver:
             else:
                 if conflicts_since_restart >= restart_limit:
                     conflicts_since_restart = 0
-                    restart_limit = int(restart_limit * self.restart_growth)
+                    restart_limit = int(restart_limit * RESTART_GROWTH)
                     self.restarts += 1
                     self._backtrack(assumption_level)
                     continue
@@ -694,8 +693,7 @@ class SATSolver:
                     var = self._pick_branch_variable()
                     if var is None:
                         return SATStatus.SAT
-                    polarity = self._polarity[var] if self.phase_saving else False
-                    decision = var if polarity else -var
+                    decision = var if self._polarity[var] else -var
                 self.decisions += 1
                 self._trail_lim.append(len(self._trail))
                 self._enqueue(decision, None)

@@ -4,7 +4,9 @@ A :class:`PathState` is handed to the program under test for every explored
 path.  It carries the accumulated *path condition*, the list of branch
 decisions taken so far, and a free-form event log that the test harness uses
 to record externally observable outputs (OpenFlow messages, data-plane
-packets, crashes).
+packets, crashes).  The path condition grows only through branch decisions
+and :meth:`PathState.assume`; a path never pins a symbolic value to a
+concrete one.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConcretizationError, EngineError
+from repro.errors import EngineError
 from repro.symbex.expr import (
     BoolConst,
     BoolExpr,
-    BVExpr,
     BVVar,
     bvvar,
     collect_variables,
@@ -48,8 +49,8 @@ class PathCondition:
         """Constraints appended at or after position *index*.
 
         The engine's feasibility oracle uses this to incrementally mirror
-        constraints added outside branching (``assume``/concretization)
-        without copying the whole list at every branch.
+        constraints added outside branching (``assume``) without copying
+        the whole list at every branch.
         """
 
         return self._constraints[index:]
@@ -95,10 +96,6 @@ class PathState:
     symbols: Dict[str, int] = field(default_factory=dict)
     #: Arbitrary per-path scratch storage for the program under test.
     data: Dict[str, Any] = field(default_factory=dict)
-    #: Number of :meth:`concretize` calls so far.  A caller can tell from it
-    #: whether code it ran only assumed constraints or also pinned values.
-    concretizations: int = 0
-    _engine: Any = None
 
     # -- symbolic inputs ------------------------------------------------------
 
@@ -137,22 +134,6 @@ class PathState:
         """Append an externally observable event to the path's output log."""
 
         self.events.append(event)
-
-    # -- concretization -----------------------------------------------------------
-
-    def concretize(self, value: BVExpr, hint: Optional[int] = None) -> int:
-        """Pin *value* to a single concrete integer consistent with the path.
-
-        The engine asks the solver for a model of the current path condition
-        and constrains ``value == model(value)`` so subsequent execution on
-        this path is consistent.  Use sparingly — every concretization may
-        hide behaviours (the paper's §5.3 quantifies the coverage cost).
-        """
-
-        if self._engine is None:
-            raise ConcretizationError("no engine attached to this path state")
-        self.concretizations += 1
-        return self._engine.concretize_in_state(self, value, hint=hint)
 
     # -- introspection -----------------------------------------------------------
 

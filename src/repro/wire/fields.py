@@ -48,7 +48,7 @@ def field_int(value: FieldValue) -> int:
     if isinstance(value, BVConst):
         return value.value
     if isinstance(value, BVExpr):
-        raise ConcretizationError("field %r is symbolic; concretize it first" % (value,))
+        raise ConcretizationError("field %r is symbolic, not an integer" % (value,))
     raise ConcretizationError("cannot read %r as an integer field" % (value,))
 
 

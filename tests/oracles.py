@@ -1,18 +1,21 @@
 """Reference implementations kept only as equivalence oracles.
 
+:func:`solve` is the one-shot decision procedure: simplify, bit-blast into a
+fresh :class:`~repro.symbex.solver.CDCLBackend`, solve, verify the model.  It
+keeps no cache and no statistics, so every answer comes from scratch.  The
+oracles below, and the differential sweep in ``test_solver_backends.py``,
+ask it for their verdicts.
+
 :class:`ReferenceEngine` is Phase 1 without the prefix oracle: every fresh
-branch asks :class:`~repro.symbex.solver.Solver` about each side's whole
-path condition from scratch (simplify, bit-blast into a fresh CDCL
-instance, solve).  The oracle-driven :class:`Engine` must explore
-exactly its path set, in the same depth-first order.
+branch asks :func:`solve` about each side's whole path condition.  The
+oracle-driven :class:`Engine` must explore exactly its path set, in the same
+depth-first order.
 
 :func:`check_prefix` asks a :class:`~repro.symbex.solver.PrefixOracle`
 about a bare literal sequence, the way the oracle unit tests probe it.
 
 :func:`pairwise_crosscheck` is Phase 2b as the paper states it (§3.4): one
-satisfiability query per pair of *different* output groups, each answered
-by :class:`~repro.symbex.solver.Solver` from scratch (simplify, bit-blast
-into a fresh CDCL instance, solve).  It shares no encoding
+:func:`solve` per pair of *different* output groups.  It shares no encoding
 state with :class:`~repro.symbex.solver.GroupEncoding`, so the row scan in
 :func:`repro.core.crosscheck.find_inconsistencies` is tested against it.
 
@@ -24,7 +27,7 @@ and of ``BENCH_eval.json``'s ``compiled_speedup``.
 from __future__ import annotations
 
 import time
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.agents import make_agent
 from repro.core.crosscheck import CrosscheckReport, Inconsistency
@@ -55,17 +58,46 @@ from repro.symbex.expr import (
     bool_not,
     bool_or,
 )
-from repro.symbex.solver import PrefixOracle, Solver, SolverConfig
+from repro.symbex.simplify import simplify_bool
+from repro.symbex.solver import CDCLBackend, PrefixOracle, SATStatus, SatResult
+from repro.symbex.solver.model import require_verified
 from repro.symbex.state import PathState
 
 
-class ReferenceEngine(Engine):
-    """:class:`Engine` deciding each fresh branch with two ``Solver.check`` calls.
+def solve(constraints: Iterable[BoolExpr]) -> SatResult:
+    """Satisfiability of the conjunction of *constraints*, from scratch."""
 
-    The prefix trie is still mirrored (the base engine's bookkeeping), but
-    no check reaches the oracle, so ``solver_queries`` counts the one-shot
-    queries only.
+    started = time.perf_counter()
+    simplified = []
+    for constraint in constraints:
+        reduced = simplify_bool(constraint)
+        if isinstance(reduced, BoolConst):
+            if not reduced.value:
+                return SatResult(SATStatus.UNSAT, time=time.perf_counter() - started)
+            continue
+        simplified.append(reduced)
+    backend = CDCLBackend()
+    for constraint in simplified:
+        backend.assert_formula(constraint)
+    status = backend.check_sat()
+    model = (require_verified(backend.get_value(), simplified)
+             if status == SATStatus.SAT else {})
+    return SatResult(status, model=model, time=time.perf_counter() - started)
+
+
+class ReferenceEngine(Engine):
+    """:class:`Engine` deciding each fresh branch with two :func:`solve` calls.
+
+    The prefix trie is still mirrored (the base engine's bookkeeping, which
+    also checks every replayed decision against it), but no check reaches
+    the oracle, so ``solver_queries`` counts the :func:`solve` calls.
     """
+
+    def explore(self, program):
+        self._queries = 0
+        result = super().explore(program)
+        result.stats.solver_queries = self._queries
+        return result
 
     def _decide(self, state: PathState, condition: BoolExpr) -> bool:
         base = state.condition.constraints()
@@ -75,13 +107,18 @@ class ReferenceEngine(Engine):
         if self._query(base + [bool_not(condition)]).is_unsat:
             self._stats.forced_decisions += 1
             return True
-        # Both sides feasible: take True now, schedule False for later.
+        # Both sides feasible: take True now, schedule False for later.  The
+        # trie gets the False child now, as Engine._decide's check creates
+        # it, so the scheduled replay finds it.
         self._stats.forks += 1
+        self._sync_path_node(state)
+        self.oracle.extend(self._path_node, -self.oracle.literal(condition))
         self._frontier.append(tuple(state.decisions) + (False,))
         return True
 
     def _query(self, constraints):
-        result = self.solver.check(constraints)
+        self._queries += 1
+        result = solve(constraints)
         if result.is_unknown:
             raise SolverError("solver gave up while checking branch feasibility")
         return result
@@ -119,7 +156,7 @@ def explore_with_driver(agent: str, test: str, engine: Optional[Engine] = None,
 
 
 def uncovered_inputs(driver, result):
-    """One ``Solver.check`` of ``A ∧ ¬⋁ C_path`` for an exhaustive exploration.
+    """One :func:`solve` of ``A ∧ ¬⋁ C_path`` for an exhaustive exploration.
 
     ``A`` is what the harness assumes about its inputs: the constraints the
     driver's recorded (decision-free) input builds added, never a branch
@@ -132,14 +169,13 @@ def uncovered_inputs(driver, result):
                for constraint in build.constraints]
     covered = bool_or(*(bool_and(*path.condition.constraints())
                         for path in result.paths))
-    return Solver().check(assumed + [bool_not(covered)])
+    return solve(assumed + [bool_not(covered)])
 
 
-def pairwise_crosscheck(grouped_a: GroupedResults, grouped_b: GroupedResults,
-                        config: Optional[SolverConfig] = None) -> CrosscheckReport:
-    """Crosscheck with one ``Solver.check([C_a, C_b])`` per candidate pair."""
+def pairwise_crosscheck(grouped_a: GroupedResults,
+                        grouped_b: GroupedResults) -> CrosscheckReport:
+    """Crosscheck with one ``solve([C_a, C_b])`` per candidate pair."""
 
-    solver = Solver(config)
     started = time.perf_counter()
     inconsistencies = []
     queries = unsat = unknown = identical = 0
@@ -148,7 +184,7 @@ def pairwise_crosscheck(grouped_a: GroupedResults, grouped_b: GroupedResults,
             if group_a.trace == group_b.trace:
                 identical += 1
                 continue
-            result = solver.check([group_a.condition, group_b.condition])
+            result = solve([group_a.condition, group_b.condition])
             queries += 1
             if result.is_sat:
                 inconsistencies.append(Inconsistency(
@@ -174,7 +210,6 @@ def pairwise_crosscheck(grouped_a: GroupedResults, grouped_b: GroupedResults,
         unknown_pairs=unknown,
         checking_time=time.perf_counter() - started,
         identical_output_pairs=identical,
-        solver_stats=solver.stats_dict(),
     )
 
 

@@ -20,7 +20,8 @@ from repro.core.trace import OutputTrace
 from repro.errors import SolverError
 from repro.symbex.compile import evaluate_compiled_bool
 from repro.symbex.expr import bool_and, bool_or, bvvar
-from repro.symbex.solver import GroupEncoding, SolverConfig
+from repro.symbex.solver import GroupEncoding
+from repro.symbex.solver import backend as backend_module
 from repro.symbex.solver import incremental as incremental_module
 from tests.oracles import pairwise_crosscheck
 
@@ -77,13 +78,14 @@ def test_group_encoding_pair_queries_and_cache():
     assert engine.stats.backend_rebuilds == 1
 
 
-def test_group_encoding_unknown_is_not_pair_cached():
-    engine = GroupEncoding(SolverConfig(max_conflicts=0))
+def test_group_encoding_unknown_is_not_pair_cached(monkeypatch):
+    monkeypatch.setattr(backend_module, "MAX_CONFLICTS", 0)
+    engine = GroupEncoding()
     x = bvvar("x", 8)
     condition = bool_or(x == 5, x == 9)
     first = engine.check_pair(condition, x > 0)
     assert first.result.is_unknown
-    engine.config.max_conflicts = 200_000
+    monkeypatch.undo()
     second = engine.check_pair(condition, x > 0)
     assert second.result.is_sat
     assert second.via == "assumption"
@@ -98,10 +100,9 @@ def test_group_encoding_rejects_cross_test_reuse():
         engine.bind_test("set_config")
 
 
-def test_soft_crosscheck_threads_solver_config():
-    # The incremental default must honour the instance's solver_config: a
-    # zero conflict budget shows up as an UNKNOWN pair instead of being
-    # silently replaced by the default 200k budget.
+def test_soft_crosscheck_reads_the_conflict_budget(monkeypatch):
+    # SOFT's crosscheck runs under the backend's one conflict budget: a zero
+    # budget shows up as an UNKNOWN pair, never as a verdict.
     from repro.core.soft import SOFT
 
     x = bvvar("x", 8)
@@ -109,9 +110,10 @@ def test_soft_crosscheck_threads_solver_config():
     grouped_a.groups[0].condition = bool_or(x == 5, x == 9)
     grouped_b = _synthetic_grouped("b", [0], "b-out")
     grouped_b.groups[0].condition = (x > 0)
-    soft = SOFT(solver_config=SolverConfig(max_conflicts=0))
-    report = soft.crosscheck(grouped_a, grouped_b)
+    monkeypatch.setattr(backend_module, "MAX_CONFLICTS", 0)
+    report = SOFT().crosscheck(grouped_a, grouped_b)
     assert report.unknown_pairs == 1
+    monkeypatch.undo()
     assert SOFT().crosscheck(grouped_a, grouped_b).inconsistency_count == 1
 
 
@@ -389,10 +391,11 @@ def test_row_scan_decides_an_unsat_row_with_one_sat_call():
     assert again.solver_stats["pair_cache_hits"] == 6
 
 
-def test_row_scan_unknown_row_answer_finishes_pairwise():
+def test_row_scan_unknown_row_answer_finishes_pairwise(monkeypatch):
     grouped_a = _grouped("a", [(0, bool_or(_X == 5, _X == 9))])
     grouped_b = _grouped("b", [(1, _X > 0), (2, _X > 1)])
-    engine = GroupEncoding(SolverConfig(max_conflicts=0))
+    monkeypatch.setattr(backend_module, "MAX_CONFLICTS", 0)
+    engine = GroupEncoding()
     report = find_inconsistencies(grouped_a, grouped_b, engine=engine)
     assert report.queries == 2
     assert report.unknown_pairs + report.inconsistency_count == 2

@@ -260,49 +260,17 @@ def test_recorded_build_replays_symbols_constraints_and_bytes():
     assert all(0xEE not in message for message in recorded_bytes)
 
 
-def test_branching_and_concretizing_builds_run_on_every_path():
+def test_branching_builds_run_on_every_path():
     def branching(state: PathState):
         flags = state.new_symbol("sc.flags", 16)
         if flags == 0:
             flags = 0
         return _symbolic_set_config(state)
 
-    def concretizing(state: PathState):
-        from repro.openflow.messages import SetConfig
-
-        flags = state.new_symbol("sc.flags", 16)
-        miss_send_len = state.new_symbol("sc.miss_send_len", 16)
-        pinned = state.concretize(miss_send_len, hint=128)
-        return SetConfig(xid=3, flags=flags, miss_send_len=pinned).pack()
-
-    for body in (branching, concretizing):
-        calls = []
-        driver = TestDriver(agent_factory=lambda: make_agent("reference"),
-                            inputs=[_counting_input(calls, body),
-                                    ProbeInput("probe", lambda state: (1, build_tcp_packet()))])
-        result = Engine().explore(driver.program)
-        assert result.path_count > 1
-        assert len(calls) == result.path_count, body.__name__
-
-
-def test_concolic_trace_over_a_recording_driver_follows_its_assignment():
-    from repro.core.tests_catalog import get_test
-    from repro.symbex.compile import evaluate_compiled_bool
-    from repro.symbex.concolic import ConcolicExecutor
-
-    spec = get_test("set_config", scale="small")
-    driver = TestDriver(agent_factory=lambda: make_agent("reference"), inputs=spec.inputs)
-    explored = Engine().explore(driver.program)  # records the builds
-    assignment = {"sc.flags": 1, "sc.miss_send_len": 0x40}
-    traced = ConcolicExecutor().trace(driver.program, assignment)
-    fresh = ConcolicExecutor().trace(
-        TestDriver(agent_factory=lambda: make_agent("reference"),
-                   inputs=spec.inputs).program, assignment)
-
-    assert traced.error is None
-    assert traced.decisions == fresh.decisions
-    assert traced.constraints == fresh.constraints
-    assert traced.events == fresh.events
-    assert all(evaluate_compiled_bool(constraint, assignment, default=0)
-               for constraint in traced.constraints)
-    assert traced.decisions in {path.decisions for path in explored.paths}
+    calls = []
+    driver = TestDriver(agent_factory=lambda: make_agent("reference"),
+                        inputs=[_counting_input(calls, branching),
+                                ProbeInput("probe", lambda state: (1, build_tcp_packet()))])
+    result = Engine().explore(driver.program)
+    assert result.path_count > 1
+    assert len(calls) == result.path_count

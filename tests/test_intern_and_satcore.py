@@ -327,13 +327,15 @@ def test_sat_learned_db_reduction_triggers_and_stays_correct():
 
 
 def test_sat_phase_saving_knob():
-    for phase_saving in (True, False):
-        solver = SATSolver(phase_saving=phase_saving)
-        grid = _pigeonhole(solver, 3, 3)
-        assert solver.solve() == SATStatus.SAT
-        model = solver.model()
-        for row in grid:
-            assert any(model.get(var, False) for var in row)
+    # Phase saving is always on: a decision re-uses the variable's last
+    # polarity.  An unsaved variable is decided False first, so without
+    # saving the second solve would answer a=False, b=True.
+    solver = SATSolver()
+    a, b = solver.new_var(), solver.new_var()
+    solver.add_clause([a, b])
+    assert solver.solve(assumptions=[a, b]) == SATStatus.SAT
+    assert solver.solve() == SATStatus.SAT
+    assert solver.model_value(a) is True and solver.model_value(b) is True
 
 
 def test_sat_prefer_steers_decisions_but_not_answers():

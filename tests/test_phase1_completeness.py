@@ -1,8 +1,8 @@
 """Phase-1 completeness and disjointness of the explored paths.
 
-For each small-scale catalog unit, one ``Solver`` query asks whether some
-input satisfies the harness's input assumptions but no explored path
-condition (:func:`tests.oracles.uncovered_inputs`).  A branch side the
+For each small-scale catalog unit, one :func:`tests.oracles.solve` asks
+whether some input satisfies the harness's input assumptions but no explored
+path condition (:func:`tests.oracles.uncovered_inputs`).  A branch side the
 oracle wrongly called infeasible leaves such an input behind, so this
 checks the prefix oracle's UNSAT answers without running a second engine.
 
@@ -17,8 +17,7 @@ import pytest
 from repro.core.tests_catalog import TABLE1_TESTS
 from repro.symbex.compile import evaluate_compiled_bool
 from repro.symbex.expr import bool_and
-from repro.symbex.solver import Solver
-from tests.oracles import explore_with_driver, uncovered_inputs
+from tests.oracles import explore_with_driver, solve, uncovered_inputs
 
 #: Paths per unit whose models are checked against every path condition;
 #: sampled evenly, since checking all of them costs n² evaluations.
@@ -35,10 +34,10 @@ def test_explored_paths_cover_every_admissible_input(agent, test):
 
     conditions = [bool_and(*path.condition.constraints()) for path in result.paths]
     step = max(1, len(conditions) // DISJOINT_SAMPLE)
-    solver = Solver()
     for index in range(0, len(conditions), step)[:DISJOINT_SAMPLE]:
-        model = solver.get_model(result.paths[index].condition.constraints())
-        assert model is not None, "explored path %d is infeasible" % index
+        answer = solve(result.paths[index].condition.constraints())
+        assert answer.is_sat, "explored path %d is infeasible" % index
+        model = answer.model
         covering = [other for other, condition in enumerate(conditions)
                     if evaluate_compiled_bool(condition, model, default=0)]
         assert covering == [index], "model of path %d satisfies paths %r" % (

@@ -2,8 +2,8 @@
 
 Covers the prefix-feasibility oracle in isolation and — the load-bearing
 property — that the depth-first prefix-oracle engine produces exactly the
-path-condition set of :class:`tests.oracles.ReferenceEngine` (one fresh
-``Solver`` query per branch side), in the same order, on synthetic programs
+path-condition set of :class:`tests.oracles.ReferenceEngine` (one
+:func:`tests.oracles.solve` per branch side), in the same order, on synthetic programs
 and on the seed catalog.
 """
 
@@ -13,9 +13,9 @@ from repro.core.explorer import explore_agent
 from repro.core.tests_catalog import TABLE1_TESTS
 from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import bool_not, bvvar
-from repro.symbex.solver import PrefixOracle, Solver, SolverConfig
+from repro.symbex.solver import PrefixOracle
 from repro.symbex.solver.sat import SATStatus
-from tests.oracles import ReferenceEngine, check_prefix, explore_with_driver
+from tests.oracles import ReferenceEngine, check_prefix, explore_with_driver, solve
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +24,7 @@ from tests.oracles import ReferenceEngine, check_prefix, explore_with_driver
 
 
 def test_oracle_encodes_each_condition_once():
-    oracle = PrefixOracle(SolverConfig())
+    oracle = PrefixOracle()
     x = bvvar("x", 8)
     lit_a = oracle.literal(x == 3)
     lit_b = oracle.literal(x == 3)
@@ -34,7 +34,7 @@ def test_oracle_encodes_each_condition_once():
 
 
 def test_oracle_prefix_feasibility_and_negation():
-    oracle = PrefixOracle(SolverConfig())
+    oracle = PrefixOracle()
     x = bvvar("x", 8)
     lit = oracle.literal(x < 10)
     other = oracle.literal(x > 20)
@@ -45,7 +45,7 @@ def test_oracle_prefix_feasibility_and_negation():
 
 
 def test_oracle_trivial_contradiction_skips_backend():
-    oracle = PrefixOracle(SolverConfig())
+    oracle = PrefixOracle()
     x = bvvar("x", 8)
     lit = oracle.literal(x == 1)
     solves_before = oracle.stats.assumption_solves
@@ -55,7 +55,7 @@ def test_oracle_trivial_contradiction_skips_backend():
 
 
 def test_oracle_prefix_cache_hits():
-    oracle = PrefixOracle(SolverConfig())
+    oracle = PrefixOracle()
     x = bvvar("x", 8)
     lits = [oracle.literal(x < 10), oracle.literal(x < 20)]
     assert check_prefix(oracle, lits) == SATStatus.SAT
@@ -67,7 +67,7 @@ def test_oracle_prefix_cache_hits():
 
 
 def test_oracle_negated_constraint_matches_bool_not():
-    oracle = PrefixOracle(SolverConfig())
+    oracle = PrefixOracle()
     x = bvvar("x", 8)
     condition = x == 5
     lit = oracle.literal(condition)
@@ -95,8 +95,7 @@ def _branchy_program(state):
         state.record_event("ge")
     if y == x + 1:
         state.record_event("linked")
-    value = state.concretize(y & 1)
-    state.record_event(value)
+    state.record_event("odd" if (y & 1) == 1 else "even")
 
 
 def _path_condition_set(result):
@@ -317,14 +316,14 @@ def test_oracle_cores_are_unsat_and_decide_branches(monkeypatch, legacy_path_vie
             or (agent, test) == ("reference", "packet_out"))
 
     # (i) every learned core, read back as the branch conditions behind its
-    # literals, is UNSAT on its own in a fresh Solver.
+    # literals, is UNSAT on its own in a fresh solve.
     for oracle, core in learned:
         conditions = []
         for lit in core:
             condition, encoded = oracle._lit_conditions[abs(lit)]
             conditions.append(condition if (lit > 0) == (encoded > 0)
                               else bool_not(condition))
-        assert Solver().check(conditions).is_unsat, sorted(core)
+        assert solve(conditions).is_unsat, sorted(core)
 
     # (ii) the explored artifact is the reference engine's, path by path.
     assert _path_view(result) == legacy_path_view(agent, test)

@@ -133,13 +133,13 @@ def test_stats_request_exploration_reference_vs_ovs():
     assert ovs.path_count >= reference.path_count
     assert all(outcome.ok for outcome in reference.outcomes + ovs.outcomes)
     # Every path condition is satisfiable by construction.
-    from repro.symbex.solver import Solver
+    from tests.oracles import solve
 
-    solver = Solver()
     for outcome in reference.outcomes:
-        model = solver.get_model(outcome.constraints)
-        assert model is not None
-        assert all(evaluate_bool(constraint, model) for constraint in outcome.constraints)
+        answer = solve(outcome.constraints)
+        assert answer.is_sat
+        assert all(evaluate_bool(constraint, answer.model)
+                   for constraint in outcome.constraints)
 
 
 def test_grouping_reduces_outputs_and_covers_all_paths():

@@ -3,10 +3,10 @@ differential sweep over the engine's front ends on the seed catalogue.
 
 The sweep is the load-bearing test of the one-engine pipeline: on real path
 conditions from every (test, agent) cell of the seed catalogue, and on
-conjunctions of two of them, the one-shot :class:`Solver` (cached and
-uncached), the Phase-2b :class:`GroupEncoding` and the Phase-1
-:class:`PrefixOracle` must reach the same verdict, and every model any of
-them returns must satisfy the query under concrete evaluation.
+conjunctions of two of them, the Phase-2b :class:`GroupEncoding` and the
+Phase-1 :class:`PrefixOracle` must reach the verdict of the one-shot
+reference :func:`tests.oracles.solve`, and every model any of them returns
+must satisfy the query under concrete evaluation.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from repro.symbex.solver import (
     PrefixOracle,
     SATSolver,
     SATStatus,
-    Solver,
-    SolverConfig,
 )
+from repro.symbex.solver import backend as backend_module
+from tests.oracles import solve
 
 AGENTS = ("reference", "ovs", "modified")
 
@@ -52,22 +52,28 @@ def _sat_query(x=None):
 # UNKNOWN answers are never cached
 # ---------------------------------------------------------------------------
 
-def test_interval_unknowns_are_never_cached():
+def test_interval_unknowns_are_never_cached(monkeypatch):
     x, y = bvvar("x", 8), bvvar("y", 8)
     # UNSAT, but propagation alone cannot tell: refuting it takes CDCL
     # conflicts.
     query = [(x * y) == 7, x > 1, y > 1, x < 7, y < 7]
-    solver = Solver(SolverConfig(max_conflicts=0))
-    assert solver.check(query).is_unknown
-    assert solver.check(query).is_unknown
-    assert solver.stats.cache_hits == 0
-    assert solver.stats.unknown_cache_skips == 2
-    # A retry with a raised budget reaches the engine and gets the verdict.
-    solver.config.max_conflicts = 200_000
-    assert solver.check(query).is_unsat
-    assert solver.stats.cache_hits == 0
-    assert solver.check(query).is_unsat
-    assert solver.stats.cache_hits == 1
+    oracle = PrefixOracle()
+    node = oracle.root()
+    for constraint in query:
+        node = oracle.extend(node, oracle.literal(constraint))
+    monkeypatch.setattr(backend_module, "MAX_CONFLICTS", 0)
+    assert oracle.check_node(node, base=oracle.root()) == SATStatus.UNKNOWN
+    assert oracle.check_node(node, base=oracle.root()) == SATStatus.UNKNOWN
+    assert node.status is None
+    assert oracle.stats.prefix_cache_hits == 0
+    assert oracle.stats.unknown == 2
+    # A retry with a raised budget reaches the engine and gets the verdict;
+    # the budget is read when each query runs.
+    monkeypatch.undo()
+    assert oracle.check_node(node, base=oracle.root()) == SATStatus.UNSAT
+    assert oracle.stats.prefix_cache_hits == 0
+    assert oracle.check_node(node, base=oracle.root()) == SATStatus.UNSAT
+    assert oracle.stats.prefix_cache_hits == 1
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +220,10 @@ def catalog_queries():
 def _deciders():
     """Each front end as ``(test, constraints) -> (status, model)``."""
 
-    shared = Solver()
     encodings = {}
 
-    def solver(_test, constraints):
-        result = shared.check(constraints)
-        return result.status, result.model
-
-    def uncached(_test, constraints):
-        # A fresh front end per query: nothing is ever answered from a cache.
-        result = Solver().check(constraints)
+    def reference(_test, constraints):
+        result = solve(constraints)
         return result.status, result.model
 
     def group_encoding(test, constraints):
@@ -240,8 +240,8 @@ def _deciders():
         status = oracle.check_node(node, base=oracle.root())
         return status, node.witness
 
-    return {"solver": solver, "solver-uncached": uncached,
-            "group-encoding": group_encoding, "prefix-oracle": prefix_oracle}
+    return {"reference": reference, "group-encoding": group_encoding,
+            "prefix-oracle": prefix_oracle}
 
 
 def test_differential_sweep_all_backends_agree(catalog_queries):
@@ -256,7 +256,7 @@ def test_differential_sweep_all_backends_agree(catalog_queries):
                            for constraint in constraints), (name, test, cell)
             statuses.append(status)
         verdicts[name] = statuses
-    reference = verdicts["solver"]
+    reference = verdicts["reference"]
     assert {SATStatus.SAT, SATStatus.UNSAT} == set(reference)
     for name, statuses in verdicts.items():
         wrong = [(query[0], query[1], expected, got)

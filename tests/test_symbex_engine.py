@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.errors import SolverError
+from repro.errors import EngineError, SolverError
 from repro.symbex.engine import Engine, EngineConfig
 from repro.symbex.expr import bvvar
-from repro.symbex.solver import CDCLBackend, PrefixOracle, SATStatus, Solver
+from repro.symbex.solver import CDCLBackend, PrefixOracle, SATStatus
 from repro.symbex.state import PathCondition, PathState
-from tests.oracles import ReferenceEngine, evaluate_bool
+from tests.oracles import ReferenceEngine, evaluate_bool, solve
 
 
 def explore(program, **config):
@@ -81,12 +81,11 @@ def test_path_conditions_are_satisfied_by_their_own_models():
 
     result = explore(program)
     assert result.path_count == 3
-    solver = Solver()
     for path in result.paths:
         constraints = path.condition.constraints()
-        model = solver.get_model(constraints)
-        assert model is not None
-        assert all(evaluate_bool(constraint, model) for constraint in constraints)
+        answer = solve(constraints)
+        assert answer.is_sat
+        assert all(evaluate_bool(constraint, answer.model) for constraint in constraints)
 
 
 def test_assume_restricts_exploration():
@@ -195,18 +194,6 @@ def test_oracle_unknown_is_an_engine_fault_not_a_path_error(monkeypatch, swallow
         explore(_product_branch(swallow))
 
 
-def test_concretization_unknown_is_an_engine_fault(monkeypatch):
-    def program(state):
-        x = state.new_symbol("x", 8)
-        state.assume(x > 10)
-        state.record_event(state.concretize(x))
-
-    monkeypatch.setattr(CDCLBackend, "check_sat",
-                        lambda backend, *args, **kwargs: SATStatus.UNKNOWN)
-    with pytest.raises(SolverError, match="concretizing"):
-        explore(program)
-
-
 @pytest.mark.parametrize("swallow", [False, True])
 def test_oracle_bug_is_an_engine_fault_not_a_path_error(monkeypatch, swallow):
     def broken(oracle, node, base=None):
@@ -217,17 +204,33 @@ def test_oracle_bug_is_an_engine_fault_not_a_path_error(monkeypatch, swallow):
         explore(_product_branch(swallow))
 
 
-def test_concretize_pins_value_consistently():
-    def program(state):
-        x = state.new_symbol("x", 16)
-        state.assume(x > 10)
-        state.assume(x < 14)
-        value = state.concretize(x, hint=12)
-        state.record_event(value)
+def _diverging_program(swallow):
+    """Branches on ``x < 10`` in its first run and on ``x > 200`` after."""
 
-    result = explore(program)
-    assert result.path_count == 1
-    assert result.paths[0].events == [12]
+    runs = []
+
+    def program(state):
+        x = state.new_symbol("x", 8)
+        runs.append(None)
+        try:
+            condition = x < 10 if len(runs) == 1 else x > 200
+            state.record_event("taken" if condition else "other")
+        except Exception:  # noqa: BLE001 - agent code that swallows everything
+            if not swallow:
+                raise
+            state.record_event("swallowed")
+
+    return program
+
+
+@pytest.mark.parametrize("swallow", [False, True])
+@pytest.mark.parametrize("engine", [Engine, ReferenceEngine])
+def test_replay_that_branches_on_another_condition_is_an_engine_fault(engine, swallow):
+    # The second run replays the prefix (False,) scheduled for ``x < 10``
+    # but branches on ``x > 200``: following the prefix would record the
+    # path condition ``x <= 200``, which is not the forked branch's negation.
+    with pytest.raises(EngineError, match="diverged"):
+        engine().explore(_diverging_program(swallow))
 
 
 def test_engine_stats_counts_forks_and_forced_decisions():

@@ -1,13 +1,18 @@
-"""Tests for the SAT backend, the bit-blaster and the solver front-end."""
+"""Tests for the SAT backend, the bit-blaster and bit-vector queries.
+
+Bit-vector queries go through :func:`tests.oracles.solve`, the one-shot
+reference every front end is differentially tested against; model
+verification is tested on the Phase-2b front end.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.symbex.expr import FALSE, TRUE, bool_or, bv, bvvar, ite
-from repro.symbex.solver import SATSolver, SATStatus, Solver, SolverConfig
+from repro.symbex.solver import GroupEncoding, SATSolver, SATStatus
 from repro.symbex.solver.cnf import CNFBuilder
-from tests.oracles import evaluate_bool
+from tests.oracles import evaluate_bool, solve
 
 
 # ---------------------------------------------------------------------------
@@ -171,104 +176,69 @@ def test_cnf_constants():
 
 
 # ---------------------------------------------------------------------------
-# Solver front-end (bit-vector queries)
+# Bit-vector queries
 # ---------------------------------------------------------------------------
 
 def test_solver_trivial_queries():
-    solver = Solver()
-    assert solver.check([]).is_sat
-    assert solver.check([TRUE]).is_sat
-    assert solver.check([FALSE]).is_unsat
+    assert solve([]).is_sat
+    assert solve([TRUE]).is_sat
+    assert solve([FALSE]).is_unsat
 
 
 def test_solver_simple_equation():
-    solver = Solver()
     x = bvvar("x", 16)
-    result = solver.check([x + 3 == 10])
+    result = solve([x + 3 == 10])
     assert result.is_sat
     assert result.model["x"] == 7
 
 
 def test_solver_unsat_range():
-    solver = Solver()
     x = bvvar("x", 16)
-    assert solver.check([x < 5, x > 10]).is_unsat
+    assert solve([x < 5, x > 10]).is_unsat
 
 
 def test_solver_bitmask_constraint():
-    solver = Solver()
     x = bvvar("x", 16)
-    result = solver.check([(x & 0x00FF) == 0x0042, x > 0x1000])
+    result = solve([(x & 0x00FF) == 0x0042, x > 0x1000])
     assert result.is_sat
     assert result.model["x"] & 0xFF == 0x42
     assert result.model["x"] > 0x1000
 
 
 def test_solver_disjunction():
-    solver = Solver()
     x = bvvar("x", 8)
-    result = solver.check([bool_or(x == 3, x == 200), x > 100])
+    result = solve([bool_or(x == 3, x == 200), x > 100])
     assert result.is_sat
     assert result.model["x"] == 200
 
 
 def test_solver_multiplication():
-    solver = Solver()
     x = bvvar("x", 8)
-    result = solver.check([x * 3 == 30, x < 50])
+    result = solve([x * 3 == 30, x < 50])
     assert result.is_sat
     assert (result.model["x"] * 3) & 0xFF == 30
 
 
 def test_solver_ite_constraint():
-    solver = Solver()
     x, y = bvvar("x", 8), bvvar("y", 8)
     constraint = ite(x == 1, y, bv(0, 8)) == 7
-    result = solver.check([constraint])
+    result = solve([constraint])
     assert result.is_sat
     assert result.model["x"] == 1 and result.model["y"] == 7
 
 
 def test_solver_signed_comparison():
-    solver = Solver()
     x = bvvar("x", 8)
-    result = solver.check([x.slt(0), x > 0x80])
+    result = solve([x.slt(0), x > 0x80])
     assert result.is_sat
     assert result.model["x"] > 0x80
 
 
 def test_solver_extract_concat_constraints():
-    solver = Solver()
     x = bvvar("x", 16)
-    result = solver.check([x.extract(15, 8) == 0xAB, x.extract(7, 0) == 0xCD])
+    result = solve([x.extract(15, 8) == 0xAB, x.extract(7, 0) == 0xCD])
     assert result.is_sat
     assert result.model["x"] == 0xABCD
-
-
-def test_solver_cache_hits():
-    solver = Solver()
-    x = bvvar("x", 16)
-    solver.check([x == 4])
-    solver.check([x == 4])
-    assert solver.stats.cache_hits >= 1
-
-
-def test_solver_unknown_results_are_not_cached():
-    # A conflict budget of zero forces UNKNOWN on any query that reaches the
-    # SAT backend and conflicts at least once; retrying the same query on the
-    # same solver with a raised budget must reach the backend again instead of
-    # replaying the stale UNKNOWN from the cache.
-    solver = Solver(SolverConfig(max_conflicts=0))
-    x = bvvar("x", 8)
-    constraints = [bool_or(x == 5, x == 9)]
-    first = solver.check(constraints)
-    assert first.is_unknown
-    assert solver.stats.unknown_cache_skips == 1
-    solver.config.max_conflicts = 200_000
-    second = solver.check(constraints)
-    assert second.is_sat
-    assert second.model["x"] in (5, 9)
-    assert solver.stats.cache_hits == 0
 
 
 def test_solver_model_verification_is_on_by_default(monkeypatch):
@@ -278,15 +248,13 @@ def test_solver_model_verification_is_on_by_default(monkeypatch):
 
     monkeypatch.setattr(CDCLBackend, "get_value", lambda backend: {"x": 0})
     x = bvvar("x", 8)
-    solver = Solver()
     with pytest.raises(SolverError, match="does not satisfy"):
-        solver.check([x * 3 == 21])
+        GroupEncoding().check_pair(x * 3 == 21, x < 100)
 
 
 def test_solver_symbolic_shift():
-    solver = Solver()
     x, s = bvvar("x", 16), bvvar("s", 16)
-    result = solver.check([(bv(1, 16) << s) == 8, s < 16, x == (bv(0xFFFF, 16) >> s)])
+    result = solve([(bv(1, 16) << s) == 8, s < 16, x == (bv(0xFFFF, 16) >> s)])
     assert result.is_sat
     assert result.model["s"] == 3
     assert result.model["x"] == 0xFFFF >> 3
@@ -295,10 +263,9 @@ def test_solver_symbolic_shift():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=0xFFFF), st.integers(min_value=0, max_value=0xFFFF))
 def test_prop_solver_models_satisfy_constraints(a, b):
-    solver = Solver()
     x, y = bvvar("x", 16), bvvar("y", 16)
     constraints = [x > min(a, b), y <= max(a, b), (x ^ y) != 0]
-    result = solver.check(constraints)
+    result = solve(constraints)
     if result.is_sat:
         assert all(evaluate_bool(constraint, result.model) for constraint in constraints)
     else:

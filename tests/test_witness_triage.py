@@ -29,8 +29,8 @@ from repro.core.witness import (
 )
 from repro.errors import ReplayMismatchError, WitnessError
 from repro.harness.inputs import ProbeInput
+from repro.symbex.solver.backend import CDCLBackend
 from repro.symbex.solver.incremental import GroupEncoding
-from repro.symbex.solver.solver import Solver
 from repro.wire.buffer import SymBuffer
 
 
@@ -404,7 +404,7 @@ def test_corpus_replays_without_solver(triaged_campaign, monkeypatch):
     def poisoned(*args, **kwargs):
         raise AssertionError("solver used during corpus replay")
 
-    monkeypatch.setattr(Solver, "check", poisoned)
+    monkeypatch.setattr(CDCLBackend, "check_sat", poisoned)
     monkeypatch.setattr(GroupEncoding, "check_pair", poisoned)
     monkeypatch.setattr(GroupEncoding, "check_row", poisoned)
     run = corpus.run()
