@@ -3,17 +3,18 @@
 
 Runs the full pipeline (symbolic exploration of each agent, grouping of path
 conditions by output, solver-based crosschecking, concrete test-case
-generation and replay) for the Packet Out test of the paper's Table 1.
+generation and replay) for the Packet Out test of the paper's Table 1, as a
+one-pair campaign.
 
     python examples/quickstart.py
 """
 
-from repro import SOFT
+from repro import Campaign
 
 
 def main() -> None:
-    soft = SOFT()
-    report = soft.run("packet_out", "reference", "ovs")
+    campaign = Campaign(tests=["packet_out"], pairs=[("reference", "ovs")])
+    report = campaign.run().reports[0]
 
     print(report.describe())
     print()

@@ -29,16 +29,18 @@ Quickstart::
               .run())
     print(report.describe())
 
-or, for a single pair on a single test::
+:class:`Campaign` is the one entry point to the pipeline; a single pair on
+a single test is a one-pair campaign, whose one :class:`SoftReport` is the
+pair's result::
 
-    from repro import SOFT
+    from repro import Campaign
 
-    report = SOFT().run("packet_out", "reference", "ovs")
-    print(report.describe())
+    report = Campaign(tests=["packet_out"], pairs=[("reference", "ovs")]).run()
+    print(report.reports[0].describe())
 """
 
 from repro.version import __version__
-from repro.core.soft import SOFT, SoftReport
+from repro.core.soft import SoftReport
 from repro.core.campaign import Campaign, CampaignReport, EncodingCache, ExplorationCache
 from repro.core.artifacts import (
     load_exploration_artifact,
@@ -63,7 +65,6 @@ from repro.agents import agent_registry, make_agent, register_agent
 
 __all__ = [
     "__version__",
-    "SOFT",
     "SoftReport",
     "Campaign",
     "CampaignReport",

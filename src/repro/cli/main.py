@@ -36,7 +36,6 @@ from repro.core.campaign import Campaign
 from repro.core.corpus import WitnessCorpus
 from repro.core.explorer import explore_agent
 from repro.core.grouping import group_paths
-from repro.core.soft import SOFT
 from repro.core.tests_catalog import TABLE1_TESTS, VALID_SCALES, catalog
 from repro.errors import (
     ArtifactError,
@@ -319,10 +318,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    soft = SOFT(replay_testcases=not args.no_replay)
-    report = soft.run(args.test, args.agent_a, args.agent_b)
-    print(report.describe())
-    return 0
+    report = Campaign(tests=[args.test], pairs=[(args.agent_a, args.agent_b)],
+                      replay_testcases=not args.no_replay).run()
+    for failure in report.job_failures:
+        print("error: cell %s" % failure.describe(), file=sys.stderr)
+    for pair_report in report.reports:
+        print(pair_report.describe())
+    return report.exit_code
 
 
 def _configure_campaign(campaign: Campaign, args: argparse.Namespace) -> Optional[int]:

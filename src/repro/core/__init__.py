@@ -12,7 +12,8 @@ The pipeline has three stages, matching §3 and §4 of the paper:
    *inconsistency finder*), then build and replay a concrete test case
    (:mod:`repro.core.testcase`).
 
-:class:`repro.core.soft.SOFT` wraps the three stages behind one call.
+:class:`repro.core.campaign.Campaign` runs the stages over N tests x M agents
+and returns one :class:`repro.core.soft.SoftReport` per (test, pair).
 """
 
 from repro.core.events import (
@@ -37,7 +38,7 @@ from repro.core.witness import (
     minimize_witness,
 )
 from repro.core.corpus import CorpusRunReport, WitnessCorpus
-from repro.core.soft import SOFT, SoftReport
+from repro.core.soft import SoftReport
 
 __all__ = [
     "Event",
@@ -69,6 +70,5 @@ __all__ = [
     "minimize_witness",
     "WitnessCorpus",
     "CorpusRunReport",
-    "SOFT",
     "SoftReport",
 ]

@@ -2,10 +2,12 @@
 
 The paper's workflow is two-phase: every vendor runs Phase 1 (symbolic
 exploration) exactly once per test, and only the intermediate results are
-pairwise crosschecked in Phase 2.  :class:`Campaign` makes that the unit of
-work of the public API:
+pairwise crosschecked in Phase 2.  :class:`Campaign` is the one entry point
+to that pipeline (a single pair on a single test is a one-pair campaign,
+``Campaign(tests=[test], pairs=[(a, b)])``):
 
-* Phase 1 runs **once per (agent, test, config)** through an
+* Phase 1 runs **once per (agent, test, scale)** with the default
+  :class:`~repro.symbex.engine.EngineConfig` through an
   :class:`ExplorationCache` — an all-pairs campaign over M agents performs M
   explorations per test, not ``2 * C(M, 2)``.
 * Cache entries can be **seeded from saved artifacts**
@@ -66,7 +68,6 @@ from repro.core.witness import (
     minimize_witness,
 )
 from repro.errors import CampaignError
-from repro.symbex.engine import EngineConfig
 from repro.symbex.expr import intern_table
 from repro.symbex.solver import GroupEncoding
 
@@ -158,17 +159,6 @@ class ExplorationCache:
         with self._lock:
             return sum(1 for entry in self._entries.values() if entry.loaded)
 
-    def drop_explored(self) -> int:
-        """Discard locally explored entries (artifact-seeded ones cannot be
-        rebuilt and are kept); returns the number dropped."""
-
-        with self._lock:
-            explored = [key for key, entry in self._entries.items()
-                        if not entry.loaded]
-            for key in explored:
-                del self._entries[key]
-            return len(explored)
-
 
 class EncodingCache:
     """Thread-safe store of per-test incremental crosscheck engines.
@@ -210,9 +200,7 @@ class EncodingCache:
         return totals
 
 
-def _explore_spec_unit(agent: str, spec: TestSpec,
-                       engine_config: Optional[EngineConfig],
-                       with_coverage: bool) -> Tuple[AgentExplorationReport, float]:
+def _explore_spec_unit(agent: str, spec: TestSpec) -> Tuple[AgentExplorationReport, float]:
     """Phase 1 for one unit; module-level so process pools can run it.
 
     ``explore_agent`` is looked up as this module's global on purpose:
@@ -220,8 +208,7 @@ def _explore_spec_unit(agent: str, spec: TestSpec,
     """
 
     started = time.perf_counter()
-    report = explore_agent(agent, spec, engine_config=engine_config,
-                           with_coverage=with_coverage)
+    report = explore_agent(agent, spec)
     return report, time.perf_counter() - started
 
 
@@ -274,9 +261,10 @@ class CampaignReport:
     #: run actually wrote (0 = the corpus already contained them all).
     corpus_dir: Optional[str] = None
     corpus_saved: int = 0
-    #: Campaign-wide coverage aggregate (``with_coverage=True`` only):
-    #: static decision-map sites, the dynamic branch points reached, and
-    #: their ratio (the true ``coverage_fraction``).
+    #: Coverage aggregate over the explorations that carry coverage (seeded
+    #: artifacts saved by ``soft explore --coverage``): static decision-map
+    #: sites, the dynamic branch points reached, and their ratio (the true
+    #: ``coverage_fraction``).
     coverage: Optional[Dict[str, object]] = None
     #: Structured records of every cell that terminalized non-``ok``
     #: (failed / timed_out / crashed / skipped); empty on a clean run.
@@ -311,7 +299,7 @@ class CampaignReport:
     def coverage_fraction(self) -> Optional[float]:
         """Dynamic branch points / static decision-map sites, campaign-wide.
 
-        ``None`` when the campaign ran without coverage tracking.
+        ``None`` when no exploration of the campaign carried coverage.
         """
 
         if self.coverage is None:
@@ -500,15 +488,11 @@ class Campaign:
                  pairs: Optional[Sequence[Pair]] = None,
                  workers: int = 1,
                  executor: str = "thread",
-                 engine_config: Optional[EngineConfig] = None,
-                 with_coverage: bool = False,
                  replay_testcases: bool = True,
-                 reset_intern: bool = False,
                  triage: bool = True,
                  minimize: bool = True,
                  minimize_budget: int = 96,
                  corpus_dir: Optional[str] = None,
-                 agent_options: Optional[Dict[str, Dict[str, object]]] = None,
                  cell_timeout: Optional[float] = None,
                  retries: int = 1,
                  checkpoint_dir: Optional[str] = None,
@@ -519,20 +503,7 @@ class Campaign:
         self._pairs: Optional[List[Pair]] = None
         self.workers = max(1, int(workers))
         self.executor = executor
-        self.engine_config = engine_config
-        self.with_coverage = with_coverage
         self.replay_testcases = replay_testcases
-        #: Reset the process-wide expression intern table (and with it the
-        #: per-term memos on its nodes) at the start of each run.  Off by
-        #: default: sharing terms across runs is what makes repeated
-        #: same-scale campaigns cheap; opt in when switching scales to
-        #: release the previous scale's accumulated terms.  NOTE: the table
-        #: is process-global — the reset also invalidates identity-based
-        #: sharing for every OTHER live Campaign/engine in the process
-        #: (still correct via the structural-key fallback, but their id-keyed
-        #: caches stop hitting for new-generation terms), so use it from the
-        #: one campaign object that owns the process's exploration life cycle.
-        self.reset_intern = reset_intern
         #: Run the witness pipeline (replay confirmation, delta-minimization,
         #: signature clustering) on every pair's inconsistencies.  On by
         #: default: triage is the campaign's actionable output layer.  It
@@ -544,9 +515,6 @@ class Campaign:
         #: When set, confirmed cluster representatives are persisted as
         #: witness bundles into this directory at the end of each run.
         self.corpus_dir = corpus_dir
-        #: Per-agent keyword arguments threaded into ``make_agent`` whenever a
-        #: concrete replay instantiates an agent (triage, corpus, replays).
-        self.agent_options: Dict[str, Dict[str, object]] = dict(agent_options or {})
         #: Per-cell wall-clock deadline in seconds (None = unlimited).  A
         #: cell that exceeds it is abandoned by the job supervisor and, once
         #: its retries are spent, lands as terminal state ``timed_out``.
@@ -783,7 +751,7 @@ class Campaign:
             cell = CampaignCheckpoint.phase1_cell(agent, spec)
             unit_by_cell[cell] = unit
 
-            args = (agent, spec, self.engine_config, self.with_coverage)
+            args = (agent, spec)
             jobs.append(CampaignJob(
                 kind="phase1", key=cell,
                 thread_fn=functools.partial(_explore_spec_unit, *args),
@@ -845,14 +813,11 @@ class Campaign:
             testcase = build_testcase(spec, inconsistency.example, inconsistency)
             testcases.append(testcase)
             if can_replay:
-                replays.append(replay_testcase(
-                    testcase, agent_a, agent_b,
-                    agent_options=self.agent_options))
+                replays.append(replay_testcase(testcase, agent_a, agent_b))
 
         if self.triage and can_replay:
             def replayer(candidate: ConcreteTestCase) -> ReplayOutcome:
-                return replay_testcase(candidate, agent_a, agent_b,
-                                       agent_options=self.agent_options)
+                return replay_testcase(candidate, agent_a, agent_b)
 
             for inconsistency, testcase, replay in zip(
                     crosscheck.inconsistencies, testcases, replays):
@@ -894,8 +859,7 @@ class Campaign:
             return None, {}
         checkpoint = CampaignCheckpoint(self.checkpoint_dir)
         checkpoint.open(CampaignCheckpoint.fingerprint_for(
-            specs, paired_agents, pairs, self.engine_config, self.with_coverage),
-            resume=self.resume)
+            specs, paired_agents, pairs), resume=self.resume)
         completed = checkpoint.completed_cells() if self.resume else {}
         return checkpoint, completed
 
@@ -916,19 +880,6 @@ class Campaign:
                 "corpus_dir=%r requires triage: the corpus stores triage's "
                 "cluster representatives (enable triage or drop corpus_dir)"
                 % (self.corpus_dir,))
-        if self.reset_intern:
-            # New intern generation: release the previous scale's terms.
-            # Everything that pins old-generation terms must go with it — the
-            # per-test incremental engines (id-keyed group maps would never
-            # hit against new-generation terms and would keep re-encoding
-            # into the same growing SAT instances) and locally explored
-            # Phase-1 entries.  Per-term memos (simplified form, compiled
-            # program) live on the nodes and go with them.  Artifact-seeded
-            # entries are kept: they cannot be rebuilt, and cross-generation
-            # use stays correct via the structural-key fallback.
-            intern_table().reset()
-            self.encodings = EncodingCache()
-            self.cache.drop_explored()
         table = intern_table()
         intern_hits_before = table.hits
         intern_misses_before = table.misses
@@ -1105,7 +1056,6 @@ class Campaign:
             "misses": table.misses - intern_misses_before,
             "distinct_terms": table.distinct_terms,
             "memory_bytes": table.memory_bytes(),
-            "reset": self.reset_intern,
         }
         run_total = intern_stats["hits"] + intern_stats["misses"]
         intern_stats["hit_rate"] = (intern_stats["hits"] / run_total

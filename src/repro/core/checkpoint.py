@@ -5,10 +5,10 @@ time a cell (Phase-1 unit or crosscheck pair) reaches a terminal
 state, alongside the cell's payload when it succeeded:
 
 * ``meta.json`` — the format tag plus a *fingerprint* of the campaign
-  configuration: tests, agents, pairs, and the Phase-1 settings that decide
-  which paths a restored cell holds (the ``EngineConfig`` budgets and
-  ``with_coverage``).  Resuming into a differently-configured campaign is
-  refused loudly rather than silently mixing incompatible cells.
+  configuration: tests, agents, pairs, and the Phase-1 exploration limits
+  that decide which paths a restored cell holds (the ``EngineConfig``
+  budgets).  Resuming into a differently-configured campaign is refused
+  loudly rather than silently mixing incompatible cells.
 * ``jobs.jsonl`` — append-only journal, one record per terminal job:
   ``{"cell": [...], "state": ..., "attempts": ..., "error": ...}``.
   Last record per cell wins, so a re-run of a previously failed cell
@@ -53,7 +53,9 @@ __all__ = ["CampaignCheckpoint", "CHECKPOINT_FORMAT", "PAIR_CELL_FORMAT"]
 #: so a v2 directory is refused by format, not as a fingerprint mismatch.
 #: v4: the fingerprint records the Phase-1 settings that decide which paths
 #: a restored cell holds (``engine_config``, ``with_coverage``).
-CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v4"
+#: v5: campaigns explore with the default settings only, so the fingerprint
+#: drops ``with_coverage`` and pair payloads drop ``truncated``.
+CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v5"
 PAIR_CELL_FORMAT = "soft/pair-cell/v1"
 
 Cell = Tuple[str, ...]
@@ -154,22 +156,19 @@ class CampaignCheckpoint:
 
     @staticmethod
     def fingerprint_for(specs: Sequence[TestSpec], agents: Sequence[str],
-                        pairs: Sequence[Tuple[str, str]],
-                        engine_config: Optional[EngineConfig],
-                        with_coverage: bool) -> Dict[str, object]:
+                        pairs: Sequence[Tuple[str, str]]) -> Dict[str, object]:
         """The campaign fingerprint recorded in ``meta.json``.
 
-        Besides the campaign's shape it holds every Phase-1 setting that
-        changes what a restored cell contains: a checkpoint of explorations
-        truncated by ``max_paths`` must not resume into an unbounded run.
+        Besides the campaign's shape it holds the exploration limits Phase 1
+        ran under: a checkpoint whose explorations were truncated by other
+        ``EngineConfig`` budgets must not resume into this run.
         """
 
         return {
             "tests": [[spec.key, spec.scale] for spec in specs],
             "agents": sorted(agents),
             "pairs": sorted([sorted(pair) for pair in pairs]),
-            "engine_config": asdict(engine_config or EngineConfig()),
-            "with_coverage": bool(with_coverage),
+            "engine_config": asdict(EngineConfig()),
         }
 
     # ------------------------------------------------------------------
@@ -289,7 +288,6 @@ class CampaignCheckpoint:
                 "unknown_pairs": crosscheck.unknown_pairs,
                 "checking_time": crosscheck.checking_time,
                 "identical_output_pairs": crosscheck.identical_output_pairs,
-                "truncated": crosscheck.truncated,
                 "solver_stats": _json_safe(crosscheck.solver_stats),
                 "inconsistencies": [
                     {
@@ -355,7 +353,6 @@ class CampaignCheckpoint:
                 unknown_pairs=int(check.get("unknown_pairs", 0)),
                 checking_time=float(check.get("checking_time", 0.0)),
                 identical_output_pairs=int(check.get("identical_output_pairs", 0)),
-                truncated=bool(check.get("truncated", False)),
                 solver_stats=dict(check.get("solver_stats", {})),
             )
             witnesses = [Witness.from_dict(obj) for obj in data.get("witnesses", [])]

@@ -22,8 +22,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.agents import make_agent
 from repro.agents.registry import AGENT_REGISTRY
-from repro.core.testcase import AgentFactory, resolve_agent_factory
+from repro.core.testcase import AgentFactory
 from repro.core.witness import Witness, WitnessCluster
 from repro.errors import CorpusError, ReproError
 from repro.harness.driver import run_concrete_sequence
@@ -264,9 +265,7 @@ class WitnessCorpus:
     # Solver-free regression replay
     # ------------------------------------------------------------------
 
-    def run(self, agent_factory: Optional[AgentFactory] = None,
-            agent_options: Optional[Dict[str, Dict[str, object]]] = None,
-            ) -> CorpusRunReport:
+    def run(self, agent_factory: Optional[AgentFactory] = None) -> CorpusRunReport:
         """Replay every stored witness against the current agents.
 
         Fully concrete: each bundle's materialized inputs are fed to fresh
@@ -275,7 +274,7 @@ class WitnessCorpus:
         corpus is the fast regression path.
         """
 
-        factory = resolve_agent_factory(agent_factory, agent_options)
+        factory = agent_factory or make_agent
         report = CorpusRunReport(directory=self.directory)
         started = time.perf_counter()
         for path in self.paths():

@@ -14,9 +14,10 @@ condition is bit-blasted once behind an activation literal, and
 :meth:`~repro.symbex.solver.incremental.GroupEncoding.check_row` decides all
 candidate B-groups of one A-group with one disjunctive SAT query per hit
 round, falling back to pair-by-pair solves only where that would not save a
-call.  Pass ``engine=`` to share the encoding across several pair reports of
-the same test (what :class:`~repro.core.campaign.Campaign` does); the
-engine's pair cache answers every pair an earlier scan decided.
+call.  The scan always decides every pair of the matrix.  Pass ``engine=``
+to share the encoding across several pair reports of the same test (what
+:class:`~repro.core.campaign.Campaign` does); the engine's pair cache
+answers every pair an earlier scan decided.
 
 ``CrosscheckReport.queries`` counts *pairs decided*, whatever decided them,
 so it keeps the meaning of the paper's query count; the SAT calls actually
@@ -28,7 +29,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.grouping import GroupedResults, OutputGroup
 from repro.core.trace import OutputTrace
@@ -94,8 +95,6 @@ class CrosscheckReport:
     unknown_pairs: int
     checking_time: float
     identical_output_pairs: int
-    #: True when ``max_pairs`` stopped the scan before every pair was queried.
-    truncated: bool = False
     #: How the pairs were decided (per-filter and SAT-call counters) plus an
     #: ``engine`` snapshot, cumulative when the engine is shared.
     solver_stats: Dict[str, object] = field(default_factory=dict)
@@ -118,26 +117,11 @@ class CrosscheckReport:
 
 
 def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
-                         max_pairs: Optional[int] = None,
-                         engine: Optional[GroupEncoding] = None,
-                         deadline: Optional[float] = None,
-                         clock: Callable[[], float] = time.perf_counter,
-                         ) -> CrosscheckReport:
+                         engine: Optional[GroupEncoding] = None) -> CrosscheckReport:
     """Crosscheck two agents' grouped results for one test specification.
 
     *engine* is the (possibly shared) encoding to scan on; by default a
     fresh one is created for this report.
-
-    *max_pairs* caps the number of pairs decided **globally** across the
-    whole pair matrix (a row's candidates are trimmed to the remaining
-    budget); a truncated scan is flagged in the report.
-
-    *deadline* is an absolute time on *clock* (default
-    ``time.perf_counter``): once reached, the scan stops before the next
-    pair filter or SAT call and the report is flagged ``truncated``, like a
-    *max_pairs* cutoff.  Pairs left undecided are neither counted nor
-    reported.  A caller that re-scans on the same *engine* gets every
-    already-decided pair from its pair cache.
     """
 
     if grouped_a.test_key != grouped_b.test_key:
@@ -151,8 +135,7 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
 
     started = time.perf_counter()
     tally = _Tally(grouped_a.agent_name, grouped_b.agent_name)
-    stop = None if deadline is None else (lambda: clock() >= deadline)
-    solver_stats = _scan_rows(grouped_a, grouped_b, engine, tally, max_pairs, stop)
+    solver_stats = _scan_rows(grouped_a, grouped_b, engine, tally)
 
     return CrosscheckReport(
         agent_a=grouped_a.agent_name,
@@ -164,7 +147,6 @@ def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
         unknown_pairs=tally.unknown_pairs,
         checking_time=time.perf_counter() - started,
         identical_output_pairs=tally.identical,
-        truncated=tally.truncated,
         solver_stats=solver_stats,
     )
 
@@ -180,7 +162,6 @@ class _Tally:
     unsat_pairs: int = 0
     unknown_pairs: int = 0
     identical: int = 0
-    truncated: bool = False
 
     def record(self, group_a: OutputGroup, group_b: OutputGroup,
                result: SatResult, elapsed: float) -> None:
@@ -204,8 +185,7 @@ class _Tally:
 
 
 def _scan_rows(grouped_a: GroupedResults, grouped_b: GroupedResults,
-               engine: GroupEncoding, tally: _Tally, max_pairs: Optional[int],
-               stop: Optional[Callable[[], bool]]) -> Dict[str, object]:
+               engine: GroupEncoding, tally: _Tally) -> Dict[str, object]:
     """One :meth:`GroupEncoding.check_row` per A-group."""
 
     via_counts: Counter = Counter()
@@ -217,23 +197,14 @@ def _scan_rows(grouped_a: GroupedResults, grouped_b: GroupedResults,
                 tally.identical += 1
             else:
                 candidates.append(group_b)
-        if max_pairs is not None and len(candidates) > max_pairs - tally.queries:
-            del candidates[max(max_pairs - tally.queries, 0):]
-            tally.truncated = True
         scan = engine.check_row(group_a.condition,
-                                [group_b.condition for group_b in candidates],
-                                stop=stop)
+                                [group_b.condition for group_b in candidates])
         calls.update(row_solves=scan.row_solves, hit_rounds=scan.hit_rounds,
                      pairwise_fallbacks=scan.pairwise_fallbacks,
                      sat_calls=scan.sat_calls)
         for group_b, outcome in zip(candidates, scan.outcomes):
-            if outcome is None:
-                tally.truncated = True
-                continue
             via_counts[outcome.via] += 1
             tally.record(group_a, group_b, outcome.result, outcome.result.time)
-        if tally.truncated:
-            break
     return {
         "mode": "incremental",
         "trivial": via_counts["trivial"],

@@ -1,28 +1,24 @@
-"""The end-to-end SOFT pipeline.
+"""The result of the SOFT pipeline on one test and one pair of agents.
 
-:class:`SOFT` wires Phase 1 (per-agent symbolic exploration), Phase 2a
-(grouping by output) and Phase 2b (crosschecking with the constraint solver)
-behind one object, and optionally materializes and replays a concrete test
-case per inconsistency.  This is the API the examples and the CLI use; the
-individual stages remain available for users who want the paper's
-"vendors run Phase 1 independently" workflow.
+:class:`~repro.core.campaign.Campaign` runs the pipeline: Phase 1
+(per-agent symbolic exploration), Phase 2a (grouping by output), Phase 2b
+(crosschecking with the constraint solver), and concrete replay and triage
+of every inconsistency.  It returns one :class:`SoftReport` per (test,
+pair); a single pair is ``Campaign(tests=[test], pairs=[(a, b)])``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List
 
-from repro.core.crosscheck import CrosscheckReport, Inconsistency, find_inconsistencies
-from repro.core.explorer import AgentExplorationReport, explore_agent
-from repro.core.grouping import GroupedResults, group_paths
+from repro.core.crosscheck import CrosscheckReport, Inconsistency
+from repro.core.explorer import AgentExplorationReport
+from repro.core.grouping import GroupedResults
 from repro.core.testcase import ConcreteTestCase, ReplayOutcome
-from repro.core.tests_catalog import TestSpec
 from repro.core.witness import Witness
-from repro.symbex.engine import EngineConfig
-from repro.symbex.solver import GroupEncoding
 
-__all__ = ["SOFT", "SoftReport"]
+__all__ = ["SoftReport"]
 
 
 @dataclass
@@ -94,71 +90,3 @@ class SoftReport:
             lines.append("  --- inconsistency %d ---" % (index + 1))
             lines.append("  " + inconsistency.describe().replace("\n", "\n  "))
         return "\n".join(lines)
-
-
-class SOFT:
-    """Systematic OpenFlow Testing: the paper's tool, end to end."""
-
-    def __init__(self, engine_config: Optional[EngineConfig] = None,
-                 with_coverage: bool = False,
-                 replay_testcases: bool = True,
-                 triage: bool = True) -> None:
-        self.engine_config = engine_config
-        self.with_coverage = with_coverage
-        self.replay_testcases = replay_testcases
-        self.triage = triage
-
-    # ------------------------------------------------------------------
-    # Individual phases
-    # ------------------------------------------------------------------
-
-    def explore(self, agent: str, test: Union[str, TestSpec]) -> AgentExplorationReport:
-        """Phase 1 for one agent (what a vendor runs in-house)."""
-
-        return explore_agent(agent, test, engine_config=self.engine_config,
-                             with_coverage=self.with_coverage)
-
-    def group(self, report: AgentExplorationReport) -> GroupedResults:
-        """Phase 2a: group one agent's paths by output."""
-
-        return group_paths(report)
-
-    def crosscheck(self, grouped_a: GroupedResults,
-                   grouped_b: GroupedResults) -> CrosscheckReport:
-        """Phase 2b: find inconsistencies between two grouped results."""
-
-        return find_inconsistencies(grouped_a, grouped_b, engine=GroupEncoding())
-
-    # ------------------------------------------------------------------
-    # End-to-end convenience
-    # ------------------------------------------------------------------
-
-    def _campaign(self, tests: Sequence[Union[str, TestSpec]], agent_a: str,
-                  agent_b: str):
-        """A single-pair campaign mirroring this SOFT instance's configuration."""
-
-        from repro.core.campaign import Campaign
-
-        return Campaign(
-            tests=list(tests),
-            pairs=[(agent_a, agent_b)],
-            engine_config=self.engine_config,
-            with_coverage=self.with_coverage,
-            replay_testcases=self.replay_testcases,
-            triage=self.triage,
-        )
-
-    def run(self, test: Union[str, TestSpec], agent_a: str, agent_b: str) -> SoftReport:
-        """Run the full pipeline for one test and one pair of agents.
-
-        Thin wrapper over a single-pair :class:`~repro.core.campaign.Campaign`.
-        """
-
-        return self._campaign([test], agent_a, agent_b).run().reports[0]
-
-    def run_many(self, tests: Sequence[Union[str, TestSpec]], agent_a: str,
-                 agent_b: str) -> Dict[str, SoftReport]:
-        """Run the full pipeline for several tests against the same agent pair."""
-
-        campaign_report = self._campaign(tests, agent_a, agent_b).run()
-        return {report.test_key: report for report in campaign_report.reports}

@@ -6,7 +6,8 @@ model into concrete wire buffers (by evaluating every symbolic byte of the
 test's messages under the model) and replays the sequence against both agents
 concretely.  The replay both reproduces the divergence for a human and acts as
 the "no false positives" guarantee: a test case whose replay does not diverge
-is reported as a pipeline error rather than as an inconsistency.
+is not counted as replay-verified, and triage reports its witness as
+unconfirmed.
 
 Variables the solver left unbound are zero-filled during materialization, but
 never silently: their names are recorded on the resulting
@@ -25,7 +26,6 @@ from repro.agents import make_agent
 from repro.agents.common.base import OpenFlowAgent
 from repro.core.crosscheck import Inconsistency
 from repro.core.tests_catalog import TestSpec, get_test
-from repro.errors import ReplayMismatchError
 from repro.harness.driver import ConcreteRunResult, run_concrete_sequence
 from repro.harness.inputs import ControlMessageInput, ProbeInput
 from repro.symbex.compile import compile_term
@@ -34,31 +34,10 @@ from repro.symbex.state import PathState
 from repro.wire.buffer import SymBuffer
 
 __all__ = ["ConcreteTestCase", "build_testcase", "replay_testcase",
-           "ReplayOutcome", "AgentFactory", "resolve_agent_factory"]
+           "ReplayOutcome", "AgentFactory"]
 
 #: Resolves an agent name to a fresh agent instance (replay needs one per run).
 AgentFactory = Callable[[str], OpenFlowAgent]
-
-
-def resolve_agent_factory(agent_factory: Optional[AgentFactory] = None,
-                          agent_options: Optional[Dict[str, Dict[str, object]]] = None,
-                          ) -> AgentFactory:
-    """Build the agent factory used for concrete replay.
-
-    *agent_factory* wins when given (a callable ``name -> agent``); otherwise
-    agents are created through the registry, passing the per-agent keyword
-    arguments from *agent_options* (``{"ovs": {"config": AgentConfig(...)}}``)
-    so a replay can reuse the exact agent configuration of its campaign.
-    """
-
-    if agent_factory is not None:
-        return agent_factory
-    options = dict(agent_options or {})
-
-    def factory(name: str) -> OpenFlowAgent:
-        return make_agent(name, **options.get(name, {}))
-
-    return factory
 
 
 def _concretize_buffer(buf: SymBuffer, model: Dict[str, int],
@@ -182,30 +161,17 @@ class ReplayOutcome:
 
 
 def replay_testcase(testcase: ConcreteTestCase, agent_a: str, agent_b: str,
-                    require_divergence: bool = False,
-                    agent_factory: Optional[AgentFactory] = None,
-                    agent_options: Optional[Dict[str, Dict[str, object]]] = None,
-                    ) -> ReplayOutcome:
+                    agent_factory: Optional[AgentFactory] = None) -> ReplayOutcome:
     """Replay a concrete test case against two agents and compare their traces.
 
     The replay is fully concrete (no symbolic execution involved), so it is an
     independent confirmation that the generated input actually drives the two
-    implementations apart.  When *require_divergence* is set, identical traces
-    raise :class:`ReplayMismatchError`.
-
-    Agents are instantiated through *agent_factory* (``name -> agent``) when
-    given, otherwise through the registry with the per-agent keyword arguments
-    in *agent_options* — this is how a campaign's agent configuration reaches
-    the replay stage.
+    implementations apart.  Agents are instantiated through *agent_factory*
+    (``name -> agent``) when given, otherwise through the registry with
+    their default settings — the agents Phase 1 explored.
     """
 
-    factory = resolve_agent_factory(agent_factory, agent_options)
+    factory = agent_factory or make_agent
     run_a = run_concrete_sequence(factory(agent_a), testcase.inputs)
     run_b = run_concrete_sequence(factory(agent_b), testcase.inputs)
-    outcome = ReplayOutcome(testcase=testcase, run_a=run_a, run_b=run_b)
-    if require_divergence and not outcome.diverged:
-        raise ReplayMismatchError(
-            "replay of the generated test case did not reproduce a divergence "
-            "between %s and %s" % (agent_a, agent_b)
-        )
-    return outcome
+    return ReplayOutcome(testcase=testcase, run_a=run_a, run_b=run_b)

@@ -414,19 +414,17 @@ def build_witness(spec: TestSpec, inconsistency: Inconsistency,
 
 
 def minimize_witness(witness: Witness, spec: TestSpec, replayer: Replayer,
-                     max_replays: int = 96,
-                     require_same_signature: bool = True,
-                     shrink_values: bool = True) -> Witness:
+                     max_replays: int = 96) -> Witness:
     """Delta-minimize *witness* with concrete replay as the oracle.
 
     Three greedy passes, each keeping a change only while the replay still
-    diverges (and, by default, with the same :class:`DivergenceSignature`):
+    diverges with the same :class:`DivergenceSignature`:
 
     1. drop trailing inputs (seeded by how many inputs the replayed agents
        actually consumed — inputs past both agents' consumption are free);
     2. drop model variables one by one — a dropped variable is zero-filled by
        materialization and recorded as unbound;
-    3. optionally shrink the surviving values toward zero (1, then halving).
+    3. shrink the surviving values toward zero (1, then halving).
 
     Returns a new witness with :class:`MinimizationStats` attached; the
     original solver model is preserved in ``solver_model``.  An unconfirmed
@@ -446,7 +444,7 @@ def minimize_witness(witness: Witness, spec: TestSpec, replayer: Replayer,
         outcome = replayer(candidate)
         if not outcome.diverged:
             return None
-        if require_same_signature and not signature.matches_diff(outcome.diff()):
+        if not signature.matches_diff(outcome.diff()):
             return None
         return outcome
 
@@ -498,23 +496,22 @@ def minimize_witness(witness: Witness, spec: TestSpec, replayer: Replayer,
 
     # Pass 3: shrink surviving values toward zero (zero itself is equivalent
     # to dropping, which pass 2 already rejected).
-    if shrink_values:
-        for name in sorted(assignment):
-            value = assignment[name]
-            for smaller in dict.fromkeys((1, value >> 1)):
-                if replays >= max_replays:
-                    break
-                if smaller in (0, value):
-                    continue
-                trial = dict(assignment)
-                trial[name] = smaller
-                candidate = rebuild(trial, keep_inputs)
-                outcome = oracle(candidate)
-                if outcome is not None:
-                    assignment = trial
-                    shrunk.append(name)
-                    best_testcase, best_replay = candidate, outcome
-                    break
+    for name in sorted(assignment):
+        value = assignment[name]
+        for smaller in dict.fromkeys((1, value >> 1)):
+            if replays >= max_replays:
+                break
+            if smaller in (0, value):
+                continue
+            trial = dict(assignment)
+            trial[name] = smaller
+            candidate = rebuild(trial, keep_inputs)
+            outcome = oracle(candidate)
+            if outcome is not None:
+                assignment = trial
+                shrunk.append(name)
+                best_testcase, best_replay = candidate, outcome
+                break
 
     stats = MinimizationStats(
         original_variables=original_variables,

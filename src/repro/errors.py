@@ -127,10 +127,6 @@ class CrosscheckError(PipelineError):
     """The inconsistency finder was invoked with incompatible inputs."""
 
 
-class ReplayMismatchError(PipelineError):
-    """Concrete replay of a generated test case did not reproduce the traces."""
-
-
 class ArtifactError(PipelineError):
     """A saved Phase-1 artifact could not be parsed or fails validation."""
 

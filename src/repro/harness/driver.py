@@ -40,6 +40,9 @@ __all__ = ["TestDriver", "ConcreteRunResult", "run_concrete_sequence"]
 class TestDriver:
     """Builds the per-path program for (agent factory, test specification)."""
 
+    #: Not a test class, whatever its name: keeps pytest from collecting it.
+    __test__ = False
+
     def __init__(self, agent_factory: Callable[[], OpenFlowAgent],
                  inputs: Sequence[TestInput],
                  coverage_tracker=None,

@@ -201,15 +201,15 @@ class InternTable:
         boolean constants stay pointer-identical across generations.
         """
 
-        # reset() is a documented generation boundary, called only from the
-        # one campaign that owns the process's exploration life cycle —
-        # never concurrently with construction.
-        self._terms.clear()  # soft-lint: disable=unlocked-shared-state -- reset is a single-threaded generation boundary (see Campaign.reset_intern)
-        self.hits = 0  # soft-lint: disable=unlocked-shared-state -- reset is a single-threaded generation boundary (see Campaign.reset_intern)
-        self.misses = 0  # soft-lint: disable=unlocked-shared-state -- reset is a single-threaded generation boundary (see Campaign.reset_intern)
+        # reset() is a documented generation boundary, called only between
+        # runs by the owner of the process's exploration life cycle — never
+        # concurrently with construction.
+        self._terms.clear()  # soft-lint: disable=unlocked-shared-state -- reset is a single-threaded generation boundary
+        self.hits = 0  # soft-lint: disable=unlocked-shared-state -- reset is a single-threaded generation boundary
+        self.misses = 0  # soft-lint: disable=unlocked-shared-state -- reset is a single-threaded generation boundary
         for singleton in (globals().get("TRUE"), globals().get("FALSE")):
             if singleton is not None:
-                # soft-lint: disable=unlocked-shared-state -- reset is a single-threaded generation boundary (see Campaign.reset_intern)
+                # soft-lint: disable=unlocked-shared-state -- reset is a single-threaded generation boundary
                 self._terms[(BoolConst, singleton.value)] = singleton
 
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.errors import SolverError
 from repro.symbex.compile import compile_term
@@ -161,7 +161,8 @@ class PairOutcome:
 class RowScan:
     """Outcome of :meth:`GroupEncoding.check_row`: one entry per candidate."""
 
-    #: ``None`` for a candidate left undecided because ``stop`` fired.
+    #: One outcome per candidate; ``None`` only while :meth:`_solve_row`
+    #: still has the candidate pending.
     outcomes: List[Optional[PairOutcome]]
     #: Disjunctive row queries sent to the SAT backend.
     row_solves: int = 0
@@ -295,14 +296,9 @@ class GroupEncoding:
             finally:
                 self.stats.solve_time += time.perf_counter() - started
 
-    def check_row(self, condition_a: BoolExpr, conditions_b: Sequence[BoolExpr],
-                  stop: Optional[Callable[[], bool]] = None) -> RowScan:
-        """Decide ``condition_a AND b`` for every *b* in *conditions_b*.
-
-        *stop* is polled before every pair filter and every SAT call; once it
-        returns true the scan ends and the candidates not yet decided keep a
-        ``None`` outcome.
-        """
+    def check_row(self, condition_a: BoolExpr,
+                  conditions_b: Sequence[BoolExpr]) -> RowScan:
+        """Decide ``condition_a AND b`` for every *b* in *conditions_b*."""
 
         with self._lock:
             group_a = self.encode(condition_a)
@@ -312,8 +308,6 @@ class GroupEncoding:
             try:
                 pending: List[int] = []
                 for index, group_b in enumerate(groups_b):
-                    if stop is not None and stop():
-                        return scan
                     filter_started = time.perf_counter()
                     outcome = self._decide_cheaply(group_a, group_b)
                     if outcome is None:
@@ -321,7 +315,7 @@ class GroupEncoding:
                     else:
                         outcome.result.time = time.perf_counter() - filter_started
                         scan.outcomes[index] = outcome
-                self._solve_row(group_a, groups_b, pending, scan, stop)
+                self._solve_row(group_a, groups_b, pending, scan)
                 return scan
             finally:
                 self.stats.solve_time += time.perf_counter() - started
@@ -365,15 +359,12 @@ class GroupEncoding:
                              model=model, elapsed=elapsed)
 
     def _solve_row(self, group_a: _EncodedGroup, groups_b: List[_EncodedGroup],
-                   pending: List[int], scan: RowScan,
-                   stop: Optional[Callable[[], bool]]) -> None:
+                   pending: List[int], scan: RowScan) -> None:
         """Decide the *pending* candidates with disjunctive row queries."""
 
         backend = self._backend
         candidates = len(pending)
         while len(pending) > max(scan.hit_rounds, 1):
-            if stop is not None and stop():
-                return
             selector = backend.new_var()
             activations = [groups_b[index].activation for index in pending]
             backend.add_clause([-selector] + activations)
@@ -419,8 +410,6 @@ class GroupEncoding:
             self.stats.pairwise_fallbacks += 1
             scan.pairwise_fallbacks = 1
         for index in pending:
-            if stop is not None and stop():
-                return
             scan.pair_solves += 1
             scan.outcomes[index] = self._solve_pair(group_a, groups_b[index])
 

@@ -23,6 +23,7 @@ from repro.analysis import (
 )
 from repro.analysis.findings import apply_suppressions, suppressions_in_source
 from repro.cli.main import main as cli_main
+from repro.core.artifacts import save_exploration_artifact
 from repro.core.campaign import Campaign
 from repro.core.explorer import explore_agent
 from repro.errors import AgentRegistrationError
@@ -122,10 +123,17 @@ def test_coverage_fraction_survives_report_roundtrip():
     assert restored.coverage_fraction == pytest.approx(coverage.coverage_fraction)
 
 
-def test_campaign_report_exposes_coverage_fraction():
-    campaign = Campaign(with_coverage=True, triage=False, replay_testcases=False)
-    campaign.with_tests("set_config").with_agents("reference", "ovs")
+def test_campaign_report_exposes_coverage_fraction(tmp_path):
+    # Artifacts saved with coverage (soft explore --coverage) feed the
+    # campaign-wide coverage aggregate.
+    campaign = Campaign(triage=False, replay_testcases=False)
+    for agent in ("reference", "ovs"):
+        path = str(tmp_path / ("%s.json" % agent))
+        save_exploration_artifact(
+            explore_agent(agent, "set_config", with_coverage=True), path)
+        campaign.load_artifact(path)
     report = campaign.run()
+    assert report.explorations_run == 0
     assert report.coverage is not None
     fraction = report.coverage_fraction
     assert fraction is not None

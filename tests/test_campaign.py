@@ -8,11 +8,11 @@ import pytest
 import repro.core.campaign as campaign_module
 from repro.cli.main import build_parser, main as cli_main
 from repro.core.campaign import Campaign, ExplorationCache
-from repro.core.soft import SOFT, SoftReport
+from repro.core.soft import SoftReport
 from repro.core.tests_catalog import TABLE1_TESTS, get_test
 from repro.errors import CampaignError
 from repro.symbex.compile import compile_term
-from repro.symbex.expr import BVVar, bvvar
+from repro.symbex.expr import BVVar, bvvar, intern_table
 from repro.symbex.simplify import simplify_bool
 
 
@@ -127,12 +127,21 @@ def test_campaign_validation_errors():
         Campaign(tests=["concrete"], agents=["reference", "no_such_agent"]).run()
 
 
-def test_soft_run_is_thin_campaign_wrapper():
-    report = SOFT(replay_testcases=False).run("concrete", "reference", "ovs")
+def test_soft_run_is_thin_campaign_wrapper(capsys):
+    # `soft run` is a one-pair campaign and prints that pair's SoftReport.
+    campaign_report = Campaign(tests=["concrete"], pairs=[("reference", "ovs")],
+                               replay_testcases=False).run()
+    (report,) = campaign_report.reports
     assert isinstance(report, SoftReport)
     assert (report.test_key, report.agent_a, report.agent_b) == ("concrete", "reference", "ovs")
-    many = SOFT(replay_testcases=False).run_many(["concrete", "set_config"], "reference", "ovs")
-    assert set(many) == {"concrete", "set_config"}
+    assert cli_main(["run", "--test", "concrete", "--agent-a", "reference",
+                     "--agent-b", "ovs", "--no-replay"]) == 0
+    assert ("solver queries: %d, inconsistencies: %d"
+            % (report.crosscheck.queries, report.inconsistency_count)
+            in capsys.readouterr().out)
+    many = Campaign(tests=["concrete", "set_config"], pairs=[("reference", "ovs")],
+                    replay_testcases=False).run()
+    assert [pair.test_key for pair in many.reports] == ["concrete", "set_config"]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +170,8 @@ def test_campaign_report_json_and_summary_consistency():
 
 
 def test_soft_report_summary_row_matches_describe():
-    report = SOFT(replay_testcases=False).run("set_config", "reference", "ovs")
+    (report,) = Campaign(tests=["set_config"], pairs=[("reference", "ovs")],
+                         replay_testcases=False).run().reports
     row = report.summary_row()
     assert row["solver_queries"] == report.crosscheck.queries
     assert row["replay_verified"] == report.verified_inconsistency_count()
@@ -198,24 +208,6 @@ def test_campaign_rerun_reports_per_run_cache_stats():
     assert second.cache_hits == 2
 
 
-def test_campaign_reset_intern_starts_fresh_generation():
-    campaign = Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                        reset_intern=True)
-    first = campaign.run()
-    assert first.intern_stats["reset"] is True
-    assert first.intern_stats["distinct_terms"] > 0
-    engines_after_first = campaign.encodings.engine_count
-    assert engines_after_first >= 1
-    second = campaign.run()
-    # A reset run drops explored Phase-1 entries and the per-test incremental
-    # engines: everything is rebuilt against the new intern generation
-    # instead of re-encoding into the old engines forever.
-    assert second.explorations_run == 2
-    assert second.cache_hits == 0
-    assert second.total_inconsistencies == first.total_inconsistencies
-    assert campaign.encodings.engine_count == engines_after_first
-
-
 def _previous_generation_probe():
     """Fill both per-term memos for a term no later code will rebuild."""
 
@@ -224,10 +216,12 @@ def _previous_generation_probe():
     compile_term(condition).run({"reset_generation_probe": 1})
 
 
-def test_campaign_reset_intern_releases_the_previous_generation():
+def test_intern_reset_releases_the_previous_generation():
     _previous_generation_probe()
-    Campaign(tests=["concrete"], agents=["reference", "ovs"],
-             reset_intern=True).run()
+    intern_table().reset()
+    # Per-term memos live on the nodes and go with them: a campaign run in the
+    # new generation pins nothing of the old one.
+    Campaign(tests=["concrete"], agents=["reference", "ovs"]).run()
     gc.collect()
     survivors = [obj for obj in gc.get_objects()
                  if isinstance(obj, BVVar) and obj.name == "reset_generation_probe"]
@@ -237,7 +231,6 @@ def test_campaign_reset_intern_releases_the_previous_generation():
 def test_campaign_default_run_reports_intern_stats():
     report = Campaign(tests=["concrete"], agents=["reference", "ovs"]).run()
     stats = report.intern_stats
-    assert stats["reset"] is False
     assert stats["distinct_terms"] > 0 and stats["memory_bytes"] > 0
     assert "intern_stats" in report.to_dict()
 

@@ -1,4 +1,4 @@
-"""Tests of the incremental crosscheck engine and the max_pairs cap.
+"""Tests of the incremental crosscheck engine.
 
 The row scan (shared SAT instance + activation literals) must report the
 exact same inconsistency set as the pair-by-pair reference scan in
@@ -103,76 +103,16 @@ def test_group_encoding_rejects_cross_test_reuse():
 def test_soft_crosscheck_reads_the_conflict_budget(monkeypatch):
     # SOFT's crosscheck runs under the backend's one conflict budget: a zero
     # budget shows up as an UNKNOWN pair, never as a verdict.
-    from repro.core.soft import SOFT
-
     x = bvvar("x", 8)
     grouped_a = _synthetic_grouped("a", [0], "a-out")
     grouped_a.groups[0].condition = bool_or(x == 5, x == 9)
     grouped_b = _synthetic_grouped("b", [0], "b-out")
     grouped_b.groups[0].condition = (x > 0)
     monkeypatch.setattr(backend_module, "MAX_CONFLICTS", 0)
-    report = SOFT().crosscheck(grouped_a, grouped_b)
+    report = find_inconsistencies(grouped_a, grouped_b)
     assert report.unknown_pairs == 1
     monkeypatch.undo()
-    assert SOFT().crosscheck(grouped_a, grouped_b).inconsistency_count == 1
-
-
-# ---------------------------------------------------------------------------
-# max_pairs cap (global accounting)
-# ---------------------------------------------------------------------------
-
-def test_max_pairs_cap_is_global_across_the_pair_matrix():
-    grouped_a = _synthetic_grouped("a", [1, 2, 3], "a-out")
-    grouped_b = _synthetic_grouped("b", [1, 2, 3], "b-out")
-    # 9 candidate pairs (all traces differ); the cap must bound the total.
-    report = find_inconsistencies(grouped_a, grouped_b, max_pairs=4)
-    assert report.queries == 4
-    assert report.truncated is True
-    full = find_inconsistencies(grouped_a, grouped_b)
-    assert full.queries == 9
-    assert full.truncated is False
-    # x==i AND x==j is satisfiable exactly when i == j.
-    assert full.inconsistency_count == 3
-
-
-def test_max_pairs_zero_queries_nothing():
-    grouped_a = _synthetic_grouped("a", [1, 2], "a-out")
-    grouped_b = _synthetic_grouped("b", [1, 2], "b-out")
-    report = find_inconsistencies(grouped_a, grouped_b, max_pairs=0)
-    assert report.queries == 0
-    assert report.truncated is True
-    assert report.inconsistency_count == 0
-
-
-def test_deadline_truncates_the_pair_scan():
-    grouped_a = _synthetic_grouped("a", [1, 2, 3], "a-out")
-    grouped_b = _synthetic_grouped("b", [1, 2, 3], "b-out")
-
-    class TickClock:
-        def __init__(self):
-            self.now = 0.0
-
-        def __call__(self):
-            self.now += 1.0
-            return self.now
-
-    # Deadline already expired at the first read: no query runs.
-    expired = find_inconsistencies(grouped_a, grouped_b, deadline=0.0,
-                                   clock=TickClock())
-    assert expired.queries == 0
-    assert expired.truncated is True
-    # Deadline after a few ticks: the scan stops partway, flagged truncated,
-    # instead of solving all 9 candidate pairs.  Ticks 1-3 pass the first
-    # row's pair filters and tick 4 its first SAT call, so the deadline must
-    # leave room for that call.
-    partial = find_inconsistencies(grouped_a, grouped_b, deadline=5.5,
-                                   clock=TickClock())
-    assert partial.truncated is True
-    assert 0 < partial.queries < 9
-    # No deadline: the injected clock is never consulted.
-    full = find_inconsistencies(grouped_a, grouped_b)
-    assert full.queries == 9
-    assert full.truncated is False
+    assert find_inconsistencies(grouped_a, grouped_b).inconsistency_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -414,28 +354,6 @@ def test_row_scan_rejects_a_model_that_satisfies_no_candidate(monkeypatch):
     engine = GroupEncoding()
     with pytest.raises(SolverError, match="satisfies none"):
         find_inconsistencies(grouped_a, grouped_b, engine=engine)
-
-
-def test_deadline_is_checked_before_every_sat_call():
-    grouped_a = _grouped("a", [(0, _X == 1)])
-    grouped_b = _grouped("b", [(value, _X == value) for value in (1, 2, 3)])
-
-    class TickClock:
-        def __init__(self):
-            self.now = 0.0
-
-        def __call__(self):
-            self.now += 1.0
-            return self.now
-
-    # Ticks 1-3 pass the three pair filters, tick 4 the first row solve
-    # (which finds x == 1); tick 5 stops the second row solve.
-    report = find_inconsistencies(
-        grouped_a, grouped_b, deadline=4.5, clock=TickClock(),
-        engine=GroupEncoding())
-    assert report.truncated is True
-    assert report.queries == report.inconsistency_count == 1
-    assert report.solver_stats["assumption_solves"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ to the same inconsistency set as an uninterrupted campaign.
 import json
 import os
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -343,10 +344,12 @@ def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch,
     monkeypatch.setattr(campaign_module, "explore_agent",
                         lambda *args, **kwargs: explored.append(args))
     # v1: nested-tree phase-1 payloads; v2: a fingerprint with a hybrid-mode
-    # key; v3: a fingerprint with a search-strategy key.
+    # key; v3: a fingerprint with a search-strategy key; v4: a fingerprint
+    # with a coverage-tracing key.
     for old_format, old_keys in (("soft/campaign-checkpoint/v1", {}),
                                  ("soft/campaign-checkpoint/v2", {"hybrid": False}),
-                                 ("soft/campaign-checkpoint/v3", {"strategy": None})):
+                                 ("soft/campaign-checkpoint/v3", {"strategy": None}),
+                                 ("soft/campaign-checkpoint/v4", {"with_coverage": False})):
         data = {"format": old_format,
                 "fingerprint": dict(current["fingerprint"], **old_keys)}
         meta.write_text(json.dumps(data))
@@ -367,25 +370,29 @@ def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch,
 def test_checkpoint_refuses_resume_with_other_phase1_settings(tmp_path, monkeypatch):
     import repro.core.campaign as campaign_module
 
-    ckpt = str(tmp_path / "ckpt")
+    ckpt = tmp_path / "ckpt"
     cells = dict(tests=["stats_request"], agents=["reference", "ovs"],
-                 replay_testcases=False, triage=False, checkpoint_dir=ckpt)
-    first = Campaign(engine_config=EngineConfig(max_paths=5), **cells).run()
+                 replay_testcases=False, triage=False, checkpoint_dir=str(ckpt))
+    first = Campaign(**cells).run()
     assert first.exit_code == EXIT_OK
-    assert all(row["truncated"] for row in first.exploration_stats)
+    meta_path = ckpt / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    recorded = meta["fingerprint"]["engine_config"]
+    assert recorded == asdict(EngineConfig())
     explored = []
     monkeypatch.setattr(campaign_module, "explore_agent",
                         lambda *args, **kwargs: explored.append(args))
-    # Restoring the truncated explorations into an unbounded (default) run,
-    # or into one that also traces coverage, would report paths that run
-    # never explored.
-    for changed in ({}, {"engine_config": EngineConfig(max_paths=5),
-                         "with_coverage": True}):
-        with pytest.raises(CheckpointError, match="differently-configured"):
-            Campaign(resume=True, **changed, **cells).run()
-        assert explored == []
-    same = Campaign(engine_config=EngineConfig(max_paths=5), resume=True,
-                    **cells).run()
+    # A checkpoint written under other exploration limits (explorations
+    # truncated at 5 paths) must not resume into a default run: the restored
+    # cells would report paths that run never explored.
+    meta["fingerprint"]["engine_config"] = dict(recorded, max_paths=5)
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(CheckpointError, match="differently-configured"):
+        Campaign(resume=True, **cells).run()
+    assert explored == []
+    meta["fingerprint"]["engine_config"] = recorded
+    meta_path.write_text(json.dumps(meta))
+    same = Campaign(resume=True, **cells).run()
     assert same.explorations_run == 0 and same.resumed_cells == 3
     assert explored == []
 

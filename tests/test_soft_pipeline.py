@@ -10,10 +10,10 @@ import pytest
 from repro.baselines.fuzzer import DifferentialFuzzer
 from repro.baselines.oftest import default_suite, run_suite
 from repro.cli.main import main as cli_main
+from repro.core.campaign import Campaign
 from repro.core.crosscheck import find_inconsistencies
 from repro.core.explorer import explore_agent
 from repro.core.grouping import balanced_or, group_paths
-from repro.core.soft import SOFT
 from repro.core.testcase import build_testcase, replay_testcase
 from repro.core.tests_catalog import (
     TABLE1_TESTS,
@@ -213,25 +213,32 @@ def test_testcase_generation_and_replay_reproduces_divergence():
     testcase = build_testcase("stats_request", inconsistency.example, inconsistency)
     assert testcase.inputs and testcase.inputs[0][0] == "control"
     assert testcase.inputs[0][1].is_concrete
-    replay = replay_testcase(testcase, "reference", "ovs", require_divergence=True)
+    replay = replay_testcase(testcase, "reference", "ovs")
     assert replay.diverged
 
 
+def _soft_run(test, agent_a, agent_b, **options):
+    """The pipeline on one test and one pair: a one-pair campaign."""
+
+    (report,) = Campaign(tests=[test], pairs=[(agent_a, agent_b)], **options).run().reports
+    return report
+
+
 def test_full_soft_run_on_set_config_matches_paper_zero_inconsistencies():
-    report = SOFT().run("set_config", "reference", "ovs")
+    report = _soft_run("set_config", "reference", "ovs")
     assert report.inconsistency_count == 0
     assert report.exploration_a.path_count >= 1
     assert report.crosscheck.identical_output_pairs >= 1
 
 
 def test_full_soft_run_detects_set_config_mutation():
-    report = SOFT().run("set_config", "reference", "modified")
+    report = _soft_run("set_config", "reference", "modified")
     assert report.inconsistency_count >= 1
     assert report.verified_inconsistency_count() >= 1
 
 
 def test_full_soft_run_short_symb():
-    report = SOFT(replay_testcases=False).run("short_symb", "reference", "ovs")
+    report = _soft_run("short_symb", "reference", "ovs", replay_testcases=False)
     assert report.inconsistency_count >= 1
     assert report.testcases
     description = report.describe()

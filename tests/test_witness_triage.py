@@ -27,7 +27,7 @@ from repro.core.witness import (
     Witness,
     minimize_witness,
 )
-from repro.errors import ReplayMismatchError, WitnessError
+from repro.errors import WitnessError
 from repro.harness.inputs import ProbeInput
 from repro.symbex.solver.backend import CDCLBackend
 from repro.symbex.solver.incremental import GroupEncoding
@@ -145,13 +145,6 @@ def test_replay_outcome_surfaces_unbound_variables():
     assert "ss.length" in outcome.describe()
 
 
-def test_replay_mismatch_error_on_required_divergence():
-    spec = get_test("short_symb")
-    testcase = build_testcase(spec, {})
-    with pytest.raises(ReplayMismatchError):
-        replay_testcase(testcase, "reference", "reference", require_divergence=True)
-
-
 def test_replay_accepts_agent_factory_and_options():
     spec = get_test("concrete")
     testcase = build_testcase(spec, {})
@@ -166,15 +159,15 @@ def test_replay_accepts_agent_factory_and_options():
     assert seen == ["reference", "ovs"]
     assert outcome.run_a.agent_name == "reference"
 
-    # agent_options thread keyword arguments into make_agent: a one-table
-    # switch reports n_tables=1 in its FEATURES_REPLY, which is observable.
+    # The factory decides how agents are configured: a three-table switch
+    # reports n_tables=3 in its FEATURES_REPLY, which is observable.
     small = AgentConfig(n_tables=3)
     outcome = replay_testcase(testcase, "reference", "reference",
-                              agent_options={"reference": {"config": small}})
+                              agent_factory=lambda name: make_agent(name, config=small))
     features_a = [item for item in outcome.run_a.trace
                   if item[2][0] == "FEATURES_REPLY"]
     assert features_a and features_a[0][2][1] == 3
-    # Only the named agent gets the options (both sides here, so identical).
+    # Both sides get the same configuration, so the traces agree.
     assert not outcome.diverged
 
 
