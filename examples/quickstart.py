@@ -18,13 +18,13 @@ def main() -> None:
 
     print(report.describe())
     print()
-    print("Generated %d concrete test cases; %d replayed to a confirmed divergence."
-          % (len(report.testcases), report.verified_inconsistency_count()))
+    print("Replayed %d concrete test cases; %d reproduced the divergence."
+          % (len(report.witnesses), report.verified_inconsistency_count()))
 
-    if report.testcases:
+    if report.witnesses:
         print()
-        print("First reproducing test case:")
-        print(report.testcases[0].describe())
+        print("First witness (its test case minimized by replay):")
+        print(report.witnesses[0].describe())
 
 
 if __name__ == "__main__":

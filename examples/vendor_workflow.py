@@ -54,9 +54,9 @@ def interop_event(artifact_a: str, artifact_b: str) -> None:
     for index, inconsistency in enumerate(pair.inconsistencies, start=1):
         print("\n--- inconsistency %d ---" % index)
         print(inconsistency.describe())
-    for testcase, replay in zip(pair.testcases, pair.replays):
+    for witness in pair.witnesses:
         print("replay of %s confirms divergence: %s"
-              % (testcase.test_key, replay.diverged))
+              % (witness.test_key, witness.confirmed))
 
 
 def main() -> None:

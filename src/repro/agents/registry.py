@@ -14,7 +14,7 @@ decorators run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import AgentRegistrationError, UnknownAgentError
@@ -55,19 +55,6 @@ class AgentInfo:
     description: str = ""
     vendor: str = ""
     tags: Tuple[str, ...] = ()
-    #: Symbex-compatibility lint findings recorded at registration time
-    #: (``"path:line: message"`` strings); non-empty means the symbolic
-    #: engine may not be able to model this agent faithfully.
-    lint_findings: Tuple[str, ...] = field(default=())
-
-    def summary_row(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "vendor": self.vendor,
-            "tags": list(self.tags),
-            "lint_findings": list(self.lint_findings),
-        }
 
 
 #: Live name -> agent class mapping (the historical public view).
@@ -78,8 +65,8 @@ _INFO: Dict[str, AgentInfo] = {}
 
 def register_agent(name: Optional[str] = None, *, description: Optional[str] = None,
                    vendor: str = "", tags: Tuple[str, ...] = (),
-                   replace: bool = False, validate: bool = True,
-                   strict: bool = False) -> Callable[[Type], Type]:
+                   replace: bool = False,
+                   validate: bool = True) -> Callable[[Type], Type]:
     """Class decorator registering an agent implementation.
 
     ``name`` defaults to the class's ``NAME`` attribute; ``description``
@@ -88,13 +75,10 @@ def register_agent(name: Optional[str] = None, *, description: Optional[str] = N
     to install instrumented stand-ins).
 
     With ``validate=True`` (the default) the registration is checked: the
-    description must be non-empty, the class must define
-    ``handle_control_buffer``, and the class source is run through the
-    symbex-compatibility lint.  Lint findings are recorded on
-    :attr:`AgentInfo.lint_findings` (and surfaced by ``soft list-agents``);
-    with ``strict=True`` they reject the registration outright.
-    ``validate=False`` is the escape hatch for deliberately degenerate test
-    stubs.
+    description must be non-empty and the class must define
+    ``handle_control_buffer``.  ``validate=False`` is the escape hatch for
+    deliberately degenerate test stubs.  The symbex-compatibility lint is
+    not run here: ``soft list-agents`` and ``soft lint`` run it on demand.
     """
 
     def decorate(cls: Type) -> Type:
@@ -105,7 +89,6 @@ def register_agent(name: Optional[str] = None, *, description: Optional[str] = N
                 "register_agent(name=...)" % (cls,))
         resolved_description = (description if description is not None
                                 else first_doc_line(cls))
-        findings: Tuple[str, ...] = ()
         if validate:
             if agent_name in _INFO and not replace:
                 raise AgentRegistrationError(
@@ -119,24 +102,12 @@ def register_agent(name: Optional[str] = None, *, description: Optional[str] = N
                 raise AgentRegistrationError(
                     "agent %r does not define handle_control_buffer(); the "
                     "harness cannot drive it" % agent_name)
-            # Imported lazily: the analysis package is optional at import
-            # time and itself imports nothing from repro.agents.
-            from repro.analysis.lint import lint_class
-
-            findings = tuple(
-                "%s:%d: %s" % (f.path, f.line, f.message)
-                for f in lint_class(cls) if not f.suppressed)
-            if strict and findings:
-                raise AgentRegistrationError(
-                    "agent %r fails the symbex-compatibility lint:\n  %s"
-                    % (agent_name, "\n  ".join(findings)))
         info = AgentInfo(
             name=agent_name,
             factory=cls,
             description=resolved_description,
             vendor=vendor,
             tags=tuple(tags),
-            lint_findings=findings,
         )
         _INFO[agent_name] = info
         AGENT_REGISTRY[agent_name] = cls

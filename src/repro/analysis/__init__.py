@@ -10,7 +10,8 @@ Three passes, all AST-level and solver-free:
 * **Symbex-compatibility lint** (:mod:`repro.analysis.symbex_lint`) — flag
   constructs the symbolic engine cannot model (time/random/os calls, I/O,
   iteration over unordered sets, unsupported builtins in branch conditions).
-  Runs automatically at ``@register_agent`` time; ``strict=True`` rejects.
+  ``soft list-agents`` runs it on every registered agent, and ``soft lint``
+  runs it on ``repro/agents``.
 * **Concurrency lint** (:mod:`repro.analysis.concurrency_lint`) — in classes
   that own a ``threading.Lock``/``RLock``, flag shared-state writes in public
   methods that are not inside a ``with self.<lock>:`` block (the invariant

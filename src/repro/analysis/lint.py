@@ -143,10 +143,10 @@ def run_lint(paths: Iterable[str],
 
 def lint_class(cls: type,
                rules: Sequence[str] = ("symbex-compat",)) -> List[Finding]:
-    """Lint one class from its live source (used at agent registration).
+    """Lint one class from its live source (``soft list-agents`` uses it).
 
     Returns ``[]`` when the source is unavailable (e.g. classes defined in
-    a REPL) — registration-time linting is best effort by design.
+    a REPL) — linting a live class is best effort by design.
     """
 
     try:

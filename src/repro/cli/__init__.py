@@ -1,5 +1,1 @@
-"""Command line interface (the ``soft`` entry point)."""
-
-from repro.cli.main import main
-
-__all__ = ["main"]
+"""Command line interface (the ``soft`` entry point, :func:`repro.cli.main.main`)."""

@@ -117,11 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="pool kind for Phase 1 (process = true CPU parallelism)")
     campaign.add_argument("--no-replay", action="store_true",
                           help="skip concrete replay of generated test cases")
-    campaign.add_argument("--no-triage", action="store_true",
-                          help="skip the witness pipeline (replay confirmation, "
-                               "minimization, clustering)")
     campaign.add_argument("--no-minimize", action="store_true",
-                          help="triage without delta-minimization of witnesses")
+                          help="skip delta-minimization of witnesses")
     campaign.add_argument("--cell-timeout", type=float, default=None,
                           metavar="SECONDS", dest="cell_timeout",
                           help="per-cell wall-clock deadline; a cell still running "
@@ -264,13 +261,17 @@ def _cmd_list_tests() -> int:
 
 
 def _cmd_list_agents() -> int:
+    from repro.analysis.lint import lint_class
+
     for name, info in sorted(agent_registry().items()):
         description = info.description or "(no description)"
         print("%-12s %s" % (name, description))
         if info.vendor:
             print("%-12s   models: %s" % ("", info.vendor))
-        for finding in info.lint_findings:
-            print("%-12s   symbex-compat: %s" % ("", finding))
+        for finding in lint_class(info.factory):
+            if not finding.suppressed:
+                print("%-12s   symbex-compat: %s:%d: %s"
+                      % ("", finding.path, finding.line, finding.message))
     return 0
 
 
@@ -380,7 +381,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return 2
     campaign = Campaign(workers=args.workers, executor=args.executor,
                         replay_testcases=not args.no_replay,
-                        triage=not args.no_triage,
                         minimize=not args.no_minimize,
                         cell_timeout=args.cell_timeout,
                         retries=args.retries,
@@ -415,8 +415,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_triage(args: argparse.Namespace) -> int:
     import json as json_mod
 
-    campaign = Campaign(workers=args.workers,
-                        triage=True, minimize=not args.no_minimize,
+    campaign = Campaign(workers=args.workers, minimize=not args.no_minimize,
                         minimize_budget=args.minimize_budget,
                         corpus_dir=args.corpus)
     error = _configure_campaign(campaign, args)

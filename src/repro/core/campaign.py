@@ -22,6 +22,11 @@ to that pipeline (a single pair on a single test is a one-pair campaign,
   incremental SAT engine per test, so each agent's group conditions are
   bit-blasted **once per test** no matter how many pairs reference them, and
   every pair query is an assumption-based re-solve of the shared instance.
+* Each inconsistency of a pair whose agents are both registered is turned
+  into a concrete test case, replayed on both agents and kept as one
+  :class:`~repro.core.witness.Witness` (delta-minimized when it diverged).
+  A campaign-wide :class:`~repro.core.witness.TriageIndex` clusters the
+  witnesses by divergence signature.
 * The result is a :class:`CampaignReport` aggregating one
   :class:`~repro.core.soft.SoftReport` per (test, pair), with totals, timing
   and machine-readable JSON output.
@@ -241,6 +246,9 @@ class CampaignReport:
     #: explorations saved relative to the per-pair re-exploration of the old API.
     cache_hits: int
     workers: int
+    #: Witness triage: the replayed, minimized and clustered inconsistencies,
+    #: plus the pairs whose inconsistencies could not be replayed.
+    triage: TriageReport
     total_time: float = 0.0
     #: Agents whose loaded artifacts were never consumed (excluded by the
     #: pair list); non-empty means a supplied artifact contributed nothing.
@@ -254,9 +262,6 @@ class CampaignReport:
     #: Hash-consing activity during this run (hit/miss deltas) plus the
     #: absolute size of the shared intern table.
     intern_stats: Dict[str, object] = dataclass_field(default_factory=dict)
-    #: Witness triage result: replay-confirmed, minimized, clustered
-    #: inconsistencies (None when ``triage=False`` or replay was disabled).
-    triage: Optional[TriageReport] = None
     #: Where cluster representatives were persisted, and how many bundles the
     #: run actually wrote (0 = the corpus already contained them all).
     corpus_dir: Optional[str] = None
@@ -352,7 +357,7 @@ class CampaignReport:
                 }
                 for inconsistency in report.inconsistencies
             ]
-            row["replays_diverged"] = [replay.diverged for replay in report.replays]
+            row["replays_diverged"] = [witness.confirmed for witness in report.witnesses]
             pair_objs.append(row)
         return {
             "format": "soft/campaign-report/v1",
@@ -366,7 +371,7 @@ class CampaignReport:
             "unused_loaded_agents": list(self.unused_loaded_agents),
             "solver_stats": dict(self.solver_stats),
             "intern_stats": dict(self.intern_stats),
-            "triage": self.triage.to_dict() if self.triage is not None else None,
+            "triage": self.triage.to_dict(),
             "corpus": ({"dir": self.corpus_dir, "saved": self.corpus_saved}
                        if self.corpus_dir else None),
             "explorations": [dict(row) for row in self.exploration_stats],
@@ -466,8 +471,7 @@ class CampaignReport:
             "  totals: %d solver queries, %d inconsistencies (%d replay-verified), %.2fs"
             % (self.total_queries, self.total_inconsistencies,
                self.total_replay_verified, self.total_time))
-        if self.triage is not None:
-            lines.append("  " + self.triage.describe().replace("\n", "\n  "))
+        lines.append("  " + self.triage.describe().replace("\n", "\n  "))
         if self.corpus_dir:
             lines.append("  corpus: %d new bundle(s) saved to %s"
                          % (self.corpus_saved, self.corpus_dir))
@@ -489,7 +493,6 @@ class Campaign:
                  workers: int = 1,
                  executor: str = "thread",
                  replay_testcases: bool = True,
-                 triage: bool = True,
                  minimize: bool = True,
                  minimize_budget: int = 96,
                  corpus_dir: Optional[str] = None,
@@ -503,13 +506,10 @@ class Campaign:
         self._pairs: Optional[List[Pair]] = None
         self.workers = max(1, int(workers))
         self.executor = executor
+        #: Replay every inconsistency concretely and keep it as a witness.
+        #: Pairs with an artifact-only agent cannot replay; the triage report
+        #: records them as skipped.
         self.replay_testcases = replay_testcases
-        #: Run the witness pipeline (replay confirmation, delta-minimization,
-        #: signature clustering) on every pair's inconsistencies.  On by
-        #: default: triage is the campaign's actionable output layer.  It
-        #: silently skips pairs whose agents cannot be replayed (artifact-only
-        #: agents) and records them in the triage report instead.
-        self.triage = triage
         self.minimize = minimize
         self.minimize_budget = max(0, int(minimize_budget))
         #: When set, confirmed cluster representatives are persisted as
@@ -780,16 +780,17 @@ class Campaign:
     def _run_pair(self, spec: TestSpec, agent_a: str, agent_b: str,
                   exploration_shares: Optional[Dict[Tuple[str, str], int]] = None,
                   ) -> SoftReport:
-        """Phase 2 for one (test, pair): crosscheck, build test cases, replay, triage.
+        """Phase 2 for one (test, pair): crosscheck, then one witness per inconsistency.
 
         *exploration_shares* maps (agent, test key) to the number of pairs
         consuming that cached exploration; its wall time is split between
         them so that summing per-pair ``total_time`` does not multiply the
         shared Phase-1 cost.
 
-        When triage is on, every replayed inconsistency becomes a
-        :class:`~repro.core.witness.Witness` and is delta-minimized with
-        replay as the oracle.  Witnesses ride back on the report; the
+        When the pair replays, each inconsistency's test case is built,
+        replayed on both agents and kept as a
+        :class:`~repro.core.witness.Witness`, delta-minimized with replay as
+        the oracle when it diverged.  Witnesses ride back on the report; the
         campaign merges them into its shared triage index on the supervisor
         thread — pair cells run under per-cell deadlines, and an attempt
         abandoned at its deadline must not have mutated shared state.
@@ -804,24 +805,16 @@ class Campaign:
             entry_a.grouped, entry_b.grouped,
             engine=self.encodings.engine_for(spec))
 
-        testcases: List[ConcreteTestCase] = []
-        replays: List[ReplayOutcome] = []
         witnesses: List[Witness] = []
-        can_replay = (self.replay_testcases
-                      and agent_a in AGENT_REGISTRY and agent_b in AGENT_REGISTRY)
-        for inconsistency in crosscheck.inconsistencies:
-            testcase = build_testcase(spec, inconsistency.example, inconsistency)
-            testcases.append(testcase)
-            if can_replay:
-                replays.append(replay_testcase(testcase, agent_a, agent_b))
-
-        if self.triage and can_replay:
+        if (self.replay_testcases
+                and agent_a in AGENT_REGISTRY and agent_b in AGENT_REGISTRY):
             def replayer(candidate: ConcreteTestCase) -> ReplayOutcome:
                 return replay_testcase(candidate, agent_a, agent_b)
 
-            for inconsistency, testcase, replay in zip(
-                    crosscheck.inconsistencies, testcases, replays):
-                witness = build_witness(spec, inconsistency, testcase, replay)
+            for inconsistency in crosscheck.inconsistencies:
+                testcase = build_testcase(spec, inconsistency.example, inconsistency)
+                witness = build_witness(spec, inconsistency, testcase,
+                                        replayer(testcase))
                 if self.minimize and witness.confirmed:
                     witness = minimize_witness(
                         witness, spec, replayer,
@@ -837,8 +830,6 @@ class Campaign:
             grouped_a=entry_a.grouped,
             grouped_b=entry_b.grouped,
             crosscheck=crosscheck,
-            testcases=testcases,
-            replays=replays,
             witnesses=witnesses,
             total_time=(time.perf_counter() - started
                         + entry_a.wall_time / shares_a
@@ -875,10 +866,10 @@ class Campaign:
 
     def _run(self) -> CampaignReport:
         started = time.perf_counter()
-        if self.corpus_dir and not self.triage:
+        if self.corpus_dir and not self.replay_testcases:
             raise CampaignError(
-                "corpus_dir=%r requires triage: the corpus stores triage's "
-                "cluster representatives (enable triage or drop corpus_dir)"
+                "corpus_dir=%r requires replay: the corpus stores replayed "
+                "witnesses (enable replay_testcases or drop corpus_dir)"
                 % (self.corpus_dir,))
         table = intern_table()
         intern_hits_before = table.hits
@@ -911,13 +902,11 @@ class Campaign:
                 key = (agent, spec.key)
                 shares[key] = shares.get(key, 0) + 1
 
-        triage_index = TriageIndex() if self.triage else None
+        triage_index = TriageIndex()
         skipped_triage: List[Tuple[str, str, str, str]] = []
 
         def merge_triage(spec: TestSpec, agent_a: str, agent_b: str,
                          report: SoftReport) -> None:
-            if triage_index is None:
-                return
             if report.witnesses:
                 triage_index.add_all(report.witnesses)
             elif report.inconsistencies:
@@ -992,18 +981,16 @@ class Campaign:
         reports = [reports_by_cell[cell] for cell in ordered_cells
                    if cell in reports_by_cell]
 
-        triage_report: Optional[TriageReport] = None
+        triage_time = sum(
+            witness.minimization.wall_time
+            for report in reports for witness in report.witnesses
+            if witness.minimization is not None)
+        triage_report = triage_index.report(triage_time=triage_time,
+                                            skipped_pairs=skipped_triage)
         corpus_saved = 0
-        if triage_index is not None:
-            triage_time = sum(
-                witness.minimization.wall_time
-                for report in reports for witness in report.witnesses
-                if witness.minimization is not None)
-            triage_report = triage_index.report(triage_time=triage_time,
-                                                skipped_pairs=skipped_triage)
-            if self.corpus_dir:
-                corpus_saved = WitnessCorpus(self.corpus_dir).add_clusters(
-                    triage_report.clusters)
+        if self.corpus_dir:
+            corpus_saved = WitnessCorpus(self.corpus_dir).add_clusters(
+                triage_report.clusters)
 
         # Report per-run deltas: engines and their counters persist on the
         # instance, and a re-run must not double-count earlier work (same
@@ -1070,13 +1057,13 @@ class Campaign:
             explorations_loaded=loaded_before,
             cache_hits=self.cache.hits - hits_before,
             workers=self.workers,
+            triage=triage_report,
             total_time=time.perf_counter() - started,
             unused_loaded_agents=[agent for agent in self.cache.loaded_agent_names()
                                   if agent not in paired_agents],
             solver_stats=solver_stats,
             exploration_stats=exploration_stats,
             intern_stats=intern_stats,
-            triage=triage_report,
             corpus_dir=self.corpus_dir,
             corpus_saved=corpus_saved,
             coverage=coverage_summary,

@@ -18,7 +18,12 @@ state, alongside the cell's payload when it succeeded:
   cell, in the standard vendor-exchange format
   (:mod:`repro.core.artifacts`), so checkpoints double as artifact dirs.
 * ``pairs/`` — one payload per ``ok`` crosscheck pair: everything the
-  campaign report needs, without re-running Phase 2.
+  campaign report needs, without re-running Phase 2.  It holds the
+  crosscheck counts, each inconsistency's traces and solver model, and the
+  pair's witnesses.  No condition is written: an inconsistency's condition
+  is the conjunction of its two output groups' conditions, which the
+  restored Phase-1 cells already hold, so :meth:`CampaignCheckpoint.load_pair`
+  rebuilds it and hands it back to the witness at the same index.
 
 Resume semantics: only cells whose *last* recorded state is ``ok`` are
 skipped — failed/timed-out/crashed cells get a fresh retry budget on
@@ -31,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.artifacts import load_exploration_artifact, save_exploration_artifact
@@ -43,7 +48,7 @@ from repro.core.trace import OutputTrace
 from repro.core.witness import Witness
 from repro.errors import ArtifactError, CheckpointError, ReproError
 from repro.symbex.engine import EngineConfig
-from repro.symbex.serialize import bool_expr_from_obj, expr_to_obj
+from repro.symbex.expr import bool_and
 
 __all__ = ["CampaignCheckpoint", "CHECKPOINT_FORMAT", "PAIR_CELL_FORMAT"]
 
@@ -55,8 +60,11 @@ __all__ = ["CampaignCheckpoint", "CHECKPOINT_FORMAT", "PAIR_CELL_FORMAT"]
 #: a restored cell holds (``engine_config``, ``with_coverage``).
 #: v5: campaigns explore with the default settings only, so the fingerprint
 #: drops ``with_coverage`` and pair payloads drop ``truncated``.
-CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v5"
-PAIR_CELL_FORMAT = "soft/pair-cell/v1"
+#: v6: pair payloads are ``soft/pair-cell/v2``.
+CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v6"
+#: v2: no conditions and no ``replays_diverged``; a pair's witnesses are its
+#: replay record.
+PAIR_CELL_FORMAT = "soft/pair-cell/v2"
 
 Cell = Tuple[str, ...]
 
@@ -65,19 +73,6 @@ def _slug(text: str) -> str:
     """Filesystem-safe rendering of one cell-key component."""
 
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text) or "_"
-
-
-class _RestoredReplay:
-    """Duck-typed stand-in for a checkpointed pair's replay outcomes.
-
-    The campaign report only ever asks a restored replay whether it
-    ``diverged``; the full traces live on the restored witnesses.
-    """
-
-    __slots__ = ("diverged",)
-
-    def __init__(self, diverged: bool) -> None:
-        self.diverged = bool(diverged)
 
 
 class CampaignCheckpoint:
@@ -293,15 +288,14 @@ class CampaignCheckpoint:
                     {
                         "trace_a": inc.trace_a.to_obj(),
                         "trace_b": inc.trace_b.to_obj(),
-                        "condition": expr_to_obj(inc.condition),
                         "example": {str(k): int(v) for k, v in inc.example.items()},
                         "solver_time": inc.solver_time,
                     }
                     for inc in crosscheck.inconsistencies
                 ],
             },
-            "replays_diverged": [bool(replay.diverged) for replay in report.replays],
-            "witnesses": [witness.to_dict() for witness in report.witnesses],
+            "witnesses": [replace(witness, _condition=None, condition_obj=None).to_dict()
+                          for witness in report.witnesses],
             "total_time": report.total_time,
         }
         path = self._pair_path(spec, report.agent_a, report.agent_b)
@@ -317,7 +311,9 @@ class CampaignCheckpoint:
         """Rebuild one checkpointed pair report against cached explorations.
 
         *entry_a*/*entry_b* are the (restored) exploration-cache entries for
-        the two agents; the pair payload only stores Phase-2 output.
+        the two agents; the pair payload only stores Phase-2 output.  Each
+        inconsistency's condition is rebuilt from the two groups its traces
+        name, and the witness at the same index gets it back.
         """
 
         path = self._pair_path(spec, agent_a, agent_b)
@@ -331,18 +327,25 @@ class CampaignCheckpoint:
                                   % (data.get("format"), path))
         try:
             check = data["crosscheck"]
-            inconsistencies = [
-                Inconsistency(
+            inconsistencies: List[Inconsistency] = []
+            for obj in check.get("inconsistencies", []):
+                trace_a = OutputTrace.from_obj(obj["trace_a"])
+                trace_b = OutputTrace.from_obj(obj["trace_b"])
+                group_a = entry_a.grouped.group_for(trace_a)
+                group_b = entry_b.grouped.group_for(trace_b)
+                if group_a is None or group_b is None:
+                    raise ValueError(
+                        "inconsistency %d names a trace with no restored "
+                        "output group" % len(inconsistencies))
+                inconsistencies.append(Inconsistency(
                     agent_a=agent_a,
                     agent_b=agent_b,
-                    trace_a=OutputTrace.from_obj(obj["trace_a"]),
-                    trace_b=OutputTrace.from_obj(obj["trace_b"]),
-                    condition=bool_expr_from_obj(obj["condition"]),
+                    trace_a=trace_a,
+                    trace_b=trace_b,
+                    condition=bool_and(group_a.condition, group_b.condition),
                     example={str(k): int(v) for k, v in obj.get("example", {}).items()},
                     solver_time=float(obj.get("solver_time", 0.0)),
-                )
-                for obj in check.get("inconsistencies", [])
-            ]
+                ))
             crosscheck = CrosscheckReport(
                 agent_a=agent_a,
                 agent_b=agent_b,
@@ -355,9 +358,12 @@ class CampaignCheckpoint:
                 identical_output_pairs=int(check.get("identical_output_pairs", 0)),
                 solver_stats=dict(check.get("solver_stats", {})),
             )
-            witnesses = [Witness.from_dict(obj) for obj in data.get("witnesses", [])]
-            replays = [_RestoredReplay(flag)
-                       for flag in data.get("replays_diverged", [])]
+            witness_objs = data.get("witnesses", [])
+            if witness_objs and len(witness_objs) != len(inconsistencies):
+                raise ValueError("%d witness(es) for %d inconsistency(ies)"
+                                 % (len(witness_objs), len(inconsistencies)))
+            witnesses = [replace(Witness.from_dict(obj), _condition=inc.condition)
+                         for obj, inc in zip(witness_objs, inconsistencies)]
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             raise CheckpointError("malformed pair payload %s: %s" % (path, exc))
         return SoftReport(
@@ -369,8 +375,6 @@ class CampaignCheckpoint:
             grouped_a=entry_a.grouped,
             grouped_b=entry_b.grouped,
             crosscheck=crosscheck,
-            testcases=[],
-            replays=replays,  # type: ignore[arg-type]
             witnesses=witnesses,
             total_time=float(data.get("total_time", 0.0)),
         )

@@ -22,12 +22,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.agents import make_agent
 from repro.agents.registry import AGENT_REGISTRY
-from repro.core.testcase import AgentFactory
+from repro.core.testcase import AgentFactory, replay_testcase
 from repro.core.witness import Witness, WitnessCluster
 from repro.errors import CorpusError, ReproError
-from repro.harness.driver import run_concrete_sequence
 from repro.testing.faults import fault_point
 
 __all__ = ["WitnessCorpus", "CorpusRunReport", "CorpusEntryResult"]
@@ -274,16 +272,15 @@ class WitnessCorpus:
         corpus is the fast regression path.
         """
 
-        factory = agent_factory or make_agent
         report = CorpusRunReport(directory=self.directory)
         started = time.perf_counter()
         for path in self.paths():
-            report.entries.append(self._run_one(path, factory, agent_factory is None))
+            report.entries.append(self._run_one(path, agent_factory))
         report.wall_time = time.perf_counter() - started
         return report
 
-    def _run_one(self, path: str, factory: AgentFactory,
-                 registry_factory: bool) -> CorpusEntryResult:
+    def _run_one(self, path: str,
+                 agent_factory: Optional[AgentFactory]) -> CorpusEntryResult:
         entry_started = time.perf_counter()
         try:
             witness = self._load_bundle(path)
@@ -296,7 +293,7 @@ class WitnessCorpus:
         result = CorpusEntryResult(path=path, test_key=witness.test_key,
                                    agent_a=witness.agent_a, agent_b=witness.agent_b,
                                    status="error")
-        if registry_factory:
+        if agent_factory is None:
             missing = [name for name in (witness.agent_a, witness.agent_b)
                        if name not in AGENT_REGISTRY]
             if missing:
@@ -304,23 +301,23 @@ class WitnessCorpus:
                 result.wall_time = time.perf_counter() - entry_started
                 return result
         try:
-            run_a = run_concrete_sequence(factory(witness.agent_a), witness.testcase.inputs)
-            run_b = run_concrete_sequence(factory(witness.agent_b), witness.testcase.inputs)
+            replay = replay_testcase(witness.testcase, witness.agent_a, witness.agent_b,
+                                     agent_factory=agent_factory)
         # soft-lint: disable=broad-except -- replay executes arbitrary agent code; any crash is this entry's result, not ours
         except Exception as exc:
             result.detail = "replay failed: %s" % exc
             result.wall_time = time.perf_counter() - entry_started
             return result
 
-        diff = run_a.trace.diff(run_b.trace)
+        diff = replay.diff()
         if not diff.diverged:
             result.status = "stale"
             result.detail = "replay no longer diverges"
         elif not witness.signature.matches_diff(diff):
             result.status = "signature-drift"
             result.detail = diff.describe()
-        elif (run_a.trace != witness.replay.run_a.trace
-              or run_b.trace != witness.replay.run_b.trace):
+        elif (replay.run_a.trace != witness.replay.run_a.trace
+              or replay.run_b.trace != witness.replay.run_b.trace):
             result.status = "trace-changed"
             result.detail = "divergence preserved but traces moved"
         else:

@@ -103,18 +103,6 @@ class CrosscheckReport:
     def inconsistency_count(self) -> int:
         return len(self.inconsistencies)
 
-    def summary_row(self) -> Dict[str, object]:
-        """One row of the paper's Table 3 (inconsistency-checking part)."""
-
-        return {
-            "test": self.test_key,
-            "agent_a": self.agent_a,
-            "agent_b": self.agent_b,
-            "queries": self.queries,
-            "inconsistencies": self.inconsistency_count,
-            "checking_time": self.checking_time,
-        }
-
 
 def find_inconsistencies(grouped_a: GroupedResults, grouped_b: GroupedResults,
                          engine: Optional[GroupEncoding] = None) -> CrosscheckReport:

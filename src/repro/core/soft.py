@@ -5,6 +5,10 @@
 (crosschecking with the constraint solver), and concrete replay and triage
 of every inconsistency.  It returns one :class:`SoftReport` per (test,
 pair); a single pair is ``Campaign(tests=[test], pairs=[(a, b)])``.
+
+A pair that replays keeps one :class:`~repro.core.witness.Witness` per
+inconsistency: the concrete input, both replay traces and whether they
+diverged.  That is the pair's whole Phase-2 record beyond the crosscheck.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Dict, List
 from repro.core.crosscheck import CrosscheckReport, Inconsistency
 from repro.core.explorer import AgentExplorationReport
 from repro.core.grouping import GroupedResults
-from repro.core.testcase import ConcreteTestCase, ReplayOutcome
 from repro.core.witness import Witness
 
 __all__ = ["SoftReport"]
@@ -33,10 +36,8 @@ class SoftReport:
     grouped_a: GroupedResults
     grouped_b: GroupedResults
     crosscheck: CrosscheckReport
-    testcases: List[ConcreteTestCase] = field(default_factory=list)
-    replays: List[ReplayOutcome] = field(default_factory=list)
-    #: Structured (replay-confirmed, possibly minimized) witnesses — one per
-    #: inconsistency when the pair went through triage, empty otherwise.
+    #: One witness per inconsistency, in inconsistency order, when the pair
+    #: replays (both agents registered and replay on); empty otherwise.
     witnesses: List[Witness] = field(default_factory=list)
     total_time: float = 0.0
 
@@ -51,7 +52,7 @@ class SoftReport:
     def verified_inconsistency_count(self) -> int:
         """Inconsistencies whose concrete replay reproduced the divergence."""
 
-        return sum(1 for replay in self.replays if replay.diverged)
+        return sum(1 for witness in self.witnesses if witness.confirmed)
 
     def summary_row(self) -> Dict[str, object]:
         """One flat row of counts shared by :meth:`describe`, the CLI table and JSON.

@@ -6,18 +6,19 @@ smaller: many raw inconsistencies collapse to a handful of root causes, each
 confirmed by concretely replaying a generated input.  This module is that
 reporting layer:
 
-* a :class:`Witness` promotes the loose ``Inconsistency`` /
-  ``ConcreteTestCase`` / ``ReplayOutcome`` trio into one structured object
-  carrying the solver model, the materialized inputs, both replay traces and
-  a :class:`DivergenceSignature` (first divergent event index plus normalized
-  event kinds, volatile fields dropped);
+* a :class:`Witness` is a pair's one record of a replayed inconsistency: it
+  joins the ``Inconsistency``, its ``ConcreteTestCase`` and the
+  ``ReplayOutcome`` into one object carrying the solver model, the
+  materialized inputs, both replay traces and a :class:`DivergenceSignature`
+  (first divergent event index plus normalized event kinds, volatile fields
+  dropped);
 * :func:`minimize_witness` delta-minimizes a witness with concrete replay as
   the oracle — trailing inputs are dropped, then model variables are greedily
   zeroed or shrunk while the divergence (and its signature) persists;
 * a :class:`TriageIndex` deduplicates witnesses across a whole campaign into
   :class:`WitnessCluster` s keyed by signature, each with one minimized
-  representative.  The index is thread-safe so campaign worker pools can
-  merge clusters concurrently;
+  representative.  A campaign adds each pair's witnesses on its supervisor
+  thread as the pair's cell completes;
 * the resulting :class:`TriageReport` is what campaign reports, the CLI's
   ``soft triage`` verb and the persistent corpus (:mod:`repro.core.corpus`)
   consume.
@@ -599,12 +600,11 @@ class WitnessCluster:
 
 
 class TriageIndex:
-    """Thread-safe, campaign-wide clustering of witnesses by signature.
+    """Campaign-wide clustering of witnesses by signature.
 
-    Pair crosschecks run on a worker pool; each worker adds its (minimized)
-    witnesses as it finishes and the index merges them into clusters under a
-    lock.  ``merge_from`` folds another index in, for process-pool results
-    that clustered locally.
+    Pair cells run on a worker pool, but their witnesses ride back on the
+    pair report and the campaign adds them here on its supervisor thread,
+    one completed cell at a time.
     """
 
     def __init__(self) -> None:
@@ -624,11 +624,6 @@ class TriageIndex:
     def add_all(self, witnesses: Sequence[Witness]) -> None:
         for witness in witnesses:
             self.add(witness)
-
-    def merge_from(self, other: "TriageIndex") -> None:
-        for cluster in other.clusters():
-            for witness in cluster.witnesses:
-                self.add(witness)
 
     def clusters(self) -> List[WitnessCluster]:
         """Clusters sorted largest-first (ties broken by signature text)."""

@@ -93,9 +93,8 @@ class AgentCrash(AgentError):
 class AgentRegistrationError(AgentError):
     """An agent failed registration-time validation.
 
-    Raised for metadata problems (empty description, duplicate name,
-    missing ``handle_control_buffer``) and, under ``strict=True``, for
-    symbex-compatibility lint findings in the agent's source.
+    Raised for metadata problems: an empty description, a duplicate name,
+    or a missing ``handle_control_buffer``.
     """
 
 

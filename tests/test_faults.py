@@ -162,7 +162,7 @@ def test_campaign_hanging_agent_is_killed_at_deadline():
                                 match="ovs:concrete", hits=(1, 2),
                                 duration=60.0)])
     campaign = Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                        replay_testcases=False, triage=False,
+                        replay_testcases=False,
                         cell_timeout=1.0, retries=1, fault_plan=plan)
     started = time.monotonic()
     report = campaign.run()
@@ -188,7 +188,7 @@ def test_campaign_process_pool_hang_is_torn_down_at_deadline():
                                 duration=60.0)])
     campaign = Campaign(tests=["stats_request"], agents=["reference", "ovs"],
                         workers=2, executor="process", cell_timeout=1.0,
-                        retries=1, replay_testcases=False, triage=False,
+                        retries=1, replay_testcases=False,
                         fault_plan=plan)
     started = time.monotonic()
     report = campaign.run()
@@ -208,7 +208,7 @@ def test_campaign_crashing_agent_retries_then_fails_with_traceback():
     plan = FaultPlan([FaultSpec(site="phase1", kind="raise",
                                 match="ovs:concrete", hits=(1, 2))])
     report = Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                      replay_testcases=False, triage=False,
+                      replay_testcases=False,
                       retries=1, fault_plan=plan).run()
     assert report.exit_code == EXIT_FAILURES
     failure = next(f for f in report.job_failures if f.state == "failed")
@@ -222,7 +222,7 @@ def test_campaign_crashing_agent_recovers_within_retry_budget():
     plan = FaultPlan([FaultSpec(site="phase1", kind="raise",
                                 match="ovs:concrete", hits=(1,))])
     report = Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                      replay_testcases=False, triage=False,
+                      replay_testcases=False,
                       retries=1, fault_plan=plan).run()
     assert report.exit_code == EXIT_OK
     assert report.job_failures == []
@@ -236,7 +236,7 @@ def test_campaign_in_process_worker_kill_is_isolated():
     plan = FaultPlan([FaultSpec(site="phase1", kind="kill",
                                 match="ovs:concrete", hits=(1, 2))])
     report = Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                      replay_testcases=False, triage=False,
+                      replay_testcases=False,
                       retries=1, fault_plan=plan).run()
     assert report.exit_code == EXIT_CRASHED
     failure = next(f for f in report.job_failures if f.state == "crashed")
@@ -252,7 +252,7 @@ def test_campaign_process_pool_kill_rebuilds_then_degrades():
                                 match="ovs:stats_request", hits=(1,))])
     report = Campaign(tests=["stats_request"], agents=["reference", "ovs"],
                       workers=2, executor="process",
-                      replay_testcases=False, triage=False,
+                      replay_testcases=False,
                       retries=2, fault_plan=plan).run()
     assert report.exit_code == EXIT_OK
     assert report.job_states.get("ok") == 3
@@ -277,7 +277,7 @@ def test_campaign_resume_converges_to_uninterrupted_result(tmp_path):
                                 match="ovs:set_config", hits=(1, 2))])
     crashed = Campaign(tests=["concrete", "set_config"],
                        agents=["reference", "ovs"],
-                       replay_testcases=False, triage=False,
+                       replay_testcases=False,
                        retries=1, checkpoint_dir=ckpt, fault_plan=plan).run()
     assert crashed.exit_code == EXIT_FAILURES
     assert crashed.job_states.get("failed") == 1
@@ -287,7 +287,7 @@ def test_campaign_resume_converges_to_uninterrupted_result(tmp_path):
     # pair are re-run; everything else is restored from the checkpoint.
     resumed = Campaign(tests=["concrete", "set_config"],
                        agents=["reference", "ovs"],
-                       replay_testcases=False, triage=False,
+                       replay_testcases=False,
                        checkpoint_dir=ckpt, resume=True).run()
     assert resumed.exit_code == EXIT_OK
     assert resumed.resumed_cells == 4  # 3 ok phase1 cells + 1 ok pair
@@ -295,19 +295,75 @@ def test_campaign_resume_converges_to_uninterrupted_result(tmp_path):
 
     fresh = Campaign(tests=["concrete", "set_config"],
                      agents=["reference", "ovs"],
-                     replay_testcases=False, triage=False).run()
+                     replay_testcases=False).run()
     assert _pair_signature(resumed) == _pair_signature(fresh)
     assert resumed.total_inconsistencies == fresh.total_inconsistencies
+
+
+def test_campaign_resume_with_replay_restores_witnesses(tmp_path):
+    # Phase 1 of modified x set_config fails, so only the packet_out pair is
+    # checkpointed; the resumed run restores it (witnesses included) and
+    # re-runs set_config.
+    ckpt = str(tmp_path / "ckpt")
+    cells = dict(tests=["set_config", "packet_out"], agents=["reference", "modified"])
+    plan = FaultPlan([FaultSpec(site="phase1", kind="raise",
+                                match="modified:set_config", hits=(1, 2))])
+    crashed = Campaign(checkpoint_dir=ckpt, fault_plan=plan, **cells).run()
+    assert crashed.exit_code == EXIT_FAILURES
+    assert [r.test_key for r in crashed.reports] == ["packet_out"]
+    (payload,) = os.listdir(os.path.join(ckpt, "pairs"))
+    with open(os.path.join(ckpt, "pairs", payload)) as handle:
+        saved = json.load(handle)
+    assert saved["format"] == "soft/pair-cell/v2"
+    assert "replays_diverged" not in saved
+    assert all("condition" not in inc for inc in saved["crosscheck"]["inconsistencies"])
+    assert all(witness["condition"] is None for witness in saved["witnesses"])
+
+    resumed = Campaign(checkpoint_dir=ckpt, resume=True, **cells).run()
+    assert resumed.exit_code == EXIT_OK
+    assert resumed.resumed_cells == 4  # 3 ok phase1 cells + the packet_out pair
+    fresh = Campaign(**cells).run()
+
+    def witness_count(report):
+        return sum(len(r.witnesses) for r in report.reports)
+
+    assert (resumed.total_replay_verified, resumed.triage.cluster_count,
+            witness_count(resumed)) == (fresh.total_replay_verified,
+                                        fresh.triage.cluster_count,
+                                        witness_count(fresh)) == (44, 10, 44)
+    for restored, rerun in zip(resumed.reports, fresh.reports):
+        assert len(restored.inconsistencies) == len(rerun.inconsistencies)
+        for ours, theirs in zip(restored.inconsistencies, rerun.inconsistencies):
+            assert ours.condition is theirs.condition
+        for witness, inconsistency in zip(restored.witnesses, restored.inconsistencies):
+            assert witness.condition is inconsistency.condition
+    assert json.loads(resumed.to_json())["pair_reports"][1]["replays_diverged"] \
+        == [w.confirmed for w in fresh.reports[1].witnesses]
+
+
+def test_checkpoint_pair_with_unknown_trace_is_malformed(tmp_path):
+    # A pair payload's conditions are rebuilt from the restored groups; a
+    # trace that names no group cannot be, and the payload is refused.
+    ckpt = tmp_path / "ckpt"
+    cells = dict(tests=["stats_request"], agents=["reference", "ovs"],
+                 replay_testcases=False, checkpoint_dir=str(ckpt))
+    assert Campaign(**cells).run().total_inconsistencies > 0
+    (payload,) = (ckpt / "pairs").iterdir()
+    data = json.loads(payload.read_text())
+    data["crosscheck"]["inconsistencies"][0]["trace_a"] = [["crash", 99]]
+    payload.write_text(json.dumps(data))
+    with pytest.raises(CheckpointError, match="no restored output group"):
+        Campaign(resume=True, **cells).run()
 
 
 def test_campaign_resume_of_complete_run_does_no_work(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     first = Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                     replay_testcases=False, triage=False,
+                     replay_testcases=False,
                      checkpoint_dir=ckpt).run()
     assert first.exit_code == EXIT_OK
     again = Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                     replay_testcases=False, triage=False,
+                     replay_testcases=False,
                      checkpoint_dir=ckpt, resume=True).run()
     assert again.explorations_run == 0
     assert again.resumed_cells == 3
@@ -317,16 +373,16 @@ def test_campaign_resume_of_complete_run_does_no_work(tmp_path):
 def test_checkpoint_refuses_mismatched_fingerprint(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     Campaign(tests=["concrete"], agents=["reference", "ovs"],
-             replay_testcases=False, triage=False,
+             replay_testcases=False,
              checkpoint_dir=ckpt).run()
     with pytest.raises(CheckpointError):
         Campaign(tests=["set_config"], agents=["reference", "ovs"],
-                 replay_testcases=False, triage=False,
+                 replay_testcases=False,
                  checkpoint_dir=ckpt, resume=True).run()
     # A fresh (non-resume) run refuses to silently clobber existing records.
     with pytest.raises(CheckpointError):
         Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                 replay_testcases=False, triage=False,
+                 replay_testcases=False,
                  checkpoint_dir=ckpt).run()
 
 
@@ -336,7 +392,7 @@ def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch,
 
     ckpt = tmp_path / "ckpt"
     Campaign(tests=["concrete"], agents=["reference", "ovs"],
-             replay_testcases=False, triage=False,
+             replay_testcases=False,
              checkpoint_dir=str(ckpt)).run()
     meta = ckpt / "meta.json"
     current = json.loads(meta.read_text())
@@ -345,18 +401,20 @@ def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch,
                         lambda *args, **kwargs: explored.append(args))
     # v1: nested-tree phase-1 payloads; v2: a fingerprint with a hybrid-mode
     # key; v3: a fingerprint with a search-strategy key; v4: a fingerprint
-    # with a coverage-tracing key.
+    # with a coverage-tracing key; v5: pair payloads that store conditions
+    # (the fingerprint is unchanged, so only the format tag refuses it).
     for old_format, old_keys in (("soft/campaign-checkpoint/v1", {}),
                                  ("soft/campaign-checkpoint/v2", {"hybrid": False}),
                                  ("soft/campaign-checkpoint/v3", {"strategy": None}),
-                                 ("soft/campaign-checkpoint/v4", {"with_coverage": False})):
+                                 ("soft/campaign-checkpoint/v4", {"with_coverage": False}),
+                                 ("soft/campaign-checkpoint/v5", {})):
         data = {"format": old_format,
                 "fingerprint": dict(current["fingerprint"], **old_keys)}
         meta.write_text(json.dumps(data))
 
         with pytest.raises(CheckpointError, match="unsupported checkpoint format"):
             Campaign(tests=["concrete"], agents=["reference", "ovs"],
-                     replay_testcases=False, triage=False,
+                     replay_testcases=False,
                      checkpoint_dir=str(ckpt), resume=True).run()
         assert explored == []
 
@@ -372,7 +430,7 @@ def test_checkpoint_refuses_resume_with_other_phase1_settings(tmp_path, monkeypa
 
     ckpt = tmp_path / "ckpt"
     cells = dict(tests=["stats_request"], agents=["reference", "ovs"],
-                 replay_testcases=False, triage=False, checkpoint_dir=str(ckpt))
+                 replay_testcases=False, checkpoint_dir=str(ckpt))
     first = Campaign(**cells).run()
     assert first.exit_code == EXIT_OK
     meta_path = ckpt / "meta.json"
@@ -458,7 +516,7 @@ def test_cli_campaign_reports_failures_and_degradation(tmp_path, capsys):
                   hits=(1, 2))]).to_dict()))
     out = tmp_path / "report.json"
     code = cli_main(["campaign", "--tests", "concrete",
-                     "--agents", "reference,ovs", "--no-triage",
+                     "--agents", "reference,ovs", "--no-replay",
                      "--retries", "1", "--fault-plan", str(plan),
                      "--json", str(out), "--quiet"])
     assert code == 1
@@ -471,7 +529,7 @@ def test_cli_campaign_reports_failures_and_degradation(tmp_path, capsys):
     # the process executor degrades every Phase-1 cell to threads — which
     # the CLI must announce on stderr rather than hide.
     code = cli_main(["campaign", "--tests", "concrete",
-                     "--agents", "reference,ovs", "--no-triage",
+                     "--agents", "reference,ovs", "--no-replay",
                      "--executor", "process", "--workers", "2", "--quiet"])
     assert code == 0
     assert "executor degraded" in capsys.readouterr().err

@@ -230,22 +230,13 @@ def test_triage_in_campaign_report_dict(triaged_campaign):
     assert "triage:" in report.describe()
 
 
-def test_campaign_triage_can_be_disabled():
-    report = (Campaign(triage=False)
-              .with_tests("set_config")
-              .with_agents("reference", "modified")
-              .run())
-    assert report.triage is None
-    assert all(not sr.witnesses for sr in report.reports)
-
-
-def test_corpus_dir_without_triage_is_rejected(tmp_path):
+def test_corpus_dir_without_replay_is_rejected(tmp_path):
     from repro.errors import CampaignError
 
-    campaign = (Campaign(triage=False, corpus_dir=str(tmp_path / "c"))
+    campaign = (Campaign(replay_testcases=False, corpus_dir=str(tmp_path / "c"))
                 .with_tests("set_config")
                 .with_agents("reference", "modified"))
-    with pytest.raises(CampaignError, match="requires triage"):
+    with pytest.raises(CampaignError, match="requires replay"):
         campaign.run()
 
 
@@ -342,18 +333,16 @@ def test_minimize_returns_unconfirmed_witness_unchanged():
 # Clustering index
 # ---------------------------------------------------------------------------
 
-def test_triage_index_merges_across_indices(triaged_campaign):
+def test_triage_index_clusters_by_signature(triaged_campaign):
     report, _ = triaged_campaign
     witnesses = [w for sr in report.reports for w in sr.witnesses]
-    left, right = TriageIndex(), TriageIndex()
-    for index, witness in enumerate(witnesses):
-        (left if index % 2 else right).add(witness)
-    left.merge_from(right)
-    merged = left.report()
-    assert merged.raw_witnesses == len(witnesses)
-    assert merged.cluster_count == report.triage.cluster_count
+    index = TriageIndex()
+    index.add_all(witnesses)
+    clustered = index.report()
+    assert clustered.raw_witnesses == len(witnesses)
+    assert clustered.cluster_count == report.triage.cluster_count
     # The representative is the smallest witness of its cluster.
-    for cluster in merged.clusters:
+    for cluster in clustered.clusters:
         best = min(cluster.witnesses, key=lambda w: w.size_key())
         assert cluster.representative.size_key() == best.size_key()
 
