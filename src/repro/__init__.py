@@ -41,7 +41,7 @@ pair's result::
 
 from repro.version import __version__
 from repro.core.soft import SoftReport
-from repro.core.campaign import Campaign, CampaignReport, EncodingCache, ExplorationCache
+from repro.core.campaign import Campaign, CampaignReport, ExplorationCache
 from repro.core.artifacts import (
     load_exploration_artifact,
     load_exploration_artifacts,
@@ -68,7 +68,6 @@ __all__ = [
     "SoftReport",
     "Campaign",
     "CampaignReport",
-    "EncodingCache",
     "ExplorationCache",
     "AgentExplorationReport",
     "save_exploration_artifact",

@@ -449,6 +449,8 @@ def _cmd_triage(args: argparse.Namespace) -> int:
         code = _write_json(rendered, args.json_out, args.quiet)
         if code:
             return code
+    if report.exit_code:
+        return report.exit_code
     return 0 if triage.unconfirmed_witnesses == 0 else 1
 
 

@@ -18,10 +18,11 @@ to that pipeline (a single pair on a single test is a one-pair campaign,
   default executor; ``executor="process"`` runs Phase 1 in separate
   processes for true CPU parallelism (specs that do not pickle — e.g. with
   closure-built inputs — transparently fall back to the thread pool).
-* Phase 2b runs on a campaign-wide :class:`EncodingCache`: one shared
-  incremental SAT engine per test, so each agent's group conditions are
-  bit-blasted **once per test** no matter how many pairs reference them, and
-  every pair query is an assumption-based re-solve of the shared instance.
+* Phase 2b runs on one shared incremental SAT engine per test and run (a
+  :class:`~repro.symbex.solver.GroupEncoding`), so each agent's group
+  conditions are bit-blasted **once per test** no matter how many pairs
+  reference them, and every pair query is an assumption-based re-solve of
+  the shared instance.
 * Each inconsistency of a pair whose agents are both registered is turned
   into a concrete test case, replayed on both agents and kept as one
   :class:`~repro.core.witness.Witness` (delta-minimized when it diverged).
@@ -76,7 +77,7 @@ from repro.errors import CampaignError
 from repro.symbex.expr import intern_table
 from repro.symbex.solver import GroupEncoding
 
-__all__ = ["Campaign", "CampaignReport", "EncodingCache", "ExplorationCache"]
+__all__ = ["Campaign", "CampaignReport", "ExplorationCache"]
 
 # Process exit codes `soft campaign` maps campaign outcomes onto; see
 # :attr:`CampaignReport.exit_code`.
@@ -165,46 +166,6 @@ class ExplorationCache:
             return sum(1 for entry in self._entries.values() if entry.loaded)
 
 
-class EncodingCache:
-    """Thread-safe store of per-test incremental crosscheck engines.
-
-    All pairs of one campaign that crosscheck the same test share one
-    :class:`~repro.symbex.solver.GroupEncoding`, so a group condition is
-    encoded exactly once per test regardless of how many pairs reference the
-    agent that produced it.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._engines: Dict[Tuple[str, str], GroupEncoding] = {}
-
-    def engine_for(self, spec: TestSpec) -> GroupEncoding:
-        with self._lock:
-            key = (spec.key, spec.scale)
-            engine = self._engines.get(key)
-            if engine is None:
-                engine = GroupEncoding()
-                engine.bind_test(spec.key)
-                self._engines[key] = engine
-            return engine
-
-    @property
-    def engine_count(self) -> int:
-        with self._lock:
-            return len(self._engines)
-
-    def aggregated(self) -> Dict[str, object]:
-        """Summed counters across every per-test engine."""
-
-        with self._lock:
-            engines = list(self._engines.values())
-        totals: Dict[str, object] = {"mode": "incremental", "engines": len(engines)}
-        for engine in engines:
-            for name, value in engine.stats_dict().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
-
 def _explore_spec_unit(agent: str, spec: TestSpec) -> Tuple[AgentExplorationReport, float]:
     """Phase 1 for one unit; module-level so process pools can run it.
 
@@ -253,8 +214,9 @@ class CampaignReport:
     #: Agents whose loaded artifacts were never consumed (excluded by the
     #: pair list); non-empty means a supplied artifact contributed nothing.
     unused_loaded_agents: List[str] = dataclass_field(default_factory=list)
-    #: Campaign-wide Phase-2b solver counters (mode, encodings reused,
-    #: assumption solves, backend rebuilds, ...).
+    #: Phase-2b solver counters of this run: the per-test engines'
+    #: counters summed, the pair reports' scan counts summed, and
+    #: ``engines``.
     solver_stats: Dict[str, object] = dataclass_field(default_factory=dict)
     #: One row per (agent, test) Phase-1 exploration this campaign consumed:
     #: paths, solver queries, truncation.
@@ -423,18 +385,16 @@ class CampaignReport:
                 % (sum(int(row.get("paths") or 0) for row in explored),
                    sum(int(row.get("solver_queries") or 0) for row in explored)))
         stats = self.solver_stats or {}
-        if stats.get("mode") == "incremental":
+        if "engines" in stats:
             lines.append(
                 "  phase 2b: incremental: %d engine(s), %d group(s) encoded "
                 "(%d reused), %d pair(s) decided by %d SAT call(s) "
-                "(%d row solve(s), %d hit round(s), %d pairwise fallback(s)), "
-                "%d backend rebuild(s)"
-                % (stats.get("engines", 0), stats.get("groups_encoded", 0),
+                "(%d row solve(s), %d hit round(s), %d pairwise fallback(s))"
+                % (stats["engines"], stats.get("groups_encoded", 0),
                    stats.get("encoding_reuses", 0), self.total_queries,
                    stats.get("assumption_solves", 0),
                    stats.get("row_solves", 0), stats.get("hit_rounds", 0),
-                   stats.get("pairwise_fallbacks", 0),
-                   stats.get("backend_rebuilds", 0)))
+                   stats.get("pairwise_fallbacks", 0)))
         if self.coverage is not None:
             lines.append(
                 "  coverage: %d of %d static decision site(s) reached "
@@ -535,7 +495,7 @@ class Campaign:
         #: the duration of each run (and shipped to worker processes).
         self.fault_plan = fault_plan
         self.cache = ExplorationCache()
-        self.encodings = EncodingCache()
+        self._ran = False
         if executor not in ("thread", "process"):
             raise CampaignError("executor must be 'thread' or 'process', got %r" % (executor,))
         if tests is not None:
@@ -778,14 +738,15 @@ class Campaign:
         return ran[0], restored
 
     def _run_pair(self, spec: TestSpec, agent_a: str, agent_b: str,
+                  engine: GroupEncoding,
                   exploration_shares: Optional[Dict[Tuple[str, str], int]] = None,
                   ) -> SoftReport:
         """Phase 2 for one (test, pair): crosscheck, then one witness per inconsistency.
 
-        *exploration_shares* maps (agent, test key) to the number of pairs
-        consuming that cached exploration; its wall time is split between
-        them so that summing per-pair ``total_time`` does not multiply the
-        shared Phase-1 cost.
+        *engine* is the test's shared encoding.  *exploration_shares* maps
+        (agent, test key) to the number of pairs consuming that cached
+        exploration; its wall time is split between them so that summing
+        per-pair ``total_time`` does not multiply the shared Phase-1 cost.
 
         When the pair replays, each inconsistency's test case is built,
         replayed on both agents and kept as a
@@ -802,8 +763,7 @@ class Campaign:
         shares_a = (exploration_shares or {}).get((agent_a, spec.key), 1)
         shares_b = (exploration_shares or {}).get((agent_b, spec.key), 1)
         crosscheck = find_inconsistencies(
-            entry_a.grouped, entry_b.grouped,
-            engine=self.encodings.engine_for(spec))
+            entry_a.grouped, entry_b.grouped, engine=engine)
 
         witnesses: List[Witness] = []
         if (self.replay_testcases
@@ -850,13 +810,22 @@ class Campaign:
             return None, {}
         checkpoint = CampaignCheckpoint(self.checkpoint_dir)
         checkpoint.open(CampaignCheckpoint.fingerprint_for(
-            specs, paired_agents, pairs), resume=self.resume)
+            specs, paired_agents, pairs, self.replay_testcases, self.minimize,
+            self.minimize_budget), resume=self.resume)
         completed = checkpoint.completed_cells() if self.resume else {}
         return checkpoint, completed
 
     def run(self) -> CampaignReport:
-        """Execute the whole campaign and return the aggregated report."""
+        """Execute the whole campaign and return the aggregated report.
 
+        A campaign runs once: its report counts that run's work, so a
+        second call raises :class:`~repro.errors.CampaignError`.
+        """
+
+        if self._ran:
+            raise CampaignError("a campaign runs once; build a new Campaign "
+                                "to run again")
+        self._ran = True
         if self.fault_plan is not None:
             from repro.testing.faults import installed_fault_plan
 
@@ -887,9 +856,8 @@ class Campaign:
         job_failures: List[JobFailure] = []
         job_states: Dict[str, int] = {}
 
-        loaded_before = self.cache.loaded_count
-        hits_before = self.cache.hits
-        encoding_stats_before = self.encodings.aggregated()
+        # Read before Phase 1: checkpoint restores also seed the cache as loaded.
+        explorations_loaded = self.cache.loaded_count
         explorations_run, resumed = self._run_phase1(
             specs, paired_agents, supervisor, checkpoint, completed,
             job_failures, job_states)
@@ -917,6 +885,10 @@ class Campaign:
                 skipped_triage.append((spec.key, agent_a, agent_b, reason))
 
         reports_by_cell: Dict[Tuple[str, ...], SoftReport] = {}
+        # One shared encoding per test, built here on the supervisor thread
+        # when the test's first pair job is.
+        engines: Dict[str, GroupEncoding] = {}
+        crosschecked: List[SoftReport] = []
         ordered_cells: List[Tuple[str, ...]] = []
         job_meta: Dict[Tuple[str, ...], Tuple[TestSpec, str, str]] = {}
         pair_jobs: List[CampaignJob] = []
@@ -953,9 +925,14 @@ class Campaign:
                                        "error": failure.to_dict()})
                 continue
 
+            engine = engines.get(spec.key)
+            if engine is None:
+                engine = engines[spec.key] = GroupEncoding()
+
             def thread_fn(spec: TestSpec = spec, agent_a: str = agent_a,
-                          agent_b: str = agent_b) -> SoftReport:
-                return self._run_pair(spec, agent_a, agent_b,
+                          agent_b: str = agent_b,
+                          engine: GroupEncoding = engine) -> SoftReport:
+                return self._run_pair(spec, agent_a, agent_b, engine,
                                       exploration_shares=shares)
 
             pair_jobs.append(CampaignJob(kind="pair", key=cell,
@@ -967,6 +944,7 @@ class Campaign:
             if result.ok:
                 report = result.value
                 reports_by_cell[result.job.key] = report
+                crosschecked.append(report)
                 merge_triage(spec, agent_a, agent_b, report)
                 if checkpoint is not None:
                     checkpoint.save_pair(spec, report)
@@ -992,13 +970,13 @@ class Campaign:
             corpus_saved = WitnessCorpus(self.corpus_dir).add_clusters(
                 triage_report.clusters)
 
-        # Report per-run deltas: engines and their counters persist on the
-        # instance, and a re-run must not double-count earlier work (same
-        # accounting as the exploration cache above).
-        solver_stats = self.encodings.aggregated()
-        for name, value in solver_stats.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                solver_stats[name] = value - encoding_stats_before.get(name, 0)
+        solver_stats: Dict[str, object] = {"engines": len(engines)}
+        for counters in itertools.chain(
+                (engine.stats_dict() for engine in engines.values()),
+                (report.crosscheck.solver_stats for report in crosschecked)):
+            for name, value in counters.items():
+                if isinstance(value, (int, float)):
+                    solver_stats[name] = solver_stats.get(name, 0) + value
 
         exploration_stats: List[Dict[str, object]] = []
         coverage_sites = 0
@@ -1054,8 +1032,8 @@ class Campaign:
             pairs=pairs,
             reports=reports,
             explorations_run=explorations_run,
-            explorations_loaded=loaded_before,
-            cache_hits=self.cache.hits - hits_before,
+            explorations_loaded=explorations_loaded,
+            cache_hits=self.cache.hits,
             workers=self.workers,
             triage=triage_report,
             total_time=time.perf_counter() - started,

@@ -61,7 +61,10 @@ __all__ = ["CampaignCheckpoint", "CHECKPOINT_FORMAT", "PAIR_CELL_FORMAT"]
 #: v5: campaigns explore with the default settings only, so the fingerprint
 #: drops ``with_coverage`` and pair payloads drop ``truncated``.
 #: v6: pair payloads are ``soft/pair-cell/v2``.
-CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v6"
+#: v7: the fingerprint records the Phase-2 settings that decide what a
+#: restored pair holds (``replay_testcases``, ``minimize``,
+#: ``minimize_budget``).
+CHECKPOINT_FORMAT = "soft/campaign-checkpoint/v7"
 #: v2: no conditions and no ``replays_diverged``; a pair's witnesses are its
 #: replay record.
 PAIR_CELL_FORMAT = "soft/pair-cell/v2"
@@ -151,12 +154,15 @@ class CampaignCheckpoint:
 
     @staticmethod
     def fingerprint_for(specs: Sequence[TestSpec], agents: Sequence[str],
-                        pairs: Sequence[Tuple[str, str]]) -> Dict[str, object]:
+                        pairs: Sequence[Tuple[str, str]], replay_testcases: bool,
+                        minimize: bool, minimize_budget: int) -> Dict[str, object]:
         """The campaign fingerprint recorded in ``meta.json``.
 
         Besides the campaign's shape it holds the exploration limits Phase 1
-        ran under: a checkpoint whose explorations were truncated by other
-        ``EngineConfig`` budgets must not resume into this run.
+        ran under and the Phase-2 settings that decide a pair's witnesses: a
+        checkpoint whose explorations were truncated by other
+        ``EngineConfig`` budgets, or whose pairs were not replayed or
+        minimized the same way, must not resume into this run.
         """
 
         return {
@@ -164,6 +170,9 @@ class CampaignCheckpoint:
             "agents": sorted(agents),
             "pairs": sorted([sorted(pair) for pair in pairs]),
             "engine_config": asdict(EngineConfig()),
+            "replay_testcases": replay_testcases,
+            "minimize": minimize,
+            "minimize_budget": minimize_budget,
         }
 
     # ------------------------------------------------------------------

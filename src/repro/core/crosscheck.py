@@ -95,8 +95,9 @@ class CrosscheckReport:
     unknown_pairs: int
     checking_time: float
     identical_output_pairs: int
-    #: How the pairs were decided (per-filter and SAT-call counters) plus an
-    #: ``engine`` snapshot, cumulative when the engine is shared.
+    #: How this report's pairs were decided (per-filter and SAT-call
+    #: counters) plus an ``engine`` snapshot, cumulative when the engine is
+    #: shared.
     solver_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -187,17 +188,17 @@ def _scan_rows(grouped_a: GroupedResults, grouped_b: GroupedResults,
                 candidates.append(group_b)
         scan = engine.check_row(group_a.condition,
                                 [group_b.condition for group_b in candidates])
+        row_vias = Counter(outcome.via for outcome in scan.outcomes)
+        via_counts.update(row_vias)
+        # A row finishes pair by pair with one "assumption" solve per pair.
         calls.update(row_solves=scan.row_solves, hit_rounds=scan.hit_rounds,
-                     pairwise_fallbacks=scan.pairwise_fallbacks,
-                     sat_calls=scan.sat_calls)
+                     pairwise_fallbacks=int(row_vias["assumption"] > 0))
         for group_b, outcome in zip(candidates, scan.outcomes):
-            via_counts[outcome.via] += 1
             tally.record(group_a, group_b, outcome.result, outcome.result.time)
     return {
-        "mode": "incremental",
         "trivial": via_counts["trivial"],
         "pair_cache_hits": via_counts["pair-cache"],
-        "assumption_solves": calls["sat_calls"],
+        "assumption_solves": calls["row_solves"] + via_counts["assumption"],
         "row_solves": calls["row_solves"],
         "hit_rounds": calls["hit_rounds"],
         "pairwise_fallbacks": calls["pairwise_fallbacks"],

@@ -13,7 +13,7 @@ set short.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.agents import make_agent
@@ -249,7 +249,7 @@ def explore_agent(agent: AgentSpec,
     wall_time = time.perf_counter() - wall_started
 
     outcomes = [_outcome_from_record(record) for record in result.paths]
-    engine_stats = result.stats.as_dict()
+    engine_stats = asdict(result.stats)
     engine_stats["wall_time"] = wall_time
 
     report = AgentExplorationReport(

@@ -45,12 +45,10 @@ class TestDriver:
 
     def __init__(self, agent_factory: Callable[[], OpenFlowAgent],
                  inputs: Sequence[TestInput],
-                 coverage_tracker=None,
-                 perform_handshake: bool = True) -> None:
+                 coverage_tracker=None) -> None:
         self.agent_factory = agent_factory
         self.inputs = list(inputs)
         self.coverage_tracker = coverage_tracker
-        self.perform_handshake = perform_handshake
         # Input index -> its recorded build, or None for a build that must
         # run on every path (it branched or emitted an event).
         self._recorded: Dict[int, Optional[_RecordedBuild]] = {}
@@ -66,10 +64,9 @@ class TestDriver:
         ctx = RecordingContext(sink=state.record_event)
         agent.attach(ctx)
 
-        if self.perform_handshake:
-            # Connection setup: the controller's HELLO, processed concretely.
-            ctx.set_input_index(-1)
-            self._feed_control(agent, ctx, Hello(xid=0).pack())
+        # Connection setup: the controller's HELLO, processed concretely.
+        ctx.set_input_index(-1)
+        self._feed_control(agent, ctx, Hello(xid=0).pack())
 
         for index, test_input in enumerate(self.inputs):
             if agent.crashed:
@@ -196,8 +193,7 @@ class ConcreteRunResult:
 
 
 def run_concrete_sequence(agent: OpenFlowAgent,
-                          inputs: Sequence[Tuple[str, object]],
-                          perform_handshake: bool = True) -> ConcreteRunResult:
+                          inputs: Sequence[Tuple[str, object]]) -> ConcreteRunResult:
     """Feed a concrete input sequence to *agent* and collect its trace.
 
     *inputs* is a list of ``("control", SymBuffer)`` and
@@ -208,12 +204,11 @@ def run_concrete_sequence(agent: OpenFlowAgent,
     started = time.perf_counter()
     ctx = RecordingContext()
     agent.attach(ctx)
-    if perform_handshake:
-        ctx.set_input_index(-1)
-        try:
-            agent.handle_control_buffer(Hello(xid=0).pack())
-        except AgentCrash as crash:
-            ctx.crash(crash.reason)
+    ctx.set_input_index(-1)
+    try:
+        agent.handle_control_buffer(Hello(xid=0).pack())
+    except AgentCrash as crash:
+        ctx.crash(crash.reason)
 
     consumed = 0
     for index, (kind, payload) in enumerate(inputs):

@@ -20,8 +20,7 @@ Because terms are hash-consed (:mod:`repro.symbex.expr`), a program is a
 pure function of its interned node, so :func:`compile_term` keeps it on the
 node (the ``_compiled`` slot): one compile per distinct term, and the
 program lives and dies with its term.  :func:`compiled_cache_stats` counts
-the hits and misses; the engine reports per-run deltas in
-``ExplorationStats``.
+the hits and misses process-wide.
 
 Semantics are bit-identical to the reference interpreter the tests keep
 (``tests/oracles.py``) with one documented exception: the tape is *eager*,

@@ -45,8 +45,7 @@ from repro.symbex.expr import (
     bool_not,
     set_branch_hook,
 )
-from repro.symbex.compile import compiled_cache_stats
-from repro.symbex.simplify import simplify_bool, simplify_cache_stats
+from repro.symbex.simplify import simplify_bool
 from repro.symbex.solver.oracle import PrefixNode, PrefixOracle
 from repro.symbex.solver.sat import SATStatus
 from repro.symbex.state import PathCondition, PathState
@@ -127,39 +126,11 @@ class ExplorationStats:
     #: Replays abandoned via abort_current_path(); they produce no record
     #: but still count against the max_paths attempt budget.
     discarded_replays: int = 0
-    #: Branch-feasibility checks that reached the SAT backend *in this
-    #: exploration* — a per-run delta, not the cumulative counter of a
-    #: possibly-reused oracle.
+    #: Branch-feasibility checks that reached the SAT backend.
     solver_queries: int = 0
     wall_time: float = 0.0
     truncated: bool = False
     truncation_reason: Optional[str] = None
-    #: Per-node simplify-memo activity during this exploration (per-run
-    #: deltas of process-wide counters, so concurrent explorations overlap).
-    simplify_cache_hits: int = 0
-    simplify_cache_misses: int = 0
-    #: Per-node compile-memo activity (per-run deltas, same caveat; see
-    #: symbex/compile.py).
-    compiled_cache_hits: int = 0
-    compiled_cache_misses: int = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "paths": self.paths,
-            "failed_paths": self.failed_paths,
-            "decisions": self.decisions,
-            "forced_decisions": self.forced_decisions,
-            "forks": self.forks,
-            "discarded_replays": self.discarded_replays,
-            "solver_queries": self.solver_queries,
-            "wall_time": self.wall_time,
-            "truncated": self.truncated,
-            "truncation_reason": self.truncation_reason,
-            "simplify_cache_hits": self.simplify_cache_hits,
-            "simplify_cache_misses": self.simplify_cache_misses,
-            "compiled_cache_hits": self.compiled_cache_hits,
-            "compiled_cache_misses": self.compiled_cache_misses,
-        }
 
 
 @dataclass
@@ -197,9 +168,9 @@ class Engine:
 
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
         self.config = config if config is not None else EngineConfig()
-        #: The prefix-feasibility oracle; it outlives explorations, so a
-        #: reused engine answers repeated prefixes from its cache.
-        self.oracle = PrefixOracle()
+        #: The prefix-feasibility oracle of the current (or last)
+        #: exploration; each :meth:`explore` call builds its own.
+        self.oracle: Optional[PrefixOracle] = None
         self._current_state: Optional[PathState] = None
         self._current_prefix: Prefix = ()
         # Pending prefixes, a LIFO stack: the last fork is explored next.
@@ -238,10 +209,7 @@ class Engine:
         deadline = (started + self.config.time_budget
                     if self.config.time_budget else None)
 
-        simplify_before = simplify_cache_stats()
-        compiled_before = compiled_cache_stats()
-        oracle = self.oracle
-        oracle_stats_before = oracle.stats_dict()
+        oracle = self.oracle = PrefixOracle()
 
         records: List[PathRecord] = []
         path_id = 0
@@ -276,42 +244,13 @@ class Engine:
         self._stats.paths = len(records)
         self._stats.failed_paths = sum(1 for r in records if not r.ok)
         self._stats.wall_time = time.perf_counter() - started
-        simplify_after = simplify_cache_stats()
-        self._stats.simplify_cache_hits = int(
-            simplify_after["hits"] - simplify_before["hits"])
-        self._stats.simplify_cache_misses = int(
-            simplify_after["misses"] - simplify_before["misses"])
-        compiled_after = compiled_cache_stats()
-        self._stats.compiled_cache_hits = int(
-            compiled_after["hits"] - compiled_before["hits"])
-        self._stats.compiled_cache_misses = int(
-            compiled_after["misses"] - compiled_before["misses"])
-        self._stats.solver_queries = (
-            oracle.stats.assumption_solves - oracle_stats_before["assumption_solves"])
+        self._stats.solver_queries = oracle.stats.assumption_solves
         return ExplorationResult(
             paths=records,
             stats=self._stats,
-            solver_stats=self._solver_stats_snapshot(oracle_stats_before),
+            solver_stats=oracle.stats_dict(),
             frontier=frontier[::-1],
         )
-
-    # ------------------------------------------------------------------
-    # Reporting helpers
-    # ------------------------------------------------------------------
-
-    #: solver_stats entries that describe instance *state*, not per-run work;
-    #: they stay absolute when the snapshot is converted to per-run deltas.
-    _STATS_GAUGES = ("sat_variables", "sat_clauses")
-
-    def _solver_stats_snapshot(self, before: Dict[str, float]) -> Dict[str, float]:
-        """Per-run oracle counters (a reused engine must not accumulate)."""
-
-        stats = self.oracle.stats_dict()
-        for name, value in before.items():
-            if name not in self._STATS_GAUGES:
-                stats[name] = stats[name] - value
-        stats["queries"] = self._stats.solver_queries
-        return stats
 
     # ------------------------------------------------------------------
     # Single-path execution

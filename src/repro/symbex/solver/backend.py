@@ -142,10 +142,6 @@ class CDCLBackend:
         return self._sat.num_clauses
 
     @property
-    def solves(self) -> int:
-        return self._sat.solves
-
-    @property
     def sat_solver(self) -> SATSolver:
         """The underlying SAT core (regression tests poke at its trail)."""
 

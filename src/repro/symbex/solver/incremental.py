@@ -50,7 +50,8 @@ A-group against its candidate B-groups):
 
 On ``packet_out`` (reference/ovs/modified, small scale) this turns 18,191
 pair queries into a few hundred SAT calls.  Every decided pair is stored in
-the result cache, so a re-run on the same engine makes no SAT call at all.
+the result cache, so a pair that several scans on the engine ask about costs
+one SAT call at most.
 
 All public methods are thread-safe.  Queries on one engine serialize on its
 lock (the shared SAT instance is stateful); a campaign's thread pool still
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.errors import SolverError
@@ -86,47 +87,21 @@ DENSE_ROW_HIT_SHARE = 0.05
 
 @dataclass
 class IncrementalStats:
-    """Counters of one :class:`GroupEncoding` engine."""
+    """Counters of one :class:`GroupEncoding` engine: encodings, verdicts, time.
+
+    How the pairs were decided (row solves, hit rounds, pair solves) is
+    counted per scan on :class:`RowScan` and its outcomes.
+    """
 
     #: Distinct group conditions bit-blasted into the shared CNF.
     groups_encoded: int = 0
     #: Conditions requested again after their first encoding (the saving).
     encoding_reuses: int = 0
-    #: SAT calls on the shared instance under assumptions (row solves plus
-    #: pair-by-pair solves).
-    assumption_solves: int = 0
-    #: Disjunctive row queries (one A-group against all undecided B-groups).
-    row_solves: int = 0
-    #: Row queries answered SAT (each decides at least one pair).
-    hit_rounds: int = 0
-    #: Rows finished pair by pair instead of by another row query.
-    pairwise_fallbacks: int = 0
-    #: SAT instances constructed (1 per engine).
-    backend_rebuilds: int = 0
-    #: Pair queries answered from the (condition, condition) result cache.
-    pair_cache_hits: int = 0
     sat: int = 0
     unsat: int = 0
     unknown: int = 0
     encode_time: float = 0.0
     solve_time: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "groups_encoded": self.groups_encoded,
-            "encoding_reuses": self.encoding_reuses,
-            "assumption_solves": self.assumption_solves,
-            "row_solves": self.row_solves,
-            "hit_rounds": self.hit_rounds,
-            "pairwise_fallbacks": self.pairwise_fallbacks,
-            "backend_rebuilds": self.backend_rebuilds,
-            "pair_cache_hits": self.pair_cache_hits,
-            "sat": self.sat,
-            "unsat": self.unsat,
-            "unknown": self.unknown,
-            "encode_time": self.encode_time,
-            "solve_time": self.solve_time,
-        }
 
 
 @dataclass
@@ -159,7 +134,12 @@ class PairOutcome:
 
 @dataclass
 class RowScan:
-    """Outcome of :meth:`GroupEncoding.check_row`: one entry per candidate."""
+    """Outcome of :meth:`GroupEncoding.check_row`: one entry per candidate.
+
+    A candidate decided by its own SAT call (the pair-by-pair finish) has
+    ``via == "assumption"``; the row's SAT calls are ``row_solves`` plus
+    those outcomes.
+    """
 
     #: One outcome per candidate; ``None`` only while :meth:`_solve_row`
     #: still has the candidate pending.
@@ -168,14 +148,6 @@ class RowScan:
     row_solves: int = 0
     #: Row queries answered SAT.
     hit_rounds: int = 0
-    #: 1 when the row was finished pair by pair.
-    pairwise_fallbacks: int = 0
-    #: Pair-by-pair SAT calls.
-    pair_solves: int = 0
-
-    @property
-    def sat_calls(self) -> int:
-        return self.row_solves + self.pair_solves
 
 
 class GroupEncoding:
@@ -187,7 +159,7 @@ class GroupEncoding:
     """
 
     def __init__(self) -> None:
-        self.stats = IncrementalStats(backend_rebuilds=1)
+        self.stats = IncrementalStats()
         self._lock = threading.RLock()
         self._backend = CDCLBackend()
         # id-keyed: group conditions are hash-consed, so identity is
@@ -333,7 +305,6 @@ class GroupEncoding:
 
         cached = self._pair_cache.get(self._cache_key(group_a, group_b))
         if cached is not None:
-            self.stats.pair_cache_hits += 1
             return PairOutcome(SatResult(cached.status, dict(cached.model)),
                                via="pair-cache")
         return None
@@ -342,7 +313,6 @@ class GroupEncoding:
                     group_b: _EncodedGroup) -> PairOutcome:
         """One SAT call under the pair's two activation literals."""
 
-        self.stats.assumption_solves += 1
         started = time.perf_counter()
         status = self._backend.check_sat(
             assumptions=[group_a.activation, group_b.activation])
@@ -370,8 +340,6 @@ class GroupEncoding:
             backend.add_clause([-selector] + activations)
             dense = (scan.hit_rounds > 0
                      and scan.hit_rounds >= DENSE_ROW_HIT_SHARE * candidates)
-            self.stats.assumption_solves += 1
-            self.stats.row_solves += 1
             scan.row_solves += 1
             started = time.perf_counter()
             status = backend.check_sat(assumptions=[group_a.activation, selector],
@@ -397,7 +365,6 @@ class GroupEncoding:
                     "row query returned a model that satisfies none of its %d "
                     "candidate conditions — this is a bug in the decision "
                     "procedure" % (len(pending),))
-            self.stats.hit_rounds += 1
             scan.hit_rounds += 1
             for index in hits:
                 scan.outcomes[index] = self._decided(
@@ -406,11 +373,7 @@ class GroupEncoding:
                     elapsed=elapsed)
             pending = [index for index in pending if scan.outcomes[index] is None]
 
-        if pending:
-            self.stats.pairwise_fallbacks += 1
-            scan.pairwise_fallbacks = 1
         for index in pending:
-            scan.pair_solves += 1
             scan.outcomes[index] = self._solve_pair(group_a, groups_b[index])
 
     def _checked_model(self, model: Dict[str, int], group_a: _EncodedGroup,
@@ -444,10 +407,9 @@ class GroupEncoding:
         """Counter snapshot plus the size of the shared backend."""
 
         with self._lock:
-            snapshot = self.stats.as_dict()
+            snapshot = asdict(self.stats)
             snapshot["sat_variables"] = self._backend.num_vars
             snapshot["sat_clauses"] = self._backend.num_clauses
-            snapshot["backend_solves"] = self._backend.solves
             backend_stats = self._backend.stats_dict()
             for name in ("propagations", "decisions", "conflicts"):
                 snapshot["sat_" + name] = backend_stats.get(name, 0)

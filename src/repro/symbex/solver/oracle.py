@@ -39,9 +39,8 @@ base witness → backend):
   UNSAT).  Only cores on the node's fresh literals (those after ``base``)
   can apply: the base is SAT, so no core lies inside it.  The shared
   instance only gains definitional clauses for fresh variables and implied
-  learned clauses, so a stored core stays UNSAT for the oracle's lifetime,
-  across explorations on a reused engine.  A few dozen cores decide thousands
-  of branch sides;
+  learned clauses, so a stored core stays UNSAT for the oracle's lifetime
+  (one exploration).  A few dozen cores decide thousands of branch sides;
 * the **base witness** — every node proven SAT keeps the model that proved
   it (its *witness*; the root's is the empty model, every variable 0).  The
   engine passes the nearest witnessed ancestor on the current path as
@@ -65,13 +64,13 @@ in), so a finished trie is freed by reference counting.
 
 The oracle decides feasibility only; it never *returns* models.
 
-Instances are not thread-safe; each engine owns its own oracle.
+Instances are not thread-safe; each exploration builds its own oracle.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import EngineError
@@ -130,27 +129,6 @@ class PrefixOracleStats:
     unknown: int = 0
     encode_time: float = 0.0
     solve_time: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "literals_encoded": self.literals_encoded,
-            "literal_reuses": self.literal_reuses,
-            "branch_checks": self.branch_checks,
-            "trivial_decides": self.trivial_decides,
-            "prefix_cache_hits": self.prefix_cache_hits,
-            "core_decides": self.core_decides,
-            "cores_learned": self.cores_learned,
-            "witness_inherits": self.witness_inherits,
-            "witness_repairs": self.witness_repairs,
-            "prefix_nodes": self.prefix_nodes,
-            "delta_hits": self.delta_hits,
-            "assumption_solves": self.assumption_solves,
-            "sat": self.sat,
-            "unsat": self.unsat,
-            "unknown": self.unknown,
-            "encode_time": self.encode_time,
-            "solve_time": self.solve_time,
-        }
 
 
 class PrefixNode:
@@ -411,10 +389,9 @@ class PrefixOracle:
     def stats_dict(self) -> Dict[str, float]:
         """Counter snapshot plus the size of the shared backend."""
 
-        snapshot = self.stats.as_dict()
+        snapshot = asdict(self.stats)
         snapshot["sat_variables"] = self._backend.num_vars
         snapshot["sat_clauses"] = self._backend.num_clauses
-        snapshot["backend_solves"] = self._backend.solves
         return snapshot
 
 

@@ -198,14 +198,15 @@ def test_campaign_process_executor_uses_actual_spec():
     assert report.explorations_run == 2
 
 
-def test_campaign_rerun_reports_per_run_cache_stats():
+def test_campaign_runs_once():
     campaign = Campaign(tests=["concrete"], agents=["reference", "ovs"])
     first = campaign.run()
     assert first.cache_hits == 0  # single pair: each entry retrieved once
-    second = campaign.run()
-    # Second run re-reads both cached entries: 2 savings, not cumulative 3.
-    assert second.explorations_run == 0
-    assert second.cache_hits == 2
+    assert first.solver_stats["engines"] == 1
+    # A report counts its own run's work; a second run is refused rather
+    # than reconciled against the first.
+    with pytest.raises(CampaignError, match="runs once"):
+        campaign.run()
 
 
 def _previous_generation_probe():

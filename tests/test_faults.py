@@ -401,15 +401,19 @@ def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch,
                         lambda *args, **kwargs: explored.append(args))
     # v1: nested-tree phase-1 payloads; v2: a fingerprint with a hybrid-mode
     # key; v3: a fingerprint with a search-strategy key; v4: a fingerprint
-    # with a coverage-tracing key; v5: pair payloads that store conditions
-    # (the fingerprint is unchanged, so only the format tag refuses it).
-    for old_format, old_keys in (("soft/campaign-checkpoint/v1", {}),
-                                 ("soft/campaign-checkpoint/v2", {"hybrid": False}),
-                                 ("soft/campaign-checkpoint/v3", {"strategy": None}),
-                                 ("soft/campaign-checkpoint/v4", {"with_coverage": False}),
-                                 ("soft/campaign-checkpoint/v5", {})):
-        data = {"format": old_format,
-                "fingerprint": dict(current["fingerprint"], **old_keys)}
+    # with a coverage-tracing key; v5: pair payloads that store conditions;
+    # v6: a fingerprint without the Phase-2 settings.
+    phase2_settings = ("replay_testcases", "minimize", "minimize_budget")
+    v6_fingerprint = {key: value for key, value in current["fingerprint"].items()
+                      if key not in phase2_settings}
+    for old_format, fingerprint in (
+            ("soft/campaign-checkpoint/v1", current["fingerprint"]),
+            ("soft/campaign-checkpoint/v2", dict(v6_fingerprint, hybrid=False)),
+            ("soft/campaign-checkpoint/v3", dict(v6_fingerprint, strategy=None)),
+            ("soft/campaign-checkpoint/v4", dict(v6_fingerprint, with_coverage=False)),
+            ("soft/campaign-checkpoint/v5", v6_fingerprint),
+            ("soft/campaign-checkpoint/v6", v6_fingerprint)):
+        data = {"format": old_format, "fingerprint": fingerprint}
         meta.write_text(json.dumps(data))
 
         with pytest.raises(CheckpointError, match="unsupported checkpoint format"):
@@ -423,6 +427,32 @@ def test_checkpoint_from_older_format_is_refused_up_front(tmp_path, monkeypatch,
         assert code == 2
         assert "unsupported checkpoint format" in capsys.readouterr().err
         assert explored == []
+
+
+def test_checkpoint_refuses_resume_with_other_phase2_settings(tmp_path):
+    # A pair restored from a checkpoint written without replay (or without
+    # minimization) holds no witnesses (or unminimized ones): resuming it
+    # into a run with those settings on would report fewer replay-verified
+    # or minimized witnesses than a fresh run.
+    cells = dict(tests=["stats_request"], agents=["reference", "ovs"])
+    for name, setting in (("no-replay", {"replay_testcases": False}),
+                          ("no-minimize", {"minimize": False})):
+        ckpt = str(tmp_path / name)
+        assert Campaign(checkpoint_dir=ckpt, **setting, **cells).run().exit_code == EXIT_OK
+        with pytest.raises(CheckpointError, match="differently-configured"):
+            Campaign(checkpoint_dir=ckpt, resume=True, **cells).run()
+
+
+def test_cli_triage_exits_non_zero_on_a_failed_cell(capsys):
+    from repro.cli.main import main as cli_main
+
+    plan = FaultPlan([FaultSpec(site="phase1", kind="raise",
+                                match="ovs:stats_request", hits=(1, 2))])
+    with installed_fault_plan(plan):
+        code = cli_main(["triage", "--tests", "stats_request",
+                         "--agents", "reference,ovs", "--quiet"])
+    assert plan.fired
+    assert code == EXIT_FAILURES
 
 
 def test_checkpoint_refuses_resume_with_other_phase1_settings(tmp_path, monkeypatch):

@@ -179,12 +179,6 @@ def test_run_concrete_sequence_rejects_unknown_kind():
         run_concrete_sequence(make_agent("reference"), [("bogus", None)])
 
 
-def test_run_concrete_sequence_without_handshake():
-    result = run_concrete_sequence(make_agent("reference"), [], perform_handshake=False)
-    assert result.trace.is_empty
-    assert not result.crashed
-
-
 def test_table5_symbolic_probe_spec_explores_multiple_paths():
     spec = concretization_spec("symbolic_probe")
     from repro.core.explorer import explore_agent

@@ -208,13 +208,13 @@ def test_exploration_stats_surface_simplify_cache():
             return 1
         return 0
 
+    before = simplify_cache_stats()
     result = Engine().explore(program)
-    stats = result.stats
-    assert stats.paths == 2
-    assert stats.simplify_cache_hits + stats.simplify_cache_misses > 0
-    as_dict = stats.as_dict()
-    for key in ("simplify_cache_hits", "simplify_cache_misses"):
-        assert key in as_dict
+    after = simplify_cache_stats()
+    assert result.stats.paths == 2
+    # The memo is process-wide: an exploration shows up in its counters.
+    assert (after["hits"] + after["misses"]
+            > before["hits"] + before["misses"])
 
 
 # ---------------------------------------------------------------------------

@@ -178,36 +178,6 @@ def test_engine_counts_discarded_replays():
     assert [path.events for path in result.paths] == [["ok"]]
 
 
-def test_reused_engine_solver_stats_are_per_run_deltas():
-    def program(state):
-        x = state.new_symbol("x", 8)
-        if x == 1:
-            state.record_event("one")
-
-    engine = Engine()
-    first = engine.explore(program)
-    second = engine.explore(program)
-    # The first run decides the branch without the prefix cache (learned
-    # core, base witness or backend: ``x == 1`` is decided by patching the
-    # root's empty witness); the second is served entirely by the
-    # persistent prefix cache, so every counter in solver_stats must be a
-    # per-run delta, not a lifetime total.
-    first_decides = (first.solver_stats["assumption_solves"]
-                     + first.solver_stats["core_decides"]
-                     + first.solver_stats["witness_inherits"]
-                     + first.solver_stats["witness_repairs"])
-    assert first_decides >= 1
-    assert second.solver_stats["assumption_solves"] == 0
-    assert second.solver_stats["core_decides"] == 0
-    assert second.solver_stats["prefix_cache_hits"] >= 1
-    assert second.solver_stats["queries"] == second.stats.solver_queries == 0
-
-    legacy = ReferenceEngine()
-    legacy_first = legacy.explore(program)
-    legacy_second = legacy.explore(program)
-    assert legacy_second.solver_stats["queries"] == legacy_first.solver_stats["queries"]
-
-
 def test_truncated_frontier_is_the_rest_of_the_depth_first_order():
     def program(state):
         for index in range(3):

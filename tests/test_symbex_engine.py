@@ -331,16 +331,18 @@ def test_reused_oracle_engine_reports_per_run_solver_queries():
         if x == 1:
             state.record_event("one")
 
+    def counters(result):
+        return {name: value for name, value in result.solver_stats.items()
+                if not name.endswith("_time")}
+
     engine = Engine()
     first = engine.explore(program)
     second = engine.explore(program)
-    # The word-level pre-filter may answer every check without the backend,
-    # so solver_queries can legitimately be zero — but the branch decisions
-    # themselves must be visible, and the per-run stats must never grow
-    # cumulatively across explore() calls on a reused engine.
+    # Each explore() builds its own oracle, so a second run on the same
+    # engine does the same work as the first and reports it as its own.
     assert first.solver_stats["branch_checks"] > 0
-    assert second.stats.solver_queries <= max(first.stats.solver_queries, 0)
-    assert second.solver_stats["branch_checks"] <= first.solver_stats["branch_checks"]
+    assert counters(second) == counters(first)
+    assert second.stats.solver_queries == first.stats.solver_queries
 
 
 def test_aborted_replays_are_counted():
