@@ -198,15 +198,20 @@ def test_campaign_process_executor_uses_actual_spec():
     assert report.explorations_run == 2
 
 
-def test_campaign_runs_once():
+def test_campaign_rerun_reports_per_run_cache_stats():
     campaign = Campaign(tests=["concrete"], agents=["reference", "ovs"])
     first = campaign.run()
+    assert first.explorations_run == 2
     assert first.cache_hits == 0  # single pair: each entry retrieved once
     assert first.solver_stats["engines"] == 1
     # A report counts its own run's work; a second run is refused rather
     # than reconciled against the first.
     with pytest.raises(CampaignError, match="runs once"):
         campaign.run()
+    # A rerun is a new campaign, whose cache stats are its own.
+    second = Campaign(tests=["concrete"], agents=["reference", "ovs"]).run()
+    assert second.explorations_run == 2
+    assert second.cache_hits == 0
 
 
 def _previous_generation_probe():

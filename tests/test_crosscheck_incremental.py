@@ -16,7 +16,7 @@ from repro.core.crosscheck import find_inconsistencies
 from repro.core.explorer import explore_agent
 from repro.core.grouping import GroupedResults, OutputGroup, group_paths
 from repro.core.trace import OutputTrace
-from repro.errors import SolverError
+from repro.errors import CampaignError, SolverError
 from repro.symbex.compile import evaluate_compiled_bool
 from repro.symbex.expr import bool_and, bool_or, bvvar
 from repro.symbex.solver import GroupEncoding
@@ -139,6 +139,27 @@ def test_incremental_matches_legacy_on_seed_catalog():
 # Campaign integration: shared per-test engines
 # ---------------------------------------------------------------------------
 
+def test_encoding_cache_shares_one_engine_per_test(monkeypatch):
+    engines_by_test = {}
+    run_pair = Campaign._run_pair
+
+    def recording_run_pair(self, spec, agent_a, agent_b, engine, **kwargs):
+        engines_by_test.setdefault(spec.key, set()).add(id(engine))
+        return run_pair(self, spec, agent_a, agent_b, engine, **kwargs)
+
+    monkeypatch.setattr(Campaign, "_run_pair", recording_run_pair)
+    report = (Campaign(replay_testcases=False)
+              .with_tests("stats_request", "set_config")
+              .with_agents(*AGENTS)
+              .run())
+    # Every pair of a test shares that test's engine; no two tests share one.
+    assert report.pair_count == 6
+    assert sorted(engines_by_test) == ["set_config", "stats_request"]
+    assert all(len(ids) == 1 for ids in engines_by_test.values())
+    assert len(set().union(*engines_by_test.values())) == 2
+    assert report.solver_stats["engines"] == 2
+
+
 def test_campaign_incremental_matches_legacy_and_bounds_rebuilds():
     fast = (Campaign(replay_testcases=False)
             .with_tests("stats_request", "set_config")
@@ -167,6 +188,26 @@ def test_campaign_incremental_matches_legacy_and_bounds_rebuilds():
     assert ("%d pair(s) decided by %d SAT call(s)"
             % (fast.total_queries, fast.solver_stats["assumption_solves"])
             in fast.describe())
+
+
+def test_campaign_rerun_solver_stats_are_per_run():
+    def counters(report):
+        return {name: value for name, value in report.solver_stats.items()
+                if not name.endswith("_time")}
+
+    settings = dict(tests=["set_config"], agents=["reference", "modified"],
+                    replay_testcases=False)
+    campaign = Campaign(**settings)
+    first = campaign.run()
+    assert first.solver_stats["groups_encoded"] > 0
+    assert first.solver_stats["engines"] == 1
+    # Engines live for one run: the same campaign refuses a second run, and
+    # a new campaign over the same cells does, and reports, the same work.
+    with pytest.raises(CampaignError, match="runs once"):
+        campaign.run()
+    second = Campaign(**settings).run()
+    assert counters(second) == counters(first)
+    assert second.solver_stats["assumption_solves"] <= second.total_queries
 
 
 def _assert_cli_usage_error(argv, capsys):

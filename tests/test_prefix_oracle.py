@@ -178,6 +178,38 @@ def test_engine_counts_discarded_replays():
     assert [path.events for path in result.paths] == [["ok"]]
 
 
+def test_reused_engine_solver_stats_are_per_run_deltas():
+    def program(state):
+        x = state.new_symbol("x", 8)
+        if x == 1:
+            state.record_event("one")
+
+    engine = Engine()
+    first = engine.explore(program)
+    second = engine.explore(program)
+    # The first run decides the branch without the prefix cache (learned
+    # core, base witness or backend: ``x == 1`` is decided by patching the
+    # root's empty witness).  Each explore() starts from an empty prefix
+    # oracle, so the second run decides the branch the same way, and no
+    # counter carries over from the first run as a lifetime total.
+    for result in (first, second):
+        decides = (result.solver_stats["assumption_solves"]
+                   + result.solver_stats["core_decides"]
+                   + result.solver_stats["witness_inherits"]
+                   + result.solver_stats["witness_repairs"])
+        assert decides >= 1
+        assert result.solver_stats["prefix_cache_hits"] == 0
+    assert (second.solver_stats["assumption_solves"]
+            == first.solver_stats["assumption_solves"]
+            == second.stats.solver_queries)
+
+    legacy = ReferenceEngine()
+    legacy_first = legacy.explore(program)
+    legacy_second = legacy.explore(program)
+    assert (legacy_second.solver_stats["assumption_solves"]
+            == legacy_first.solver_stats["assumption_solves"])
+
+
 def test_truncated_frontier_is_the_rest_of_the_depth_first_order():
     def program(state):
         for index in range(3):
